@@ -1,0 +1,73 @@
+"""Golden outputs: byte-exact verify.csv and summary.json for every
+(scenario, variant) pair of the registry, under both qv modes.
+
+Refactors must leave these digests unchanged. A change that alters the
+outputs on purpose regenerates the file and says why:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from ltsurf.cli import main
+from ltsurf.scenarios import REGISTRY, build_parts
+
+GOLDEN = Path(__file__).with_name("golden_verify.json")
+CONFIG = ["--dt", "1e-2", "--paths", "6", "--seed", "7"]
+QV_MODES = ("analytic", "realized")
+OUTPUTS = ("verify.csv", "summary.json")
+
+
+def _cases():
+    return [(name, variant, qv)
+            for name in REGISTRY
+            for variant in build_parts(name)[1].variants
+            for qv in QV_MODES]
+
+
+def _key(name, variant, qv):
+    return f"{name}/{variant}/{qv}"
+
+
+def _digests(name, variant, qv, out_dir):
+    argv = ["verify", "--scenario", name, "--variant", variant, "--qv", qv,
+            *CONFIG, "--out", str(out_dir)]
+    with open(os.devnull, "w") as sink, redirect_stdout(sink), redirect_stderr(sink):
+        code = main(argv)
+    assert code == 0, f"{_key(name, variant, qv)}: exit code {code}"
+    return {f: hashlib.sha256((Path(out_dir) / f).read_bytes()).hexdigest()
+            for f in OUTPUTS}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_pair(golden):
+    assert sorted(golden) == sorted(_key(*c) for c in _cases())
+
+
+@pytest.mark.parametrize("name,variant,qv", _cases(),
+                         ids=[_key(*c) for c in _cases()])
+def test_outputs_match_golden(golden, tmp_path, name, variant, qv):
+    key = _key(name, variant, qv)
+    assert _digests(name, variant, qv, tmp_path) == golden[key], (
+        f"{key}: verify.csv or summary.json changed")
+
+
+if __name__ == "__main__":
+    table = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in _cases():
+            table[_key(*case)] = _digests(*case, tmp)
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(table)} entries to {GOLDEN}", file=sys.stderr)
