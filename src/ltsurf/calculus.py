@@ -1,13 +1,13 @@
-"""Pathwise integral evaluators: left-point Stieltjes and stochastic sums,
-continuous quadratic variation, local-time time integrals, jump sums and
-integrals against signed measures.
+"""Pathwise integral evaluators: left-point Stieltjes sums, coefficient
+values along a path, continuous quadratic variation, local-time time
+integrals, the jump iteration and integrals against signed measures.
 
 Every reduction runs in fixed index order on immutable arrays, so results
 are bit-reproducible regardless of how paths are distributed to workers.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,23 +46,13 @@ def stieltjes_integral(f_vals, g_vals):
     return float(np.sum(f[:-1] * np.diff(g)))
 
 
-def ito_integral(f_vals, driver, jump_flags=None, continuous_only=False):
-    """Left-point sum against driver increments.
-
-    The integrand must already hold left-limit evaluations.  With
-    continuous_only=True, increments ending at a flagged jump index are
-    dropped (the caller wants the continuous-martingale part).
-    """
-    f = np.asarray(f_vals, dtype=float)
-    g = np.asarray(driver, dtype=float)
-    _check_aligned(f, g)
-    dg = np.diff(g)
-    contrib = f[:-1] * dg
-    if continuous_only:
-        if jump_flags is None:
-            raise ConfigError("continuous_only requires jump flags")
-        contrib = np.where(np.asarray(jump_flags, bool)[1:], 0.0, contrib)
-    return float(np.sum(contrib))
+def coefficient_values(spec, name, t, a, x):
+    """Coefficient `name` of spec along aligned (t, a, x) arrays: one float
+    if it is constant, else one scalar call per point, as in the Euler loop."""
+    c = getattr(spec, name)
+    if not callable(c):
+        return float(c)
+    return np.array([c(t[k], a[k], x[k]) for k in range(len(t))], dtype=float)
 
 
 def continuous_qv_measure(bundle, spec=None, qv_mode="analytic"):
@@ -76,16 +66,9 @@ def continuous_qv_measure(bundle, spec=None, qv_mode="analytic"):
         spec = spec or bundle.spec
         if spec is None:
             raise ConfigError("analytic qv mode requires an SdeSpec")
-        dts = bundle.grid.dts
-        sig = spec.sigma
-        if callable(sig):
-            t = bundle.times[:-1]
-            a = bundle.a_path[:-1]
-            x = bundle.x_path[:-1]
-            s = np.array([sig(t[k], a[k], x[k]) for k in range(len(dts))])
-        else:
-            s = float(sig)
-        return np.square(s) * dts
+        s = coefficient_values(spec, "sigma", bundle.times[:-1],
+                               bundle.a_path[:-1], bundle.x_path[:-1])
+        return np.square(s) * bundle.grid.dts
     if qv_mode == "realized":
         if bundle.m_increments is None:
             raise ConfigError("realized qv mode requires decomposition tags")
@@ -95,10 +78,7 @@ def continuous_qv_measure(bundle, spec=None, qv_mode="analytic"):
 
 def local_time_time_integral(f_vals, lt):
     """Left-point Stieltjes sum against local-time increments."""
-    f = np.asarray(f_vals, dtype=float)
-    values = lt.values if hasattr(lt, "values") else np.asarray(lt, dtype=float)
-    _check_aligned(f, values)
-    return float(np.sum(f[:-1] * np.diff(values)))
+    return stieltjes_integral(f_vals, getattr(lt, "values", lt))
 
 
 class JumpContext(NamedTuple):
@@ -109,7 +89,6 @@ class JumpContext(NamedTuple):
     x_pre: float
     dx: float
     da: float
-    dm: float
 
 
 def iter_jumps(bundle):
@@ -122,13 +101,7 @@ def iter_jumps(bundle):
             x_pre=float(bundle.x_pre[idx]),
             dx=float(bundle.k_jump_increments[idx - 1]),
             da=float(bundle.a_jump_increments[idx - 1]),
-            dm=0.0,  # jumps live in K under the M/K split used here
         )
-
-
-def jump_sum(bundle, term):
-    """Sum of term(JumpContext) over flagged jump indices, in time order."""
-    return float(sum(term(ctx) for ctx in iter_jumps(bundle)))
 
 
 def measure_integral(f_vals, measure, grid):

@@ -1,27 +1,34 @@
 """Term-by-term evaluation of the change-of-variables formulas.
 
-Each verify_* function evaluates one formula variant on a simulated path
-bundle and returns a FormulaReport holding the left-hand side, every
-right-hand-side term by name, their sum, and the residual lhs - rhs.
+Each verify_* function returns a FormulaReport: the left-hand side, every
+right-hand-side term by name, their left-to-right sum and the residual
+lhs - rhs. A non-finite term aborts the run. verify_tanaka writes Tanaka's
+formula out; every other variant is a row of _VARIANTS, an ordered tuple
+of (column name, term builder) over one _PathView of the bundle.
 
 Conventions shared by all variants:
-  * integrands are evaluated at left limits (step-start values for the
-    continuous parts, pre-jump values at flagged jump indices);
-  * the glue is closed below: x <= b selects the lower branch;
-  * indicators on {X != b} are strict inequalities on left limits.
+  * integrands are evaluated at left limits: step-start values for the
+    continuous parts, pre-jump values (x_pre, a_pre) at flagged jumps;
+  * the glue is closed below: x <= b selects the lower branch, so F_x on
+    the surface is its limit from below; averaged derivatives are the mean
+    of the limits from below and from above;
+  * indicators on {X != b} are strict inequalities on left limits;
+  * jump terms accumulate one jump at a time, in time order.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .calculus import (LEBESGUE, MeasureSpec, continuous_qv_measure,
-                       iter_jumps, local_time_time_integral, measure_integral)
-from .errors import ConfigError, IncompatibleScenarioError
-from .localtime import (DEFAULT_MOLLIFIER, local_time_mollifier,
-                        local_time_occupation)
+from .calculus import (LEBESGUE, MeasureSpec, coefficient_values,
+                       continuous_qv_measure, iter_jumps,
+                       local_time_time_integral, measure_integral,
+                       stieltjes_integral)
+from .errors import ConfigError, IncompatibleScenarioError, NumericalAbort
+from .localtime import local_time_mollifier, local_time_occupation
 
 
 def coupled_eps(dt):
@@ -62,41 +69,23 @@ class PiecewiseSurfaceFunction:
     fx_plus: Callable  # (t, a) -> limit of F_x from above at the surface
     fx_minus: Callable
 
-    @property
-    def is_smooth(self):
-        return self.lower is self.upper
-
     def b(self, t, a):
         return np.asarray(self.surface.b(t, a), dtype=float)
 
-    def _select(self, attr, t, a, x):
+    def deriv(self, attr, t, a, x, from_above=False):
+        """Branch value of attr ("f" or a derivative) at (t, a, x). The
+        lower branch owns x = b; from_above hands it to the upper branch."""
         lower = np.asarray(getattr(self.lower, attr)(t, a, x), dtype=float)
-        if self.is_smooth:
+        if self.lower is self.upper:  # smooth F
             return np.broadcast_arrays(lower, x)[0]
         upper = np.asarray(getattr(self.upper, attr)(t, a, x), dtype=float)
+        if from_above:
+            return np.where(x >= self.b(t, a), upper, lower)
         return np.where(x <= self.b(t, a), lower, upper)
 
-    def value(self, t, a, x):
-        return self._select("f", t, a, x)
-
-    def deriv(self, attr, t, a, x):
-        return self._select(attr, t, a, x)
-
-    def deriv_from_below(self, attr, t, a, x):
-        """Limit in the space variable from below (x- evaluation)."""
-        return self._select(attr, t, a, x)  # closed-below glue: same rule
-
-    def deriv_from_above(self, attr, t, a, x):
-        lower = np.asarray(getattr(self.lower, attr)(t, a, x), dtype=float)
-        if self.is_smooth:
-            return np.broadcast_arrays(lower, x)[0]
-        upper = np.asarray(getattr(self.upper, attr)(t, a, x), dtype=float)
-        return np.where(x >= self.b(t, a), upper, lower)
-
     def deriv_averaged(self, attr, t, a, x):
-        above = self.deriv_from_above(attr, t, a, x)
-        below = self.deriv_from_below(attr, t, a, x)
-        return 0.5 * (above + below)
+        above = self.deriv(attr, t, a, x, from_above=True)
+        return 0.5 * (above + self.deriv(attr, t, a, x))
 
     def validate_glue(self, t_grid, a_grid, cont_tol=1e-9, fd_tol=1e-4, fd_h=1e-6):
         """Check continuity across the surface and agreement of the declared
@@ -130,7 +119,8 @@ def smooth_psf(f, d_t, d_a, d_x, d_xx, surface):
 
 def eval_F(psf, t, a, x):
     """Evaluate the glued function; the lower branch owns x = b."""
-    return psf.value(np.asarray(t, float), np.asarray(a, float), np.asarray(x, float))
+    return psf.deriv("f", np.asarray(t, float), np.asarray(a, float),
+                     np.asarray(x, float))
 
 
 def fx_jump(psf, t, a):
@@ -147,43 +137,30 @@ class FormulaReport:
     terms: dict
     rhs: float
     residual: float
-    metadata: dict = field(default_factory=dict)
 
 
-def _make_report(variant, lhs, terms, metadata=None):
-    rhs = 0.0
-    for v in terms.values():
-        rhs += v
+def _ordered_sum(values):
+    """Left-to-right float sum, one value at a time."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _make_report(variant, lhs, terms):
+    for name, value in {"lhs": lhs, **terms}.items():
+        if not math.isfinite(value):
+            raise NumericalAbort(f"{variant}: non-finite {name} ({value})")
+    rhs = _ordered_sum(terms.values())
     return FormulaReport(variant=variant, lhs=float(lhs), terms=terms,
-                         rhs=rhs, residual=float(lhs) - rhs,
-                         metadata=metadata or {})
-
-
-def _coeff_values(spec, name, t, a, x):
-    c = getattr(spec, name)
-    if not callable(c):
-        return np.full(len(t), float(c))
-    try:
-        out = np.asarray(c(t, a, x), dtype=float)
-        if out.shape == t.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([c(t[k], a[k], x[k]) for k in range(len(t))])
-
-
-def _require_spec(bundle):
-    if bundle.spec is None:
-        raise ConfigError("this variant needs the bundle's SdeSpec coefficients")
-    return bundle.spec
+                         rhs=rhs, residual=float(lhs) - rhs)
 
 
 def verify_tanaka(bundle, level, n=None, qv_mode="analytic"):
     """Tanaka's formula for |X - a|, local time via the mollifier estimator."""
     a = float(level)
-    dt = float(np.median(bundle.grid.dts))
     if n is None:
-        n = coupled_mollifier_n(dt)
+        n = coupled_mollifier_n(float(np.median(bundle.grid.dts)))
     u = bundle.x_path - a
     u_pre = bundle.x_pre - a
     sgn = np.where(u > 0.0, 1.0, -1.0)
@@ -202,8 +179,155 @@ def verify_tanaka(bundle, level, n=None, qv_mode="analytic"):
         "jump_correction": jump_corr,
         "local_time": lt.final,
     }
-    return _make_report("tanaka", lhs, terms,
-                        {"level": a, "mollifier_n": n, "qv_mode": qv_mode})
+    return _make_report("tanaka", lhs, terms)
+
+
+class _PathView:
+    """One bundle as the term builders read it.
+
+    t, a, x span the whole grid. The calculus primitives take entries
+    0..n-1 as the left points of the n steps, so the last entry never
+    enters a sum.
+    """
+
+    def __init__(self, psf, bundle, qv_mode, eps=None, n=None, gen=None):
+        self.psf, self.bundle, self.qv_mode = psf, bundle, qv_mode
+        self.eps, self.n, self.gen = eps, n, gen
+        self.t, self.a, self.x = bundle.times, bundle.a_path, bundle.x_path
+        self._derivs = {}
+
+    @cached_property
+    def off(self):
+        """The strict indicator 1{X != b}."""
+        return self.x != self.psf.b(self.t, self.a)
+
+    def deriv(self, attr, averaged=False, jump=None):
+        """A derivative of F on the grid or at a jump's left limit, memoised."""
+        key = (attr, averaged, jump)
+        if key not in self._derivs:
+            select = self.psf.deriv_averaged if averaged else self.psf.deriv
+            self._derivs[key] = (select(attr, self.t, self.a, self.x) if jump is None else
+                                 float(select(attr, jump.t, jump.a_pre, jump.x_pre)))
+        return self._derivs[key]
+
+    def coeff(self, name):
+        if self.bundle.spec is None:
+            raise ConfigError("this variant needs the bundle's SdeSpec coefficients")
+        return coefficient_values(self.bundle.spec, name, self.t, self.a, self.x)
+
+    def bandwidth(self, given, coupled):
+        """The given bandwidth, else the one coupled to the median step."""
+        return coupled(float(np.median(self.bundle.grid.dts))) if given is None else given
+
+    @cached_property
+    def jumps(self):
+        """(jump, F after minus F before) for each jump, in time order."""
+        return [(j, float(eval_F(self.psf, j.t, j.a, j.x)
+                          - eval_F(self.psf, j.t, j.a_pre, j.x_pre)))
+                for j in iter_jumps(self.bundle)]
+
+
+def _against(f, increments):
+    """Left-point sum of a whole-grid integrand against per-step increments."""
+    return float(np.sum(f[:-1] * increments))
+
+
+def _generator(v):
+    """(F_t + mu_x F_x + mu_a F_a + 1/2 sigma^2 F_xx) 1{X != b} dt."""
+    gen = (v.deriv("d_t")
+           + v.coeff("mu_x") * v.deriv("d_x")
+           + v.coeff("mu_a") * v.deriv("d_a")
+           + 0.5 * np.square(v.coeff("sigma")) * v.deriv("d_xx"))
+    return measure_integral(np.where(v.off, gen, 0.0), LEBESGUE, v.bundle.grid)
+
+
+def _brownian(v):
+    """sigma F_x 1{X != b} dB."""
+    f = np.where(v.off, v.coeff("sigma") * v.deriv("d_x"), 0.0)
+    return stieltjes_integral(f, v.bundle.b_path)
+
+
+def _local_time(estimate):
+    """1/2 (F_x(b+) - F_x(b-)) dl, with l = estimate(view)."""
+    def term(v):
+        gap = np.broadcast_to(0.5 * fx_jump(v.psf, v.t, v.a), v.t.shape)
+        return local_time_time_integral(gap, estimate(v))
+    return term
+
+
+_SYMMETRIC_LOCAL_TIME = _local_time(lambda v: local_time_occupation(
+    v.bundle, v.psf.surface, v.bandwidth(v.eps, coupled_eps), side="symmetric",
+    qv_mode=v.qv_mode))
+_RIGHT_LOCAL_TIME = _local_time(lambda v: local_time_mollifier(
+    v.bundle, v.psf.surface, v.bandwidth(v.n, coupled_mollifier_n), qv_mode=v.qv_mode))
+
+
+def _jump_sum(v):
+    """Sum over the jumps of F after minus F before."""
+    return _ordered_sum(df for _, df in v.jumps)
+
+
+# Each variant is its right-hand side: (column, builder) in summation order.
+# Jumps live in K under the bundle's M/K split, so the general formula's
+# jump compensation has no F_x dM part and is the plain jump sum of F.
+_VARIANTS = {
+    "ltc_diffusion": (
+        ("generator_time_integral", _generator),
+        ("sigma_fx_brownian", _brownian),
+        ("local_time", _SYMMETRIC_LOCAL_TIME),
+    ),
+    "surfaces_strong": (
+        ("avg_ft_time_integral", lambda v: measure_integral(
+            v.deriv("d_t", True), LEBESGUE, v.bundle.grid)),
+        ("avg_fa_da_continuous", lambda v: _against(
+            v.deriv("d_a", True), v.bundle.a_drift_increments)),
+        ("avg_fa_da_jumps", lambda v: _ordered_sum(
+            v.deriv("d_a", True, j) * j.da for j, _ in v.jumps)),
+        ("avg_fx_dx_continuous", lambda v: _against(
+            v.deriv("d_x", True), v.bundle.diffusion_increments())),
+        ("avg_fx_dx_jumps", lambda v: _ordered_sum(
+            v.deriv("d_x", True, j) * j.dx for j, _ in v.jumps)),
+        ("half_fxx_qv", lambda v: _against(
+            np.where(v.off, 0.5 * v.deriv("d_xx"), 0.0),
+            continuous_qv_measure(v.bundle, qv_mode=v.qv_mode))),
+        ("local_time", _SYMMETRIC_LOCAL_TIME),
+        ("jump_compensation", lambda v: _ordered_sum(
+            (df - v.deriv("d_a", True, j) * j.da) - v.deriv("d_x", True, j) * j.dx
+            for j, df in v.jumps)),
+    ),
+    "jump_ltc": (
+        ("sigma_fx_brownian", _brownian),
+        ("generator_time_integral", _generator),
+        ("local_time", _RIGHT_LOCAL_TIME),
+        ("jump_sum", _jump_sum),
+    ),
+    "smooth_fit": (
+        ("sigma_fx_brownian", _brownian),
+        ("lambda_fx_dY", lambda v: _ordered_sum(
+            v.bundle.spec.eval_coeff("lambda_x", j.t, j.a_pre, j.x_pre)
+            * v.deriv("d_x", jump=j) * float(v.bundle.y_path[k] - v.bundle.y_pre[k])
+            for k, (j, _) in zip(v.bundle.jump_indices, v.jumps))),
+        ("generator_time_integral", _generator),
+        ("jump_compensation", lambda v: _ordered_sum(
+            df - v.deriv("d_x", jump=j) * j.dx for j, df in v.jumps)),
+    ),
+    "general": (
+        ("h_dlambda", lambda v: measure_integral(
+            np.broadcast_to(v.gen.h(v.t, v.bundle.a_pre, v.bundle.x_pre), v.t.shape),
+            v.gen.measure, v.bundle.grid)),
+        ("fx_dM", lambda v: _against(v.deriv("d_x"), v.bundle.m_increments)),
+        ("local_time", _RIGHT_LOCAL_TIME),
+        ("jump_compensation", _jump_sum),
+    ),
+}
+
+
+def _assemble(variant, psf, bundle, qv_mode, **view_args):
+    view = _PathView(psf, bundle, qv_mode, **view_args)
+    terms = {name: build(view) for name, build in _VARIANTS[variant]}
+    lhs = (float(eval_F(psf, view.t[-1], view.a[-1], view.x[-1]))
+           - float(eval_F(psf, view.t[0], view.a[0], view.x[0])))
+    return _make_report(variant, lhs, terms)
 
 
 def verify_ltc_diffusion(psf, bundle, eps=None, qv_mode="analytic"):
@@ -211,99 +335,13 @@ def verify_ltc_diffusion(psf, bundle, eps=None, qv_mode="analytic"):
     if bundle.jump_indices.size:
         raise IncompatibleScenarioError(
             "the diffusion formula requires a jump-free bundle")
-    spec = _require_spec(bundle)
-    dt = float(np.median(bundle.grid.dts))
-    if eps is None:
-        eps = coupled_eps(dt)
-
-    t = bundle.times[:-1]
-    a = bundle.a_path[:-1]
-    x = bundle.x_path[:-1]
-    b = psf.b(t, a)
-    off = x != b
-
-    mu = _coeff_values(spec, "mu_x", t, a, x)
-    sigma = _coeff_values(spec, "sigma", t, a, x)
-    gen = (psf.deriv("d_t", t, a, x)
-           + mu * psf.deriv("d_x", t, a, x)
-           + 0.5 * np.square(sigma) * psf.deriv("d_xx", t, a, x))
-    time_term = float(np.sum(np.where(off, gen, 0.0) * bundle.grid.dts))
-
-    db = np.diff(bundle.b_path)
-    brownian_term = float(np.sum(
-        np.where(off, sigma * psf.deriv("d_x", t, a, x), 0.0) * db))
-
-    lt = local_time_occupation(bundle, psf.surface, eps, side="symmetric",
-                               qv_mode=qv_mode)
-    half_gap = 0.5 * fx_jump(psf, t, a)
-    lt_term = float(np.sum(half_gap * np.diff(lt.values)))
-
-    lhs = _lhs(psf, bundle)
-    terms = {
-        "generator_time_integral": time_term,
-        "sigma_fx_brownian": brownian_term,
-        "local_time": lt_term,
-    }
-    return _make_report("ltc_diffusion", lhs, terms,
-                        {"eps": eps, "qv_mode": qv_mode, "lt_side": "symmetric"})
+    return _assemble("ltc_diffusion", psf, bundle, qv_mode, eps=eps)
 
 
 def verify_surfaces_strong(psf, bundle, eps=None, qv_mode="analytic"):
     """Strong-smoothness surfaces formula: averaged one-sided derivatives in
     the dt/dA/dX terms, symmetric local time, full jump compensation."""
-    dt = float(np.median(bundle.grid.dts))
-    if eps is None:
-        eps = coupled_eps(dt)
-
-    t = bundle.times[:-1]
-    a = bundle.a_path[:-1]
-    x = bundle.x_path[:-1]
-    dts = bundle.grid.dts
-
-    ft_bar = psf.deriv_averaged("d_t", t, a, x)
-    fa_bar = psf.deriv_averaged("d_a", t, a, x)
-    fx_bar = psf.deriv_averaged("d_x", t, a, x)
-
-    time_term = float(np.sum(ft_bar * dts))
-    a_cont = float(np.sum(fa_bar * bundle.a_drift_increments))
-    x_cont = float(np.sum(fx_bar * bundle.diffusion_increments()))
-
-    b = psf.b(t, a)
-    qv = continuous_qv_measure(bundle, qv_mode=qv_mode)
-    qv_term = float(np.sum(
-        np.where(x != b, 0.5 * psf.deriv("d_xx", t, a, x), 0.0) * qv))
-
-    lt = local_time_occupation(bundle, psf.surface, eps, side="symmetric",
-                               qv_mode=qv_mode)
-    lt_term = float(np.sum(0.5 * fx_jump(psf, t, a) * np.diff(lt.values)))
-
-    a_jump = 0.0
-    x_jump = 0.0
-    comp = 0.0
-    for ctx in iter_jumps(bundle):
-        fa_pre = float(psf.deriv_averaged("d_a", ctx.t, ctx.a_pre, ctx.x_pre))
-        fx_pre = float(psf.deriv_averaged("d_x", ctx.t, ctx.a_pre, ctx.x_pre))
-        a_piece = fa_pre * ctx.da
-        x_piece = fx_pre * ctx.dx
-        a_jump += a_piece
-        x_jump += x_piece
-        df = float(eval_F(psf, ctx.t, ctx.a, ctx.x)
-                   - eval_F(psf, ctx.t, ctx.a_pre, ctx.x_pre))
-        comp += (df - a_piece) - x_piece
-
-    lhs = _lhs(psf, bundle)
-    terms = {
-        "avg_ft_time_integral": time_term,
-        "avg_fa_da_continuous": a_cont,
-        "avg_fa_da_jumps": a_jump,
-        "avg_fx_dx_continuous": x_cont,
-        "avg_fx_dx_jumps": x_jump,
-        "half_fxx_qv": qv_term,
-        "local_time": lt_term,
-        "jump_compensation": comp,
-    }
-    return _make_report("surfaces_strong", lhs, terms,
-                        {"eps": eps, "qv_mode": qv_mode, "lt_side": "symmetric"})
+    return _assemble("surfaces_strong", psf, bundle, qv_mode, eps=eps)
 
 
 def verify_jump_ltc(psf, bundle, n=None, qv_mode="analytic"):
@@ -315,47 +353,7 @@ def verify_jump_ltc(psf, bundle, n=None, qv_mode="analytic"):
     if not psf.surface.is_lipschitz:
         raise IncompatibleScenarioError(
             "this variant requires a Lipschitz-declared surface")
-    spec = _require_spec(bundle)
-    dt = float(np.median(bundle.grid.dts))
-    if n is None:
-        n = coupled_mollifier_n(dt)
-
-    t = bundle.times[:-1]
-    a = bundle.a_path[:-1]
-    x = bundle.x_path[:-1]
-    b = psf.b(t, a)
-    off = x != b
-
-    mu_x = _coeff_values(spec, "mu_x", t, a, x)
-    mu_a = _coeff_values(spec, "mu_a", t, a, x)
-    sigma = _coeff_values(spec, "sigma", t, a, x)
-    gen = (psf.deriv("d_t", t, a, x)
-           + mu_x * psf.deriv("d_x", t, a, x)
-           + mu_a * psf.deriv("d_a", t, a, x)
-           + 0.5 * np.square(sigma) * psf.deriv("d_xx", t, a, x))
-    time_term = float(np.sum(np.where(off, gen, 0.0) * bundle.grid.dts))
-
-    db = np.diff(bundle.b_path)
-    brownian_term = float(np.sum(
-        np.where(off, sigma * psf.deriv("d_x", t, a, x), 0.0) * db))
-
-    lt = local_time_mollifier(bundle, psf.surface, n, qv_mode=qv_mode)
-    lt_term = float(np.sum(0.5 * fx_jump(psf, t, a) * np.diff(lt.values)))
-
-    jump_term = 0.0
-    for ctx in iter_jumps(bundle):
-        jump_term += float(eval_F(psf, ctx.t, ctx.a, ctx.x)
-                           - eval_F(psf, ctx.t, ctx.a_pre, ctx.x_pre))
-
-    lhs = _lhs(psf, bundle)
-    terms = {
-        "sigma_fx_brownian": brownian_term,
-        "generator_time_integral": time_term,
-        "local_time": lt_term,
-        "jump_sum": jump_term,
-    }
-    return _make_report("jump_ltc", lhs, terms,
-                        {"mollifier_n": n, "qv_mode": qv_mode, "lt_side": "right"})
+    return _assemble("jump_ltc", psf, bundle, qv_mode, n=n)
 
 
 def verify_smooth_fit(psf, bundle, qv_mode="analytic", fit_tol=1e-9,
@@ -365,7 +363,6 @@ def verify_smooth_fit(psf, bundle, qv_mode="analytic", fit_tol=1e-9,
     The vanishing of the one-sided derivative gap is checked on a test grid
     spanning the path's (t, a) range before evaluation.
     """
-    spec = _require_spec(bundle)
     t_grid = np.linspace(bundle.times[0], bundle.times[-1], fit_grid)
     a_lo, a_hi = float(bundle.a_path.min()), float(bundle.a_path.max())
     a_grid = np.linspace(a_lo - 0.1, a_hi + 0.1, fit_grid)
@@ -374,47 +371,7 @@ def verify_smooth_fit(psf, bundle, qv_mode="analytic", fit_tol=1e-9,
     if gap >= fit_tol:
         raise IncompatibleScenarioError(
             f"smooth-fit condition violated on the test grid: max gap {gap:g}")
-
-    t = bundle.times[:-1]
-    a = bundle.a_path[:-1]
-    x = bundle.x_path[:-1]
-    b = psf.b(t, a)
-    off = x != b
-
-    mu_x = _coeff_values(spec, "mu_x", t, a, x)
-    mu_a = _coeff_values(spec, "mu_a", t, a, x)
-    sigma = _coeff_values(spec, "sigma", t, a, x)
-    gen = (psf.deriv("d_t", t, a, x)
-           + mu_x * psf.deriv("d_x", t, a, x)
-           + mu_a * psf.deriv("d_a", t, a, x)
-           + 0.5 * np.square(sigma) * psf.deriv("d_xx", t, a, x))
-    time_term = float(np.sum(np.where(off, gen, 0.0) * bundle.grid.dts))
-
-    db = np.diff(bundle.b_path)
-    brownian_term = float(np.sum(
-        np.where(off, sigma * psf.deriv("d_x", t, a, x), 0.0) * db))
-
-    dy = bundle.y_path - bundle.y_pre  # nonzero only at flagged indices
-    y_term = 0.0
-    comp = 0.0
-    for ctx in iter_jumps(bundle):
-        idx = np.searchsorted(bundle.times, ctx.t)
-        lam = spec.eval_coeff("lambda_x", ctx.t, ctx.a_pre, ctx.x_pre)
-        fx_pre = float(psf.deriv_from_below("d_x", ctx.t, ctx.a_pre, ctx.x_pre))
-        y_term += lam * fx_pre * float(dy[idx])
-        df = float(eval_F(psf, ctx.t, ctx.a, ctx.x)
-                   - eval_F(psf, ctx.t, ctx.a_pre, ctx.x_pre))
-        comp += df - fx_pre * ctx.dx
-
-    lhs = _lhs(psf, bundle)
-    terms = {
-        "sigma_fx_brownian": brownian_term,
-        "lambda_fx_dY": y_term,
-        "generator_time_integral": time_term,
-        "jump_compensation": comp,
-    }
-    return _make_report("smooth_fit", lhs, terms,
-                        {"qv_mode": qv_mode, "fit_gap": float(gap)})
+    return _assemble("smooth_fit", psf, bundle, qv_mode)
 
 
 @dataclass(frozen=True)
@@ -431,44 +388,4 @@ def verify_general(psf, gen, bundle, n=None, qv_mode="analytic"):
     """General semimartingale formula with user-supplied (H, lambda)."""
     if bundle.m_increments is None:
         raise ConfigError("bundle lacks M/K decomposition tags")
-    dt = float(np.median(bundle.grid.dts))
-    if n is None:
-        n = coupled_mollifier_n(dt)
-
-    t = bundle.times
-    h_vals = np.asarray(gen.h(t, bundle.a_pre, bundle.x_pre), dtype=float)
-    h_vals = np.broadcast_arrays(h_vals, t)[0]
-    h_term = measure_integral(h_vals, gen.measure, bundle.grid)
-
-    tk = t[:-1]
-    ak = bundle.a_path[:-1]
-    xk = bundle.x_path[:-1]
-    m_term = float(np.sum(
-        psf.deriv_from_below("d_x", tk, ak, xk) * bundle.m_increments))
-
-    lt = local_time_mollifier(bundle, psf.surface, n, qv_mode=qv_mode)
-    lt_term = float(np.sum(0.5 * fx_jump(psf, tk, ak) * np.diff(lt.values)))
-
-    jump_term = 0.0
-    for ctx in iter_jumps(bundle):
-        fx_pre = float(psf.deriv_from_below("d_x", ctx.t, ctx.a_pre, ctx.x_pre))
-        df = float(eval_F(psf, ctx.t, ctx.a, ctx.x)
-                   - eval_F(psf, ctx.t, ctx.a_pre, ctx.x_pre))
-        jump_term += df - fx_pre * ctx.dm
-
-    lhs = _lhs(psf, bundle)
-    terms = {
-        "h_dlambda": h_term,
-        "fx_dM": m_term,
-        "local_time": lt_term,
-        "jump_compensation": jump_term,
-    }
-    return _make_report("general", lhs, terms,
-                        {"mollifier_n": n, "qv_mode": qv_mode,
-                         "hypothesis": gen.hypothesis_note, "lt_side": "right"})
-
-
-def _lhs(psf, bundle):
-    end = float(eval_F(psf, bundle.times[-1], bundle.a_path[-1], bundle.x_path[-1]))
-    start = float(eval_F(psf, bundle.times[0], bundle.a_path[0], bundle.x_path[0]))
-    return end - start
+    return _assemble("general", psf, bundle, qv_mode, n=n, gen=gen)

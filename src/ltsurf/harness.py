@@ -47,6 +47,9 @@ class ScenarioConfig:
             raise ConfigError("dt must be positive")
         if self.t_end <= 0:
             raise ConfigError("t_end must be positive")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigError(f"dt = {self.dt!r} does not divide t_end = {self.t_end!r}")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be at least 1")
         if self.workers < 1:

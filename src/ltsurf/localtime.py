@@ -163,7 +163,8 @@ def occupation_formula_check(bundle, g, level_grid, eps, qv_mode="analytic",
         mask = (np.abs(u[None, :] - levels[:, None])) < eps
         scale = 1.0 / (2.0 * eps)
     lt_final = scale * (mask @ qv)
-    trapezoid = getattr(np, "trapezoid", np.trapz)
+    # numpy >= 2.0 has trapezoid; numpy 2.4 removed trapz
+    trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
     rhs = float(trapezoid(np.asarray(g(levels), dtype=float) * lt_final, levels))
     denom = max(abs(lhs), abs(rhs), np.finfo(float).tiny)
     return lhs, rhs, abs(lhs - rhs) / denom

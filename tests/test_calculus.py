@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltsurf import (LEBESGUE, ConfigError, MeasureSpec, SdeSpec,
-                    continuous_qv_measure, ito_integral, jump_sum,
-                    measure_integral, simulate_jump_diffusion,
-                    stieltjes_integral, two_point)
+                    continuous_qv_measure, measure_integral,
+                    simulate_jump_diffusion, stieltjes_integral, two_point)
 from ltsurf.calculus import iter_jumps, local_time_time_integral
 
 
@@ -39,21 +38,6 @@ class TestStieltjes:
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
-class TestItoIntegral:
-    def test_continuous_only_drops_jump_steps(self):
-        b = _bundle()
-        flags = b.grid.jump_flags
-        full = ito_integral(np.ones_like(b.x_path), b.x_path, flags)
-        cont = ito_integral(np.ones_like(b.x_path), b.x_path, flags,
-                            continuous_only=True)
-        dropped = np.sum(np.diff(b.x_path)[flags[1:]])
-        assert full - cont == pytest.approx(dropped)
-
-    def test_requires_flags_when_continuous_only(self):
-        with pytest.raises(ConfigError):
-            ito_integral([1.0, 1.0], [0.0, 1.0], continuous_only=True)
-
-
 class TestQvMeasure:
     def test_analytic_constant_sigma(self):
         b = _bundle(sigma=0.5)
@@ -71,16 +55,10 @@ class TestQvMeasure:
 
 
 class TestJumpSum:
-    def test_sums_jump_increments(self):
-        b = _bundle()
-        total = jump_sum(b, lambda ctx: ctx.dx)
-        assert total == pytest.approx(np.sum(b.k_jump_increments))
-
     def test_contexts_expose_left_limits(self):
         b = _bundle()
         for ctx in iter_jumps(b):
             assert ctx.x == pytest.approx(ctx.x_pre + ctx.dx)
-            assert ctx.dm == 0.0
 
 
 class TestMeasureIntegral:

@@ -10,7 +10,7 @@ from ltsurf import (Branch, ConfigError, GeneratorSpec,
                     verify_general, verify_jump_ltc, verify_ltc_diffusion,
                     verify_smooth_fit, verify_surfaces_strong, verify_tanaka)
 from ltsurf.formulas import eval_F, fx_jump
-from ltsurf.scenarios import build_parts, evaluate_variant
+from ltsurf.scenarios import REGISTRY, build_parts, evaluate_variant
 
 
 def _abs_psf():
@@ -44,6 +44,11 @@ class TestPiecewise:
 
     def test_validate_glue_accepts_consistent_branches(self):
         _abs_psf().validate_glue(np.linspace(0, 1, 5), np.linspace(-1, 1, 5))
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_registry_functions_pass_validate_glue(self, name):
+        _, parts = build_parts(name)
+        parts.psf.validate_glue(np.linspace(0, 1, 11), np.linspace(-2, 2, 21))
 
     def test_validate_glue_rejects_discontinuity(self):
         surface = constant_surface(0.0)

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -130,6 +131,25 @@ class TestCli:
 
     def test_unknown_scenario_exit_2(self, capsys):
         assert main(["verify", "--scenario", "nope", "--paths", "1"]) == 2
+
+    def test_dt_not_dividing_t_end_exit_2(self, capsys):
+        assert main(["verify", "--scenario", "tanaka_bm", "--dt", "0.3",
+                     "--paths", "1"]) == 2
+        assert "does not divide" in capsys.readouterr().err
+
+    def test_nonfinite_term_exit_4(self, monkeypatch, capsys):
+        scen = REGISTRY["peskir_diffusion"]
+
+        def build(p):
+            parts = scen.build(p)
+            upper = replace(parts.psf.upper, d_xx=lambda t, a, x: np.nan * x)
+            parts.psf = replace(parts.psf, upper=upper)
+            return parts
+
+        monkeypatch.setitem(REGISTRY, scen.name, replace(scen, build=build))
+        assert main(["verify", "--scenario", scen.name, "--dt", "1e-2",
+                     "--paths", "2"]) == 4
+        assert "non-finite generator_time_integral" in capsys.readouterr().err
 
     def test_incompatible_variant_exit_3(self, capsys):
         rc = main(["verify", "--scenario", "glued_quadratic_jump",
