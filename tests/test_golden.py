@@ -1,5 +1,6 @@
 """Golden outputs: byte-exact verify.csv and summary.json for every
-(scenario, variant) pair of the registry, under both qv modes.
+(scenario, variant) pair of the registry, under both qv modes, and the
+byte-exact paths.csv that `simulate` writes for every registry scenario.
 
 Refactors must leave these digests unchanged. A change that alters the
 outputs on purpose regenerates the file and says why:
@@ -37,14 +38,30 @@ def _key(name, variant, qv):
     return f"{name}/{variant}/{qv}"
 
 
+def _simulate_key(name):
+    return f"{name}/simulate"
+
+
 def _digests(name, variant, qv, out_dir):
     argv = ["verify", "--scenario", name, "--variant", variant, "--qv", qv,
             *CONFIG, "--out", str(out_dir)]
     with open(os.devnull, "w") as sink, redirect_stdout(sink), redirect_stderr(sink):
         code = main(argv)
     assert code == 0, f"{_key(name, variant, qv)}: exit code {code}"
+    return _sha256(out_dir, OUTPUTS)
+
+
+def _simulate_digests(name, out_dir):
+    argv = ["simulate", "--scenario", name, *CONFIG, "--out", str(out_dir)]
+    with open(os.devnull, "w") as sink, redirect_stdout(sink), redirect_stderr(sink):
+        code = main(argv)
+    assert code == 0, f"{_simulate_key(name)}: exit code {code}"
+    return _sha256(out_dir, ("paths.csv",))
+
+
+def _sha256(out_dir, files):
     return {f: hashlib.sha256((Path(out_dir) / f).read_bytes()).hexdigest()
-            for f in OUTPUTS}
+            for f in files}
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +70,8 @@ def golden():
 
 
 def test_golden_covers_every_pair(golden):
-    assert sorted(golden) == sorted(_key(*c) for c in _cases())
+    assert sorted(golden) == sorted([_key(*c) for c in _cases()]
+                                    + [_simulate_key(name) for name in REGISTRY])
 
 
 @pytest.mark.parametrize("name,variant,qv", _cases(),
@@ -64,10 +82,18 @@ def test_outputs_match_golden(golden, tmp_path, name, variant, qv):
         f"{key}: verify.csv or summary.json changed")
 
 
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_simulate_paths_match_golden(golden, tmp_path, name):
+    key = _simulate_key(name)
+    assert _simulate_digests(name, tmp_path) == golden[key], f"{key}: paths.csv changed"
+
+
 if __name__ == "__main__":
     table = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in _cases():
             table[_key(*case)] = _digests(*case, tmp)
+        for name in REGISTRY:
+            table[_simulate_key(name)] = _simulate_digests(name, tmp)
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} entries to {GOLDEN}", file=sys.stderr)
