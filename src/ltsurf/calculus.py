@@ -1,6 +1,6 @@
-"""Pathwise integral evaluators: left-point Stieltjes sums, coefficient
-values along a path, continuous quadratic variation, local-time time
-integrals, the jump iteration and integrals against signed measures.
+"""Pathwise integral evaluators: left-point Stieltjes sums, continuous
+quadratic variation, local-time time integrals, the jump iteration and
+integrals against signed measures.
 
 Every reduction runs in fixed index order on immutable arrays, so results
 are bit-reproducible regardless of how paths are distributed to workers.
@@ -46,32 +46,16 @@ def stieltjes_integral(f_vals, g_vals):
     return float(np.sum(f[:-1] * np.diff(g)))
 
 
-def coefficient_values(spec, name, t, a, x):
-    """Coefficient `name` of spec along aligned (t, a, x) arrays: one float
-    if it is constant, else one scalar call per point, as in the Euler loop."""
-    c = getattr(spec, name)
-    if not callable(c):
-        return float(c)
-    return np.array([c(t[k], a[k], x[k]) for k in range(len(t))], dtype=float)
-
-
-def continuous_qv_measure(bundle, spec=None, qv_mode="analytic"):
+def continuous_qv_measure(bundle, qv_mode="analytic"):
     """Per-step increments of the continuous quadratic variation of X.
 
-    analytic: sigma(t_k, A_k, X_k)^2 * dt per step (needs an SdeSpec).
+    analytic: sigma^2 * dt per step.
     realized: squared continuous step increments of X; jump increments are
     excluded, they belong to the discontinuous part of [X, X].
     """
     if qv_mode == "analytic":
-        spec = spec or bundle.spec
-        if spec is None:
-            raise ConfigError("analytic qv mode requires an SdeSpec")
-        s = coefficient_values(spec, "sigma", bundle.times[:-1],
-                               bundle.a_path[:-1], bundle.x_path[:-1])
-        return np.square(s) * bundle.grid.dts
+        return np.square(float(bundle.spec.sigma)) * bundle.grid.dts
     if qv_mode == "realized":
-        if bundle.m_increments is None:
-            raise ConfigError("realized qv mode requires decomposition tags")
         return np.square(bundle.diffusion_increments())
     raise ConfigError(f"unknown qv_mode: {qv_mode!r}")
 
@@ -92,6 +76,7 @@ class JumpContext(NamedTuple):
 
 
 def iter_jumps(bundle):
+    dx, da = bundle.k_jump_increments, bundle.a_jump_increments
     for idx in bundle.jump_indices:
         yield JumpContext(
             t=float(bundle.times[idx]),
@@ -99,8 +84,8 @@ def iter_jumps(bundle):
             x=float(bundle.x_path[idx]),
             a_pre=float(bundle.a_pre[idx]),
             x_pre=float(bundle.x_pre[idx]),
-            dx=float(bundle.k_jump_increments[idx - 1]),
-            da=float(bundle.a_jump_increments[idx - 1]),
+            dx=float(dx[idx - 1]),
+            da=float(da[idx - 1]),
         )
 
 

@@ -51,6 +51,17 @@ _CONFIG_KEYS = {
     "surface": str, "level": float,
 }
 
+# envelope flags with their defaults, applied after the config file
+_ENVELOPE_KEYS = {"surface": (str, "abs"), "m": (str, "1,10,100,1000"),
+                  "grid_n": (int, 20), "out": (str, None)}
+
+
+def _convert(what, value, kind):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}")
+
 
 def _merge_config(args):
     """File values fill in anything the command line left at its default."""
@@ -58,19 +69,29 @@ def _merge_config(args):
     params = {}
     for key, value in file_vals.items():
         if key.startswith("param."):
-            params[key[len("param."):]] = float(value)
+            name = key[len("param."):]
+            params[name] = _convert(f"parameter {name!r}", value, float)
         elif key in _CONFIG_KEYS:
             if getattr(args, key, None) is None:
-                setattr(args, key, _CONFIG_KEYS[key](value))
+                setattr(args, key, _convert(f"config key {key!r}", value,
+                                            _CONFIG_KEYS[key]))
         else:
             raise ConfigError(f"unknown config key: {key!r}")
     for item in args.param or []:
         key, value = _parse_kv(item)
-        try:
-            params[key] = float(value)
-        except ValueError:
-            raise ConfigError(f"parameter {key!r} must be numeric, got {value!r}")
+        params[key] = _convert(f"parameter {key!r}", value, float)
     args.params = params
+    return args
+
+
+def _merge_envelope_config(args):
+    """As _merge_config for the envelope flags; other file keys are ignored."""
+    file_vals = read_config_file(args.config) if args.config else {}
+    for key, (kind, default) in _ENVELOPE_KEYS.items():
+        if getattr(args, key) is None:
+            value = file_vals.get(key)
+            setattr(args, key, default if value is None else
+                    _convert(f"config key {key!r}", value, kind))
     return args
 
 
@@ -137,10 +158,11 @@ def build_parser():
                              help="comma-separated decreasing step sizes")
 
     env = subs.add_parser("envelope", help="Moreau envelope table for a registry surface")
-    env.add_argument("--surface", default="abs")
-    env.add_argument("--m", default="1,10,100,1000",
-                     help="comma-separated penalty parameters")
-    env.add_argument("--grid-n", dest="grid_n", type=int, default=20)
+    env.add_argument("--surface", help="registry surface (default abs)")
+    env.add_argument("--m", help="comma-separated penalty parameters "
+                                 "(default 1,10,100,1000)")
+    env.add_argument("--grid-n", dest="grid_n", type=int,
+                     help="grid points per axis (default 20)")
     env.add_argument("--out")
     env.add_argument("--config", help="flat key=value config file")
 
@@ -173,13 +195,7 @@ def _dispatch(args):
         return 0
 
     if args.command == "envelope":
-        if args.config:
-            file_vals = read_config_file(args.config)
-            for key in ("surface", "out"):
-                if key in file_vals:
-                    setattr(args, key, file_vals[key])
-            if "m" in file_vals:
-                args.m = file_vals["m"]
+        args = _merge_envelope_config(args)
         try:
             m_values = [float(v) for v in str(args.m).split(",") if v]
         except ValueError:

@@ -23,8 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import (LEBESGUE, MeasureSpec, coefficient_values,
-                       continuous_qv_measure, iter_jumps,
+from .calculus import (LEBESGUE, MeasureSpec, continuous_qv_measure, iter_jumps,
                        local_time_time_integral, measure_integral,
                        stieltjes_integral)
 from .errors import ConfigError, IncompatibleScenarioError, NumericalAbort
@@ -211,9 +210,7 @@ class _PathView:
         return self._derivs[key]
 
     def coeff(self, name):
-        if self.bundle.spec is None:
-            raise ConfigError("this variant needs the bundle's SdeSpec coefficients")
-        return coefficient_values(self.bundle.spec, name, self.t, self.a, self.x)
+        return float(getattr(self.bundle.spec, name))
 
     def bandwidth(self, given, coupled):
         """The given bandwidth, else the one coupled to the median step."""
@@ -304,8 +301,7 @@ _VARIANTS = {
     "smooth_fit": (
         ("sigma_fx_brownian", _brownian),
         ("lambda_fx_dY", lambda v: _ordered_sum(
-            v.bundle.spec.eval_coeff("lambda_x", j.t, j.a_pre, j.x_pre)
-            * v.deriv("d_x", jump=j) * float(v.bundle.y_path[k] - v.bundle.y_pre[k])
+            v.coeff("lambda_x") * v.deriv("d_x", jump=j) * float(v.bundle.dy[k - 1])
             for k, (j, _) in zip(v.bundle.jump_indices, v.jumps))),
         ("generator_time_integral", _generator),
         ("jump_compensation", lambda v: _ordered_sum(
@@ -386,6 +382,4 @@ class GeneratorSpec:
 
 def verify_general(psf, gen, bundle, n=None, qv_mode="analytic"):
     """General semimartingale formula with user-supplied (H, lambda)."""
-    if bundle.m_increments is None:
-        raise ConfigError("bundle lacks M/K decomposition tags")
     return _assemble("general", psf, bundle, qv_mode, n=n, gen=gen)

@@ -305,10 +305,12 @@ def emit_bundles(config, out_dir):
     for i in range(config.n_paths):
         seed = derive_path_seed(config.seed, i)
         b = simulate_jump_diffusion(parts.spec, config.t_end, config.n_steps, seed)
+        y = np.cumsum(np.concatenate(([0.0], b.dy)))
+        z = np.cumsum(np.concatenate(([0.0], b.dz)))
         for k in range(len(b.times)):
             lines.append(",".join([
                 str(i), _fmt(b.times[k]), str(int(b.grid.jump_flags[k])),
-                _fmt(b.b_path[k]), _fmt(b.y_path[k]), _fmt(b.z_path[k]),
+                _fmt(b.b_path[k]), _fmt(y[k]), _fmt(z[k]),
                 _fmt(b.a_path[k]), _fmt(b.x_path[k]),
                 _fmt(b.a_pre[k]), _fmt(b.x_pre[k]),
             ]))
@@ -321,6 +323,8 @@ def emit_bundles(config, out_dir):
 def envelope_table(surface_name, m_values, t_range=(0.0, 1.0), a_range=(-1.0, 1.0),
                    grid_n=20, out_dir=None):
     """Moreau envelope of a registry surface tabulated over a (t, a) grid."""
+    if grid_n < 1:
+        raise ConfigError(f"grid_n must be at least 1, got {grid_n}")
     if surface_name not in SURFACES:
         raise ConfigError(f"unknown surface: {surface_name!r} "
                           f"(registry: {', '.join(sorted(SURFACES))})")

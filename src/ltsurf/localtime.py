@@ -22,7 +22,6 @@ class MollifierSpec:
 
     name: str
     evaluate: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
 
 
 def _default_kernel(z):
@@ -30,13 +29,8 @@ def _default_kernel(z):
     return np.where((z >= 0.0) & (z <= 1.0), 6.0 * z * (1.0 - z), 0.0)
 
 
-def _default_kernel_derivative(z):
-    z = np.asarray(z, dtype=float)
-    return np.where((z >= 0.0) & (z <= 1.0), 6.0 - 12.0 * z, 0.0)
-
-
 # integral of 6 z (1 - z) over [0, 1] is exactly 1
-DEFAULT_MOLLIFIER = MollifierSpec("quadratic_bump", _default_kernel, _default_kernel_derivative)
+DEFAULT_MOLLIFIER = MollifierSpec("quadratic_bump", _default_kernel)
 
 
 @dataclass(frozen=True)
@@ -55,13 +49,12 @@ class LocalTimeSeries:
         return float(self.values[-1])
 
 
-def _distance_to_target(bundle, surface_or_level, use_left_limits=True):
-    """X - b (or X - level) along the path, at left limits by default."""
-    x = bundle.x_pre if use_left_limits else bundle.x_path
-    a = bundle.a_pre if use_left_limits else bundle.a_path
+def _distance_to_target(bundle, surface_or_level):
+    """X - b (or X - level) along the path, at left limits."""
     if np.isscalar(surface_or_level) or isinstance(surface_or_level, (int, float)):
-        return x - float(surface_or_level)
-    return x - np.asarray(surface_or_level.b(bundle.times, a), dtype=float)
+        return bundle.x_pre - float(surface_or_level)
+    return bundle.x_pre - np.asarray(surface_or_level.b(bundle.times, bundle.a_pre),
+                                     dtype=float)
 
 
 def local_time_occupation(bundle, surface_or_level, eps, side="right",

@@ -6,14 +6,15 @@ diffusion increment of the step ending at a jump time is applied first,
 the pre-jump value recorded, and the jump applied afterwards.
 """
 
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, NumericalAbort
 
-Coefficient = Union[float, Callable[[float, float, float], float]]
+_COEFFICIENTS = ("mu_x", "sigma", "lambda_x", "mu_a", "lambda_a")
 
 
 @dataclass(frozen=True)
@@ -36,10 +37,6 @@ class TimeGrid:
             raise ConfigError("grid times must be strictly increasing")
         if f.shape != t.shape:
             raise ConfigError("jump_flags must align with times")
-
-    @property
-    def t_end(self):
-        return float(self.times[-1])
 
     @property
     def n_steps(self):
@@ -70,11 +67,6 @@ class JumpTrain:
             raise ConfigError("jump times and sizes must align")
         if t.size and not np.all(np.diff(t) > 0):
             raise ConfigError("jump times must be strictly increasing")
-
-    @property
-    def total_variation(self):
-        # finite by construction: finitely many events
-        return float(np.sum(np.abs(self.sizes)))
 
 
 @dataclass(frozen=True)
@@ -115,17 +107,16 @@ class SdeSpec:
     dX = mu_x dt + sigma dB + lambda_x dY
     dA = mu_a dt + lambda_a dZ
 
-    Coefficients may be plain floats (state-independent, enables the
-    vectorised simulation lane) or callables of (t, a, x).  Setting
+    The five coefficients are real constants, stored as floats.  Setting
     a_jump_driver="y" routes the A jumps through the same train Y that
     drives X, for scenarios where both processes share one jump clock.
     """
 
-    mu_x: Coefficient = 0.0
-    sigma: Coefficient = 0.0
-    lambda_x: Coefficient = 0.0
-    mu_a: Coefficient = 0.0
-    lambda_a: Coefficient = 0.0
+    mu_x: float = 0.0
+    sigma: float = 0.0
+    lambda_x: float = 0.0
+    mu_a: float = 0.0
+    lambda_a: float = 0.0
     rate_y: float = 0.0
     rate_z: float = 0.0
     jump_law_y: Optional[JumpLaw] = None
@@ -135,6 +126,12 @@ class SdeSpec:
     a_jump_driver: str = "z"
 
     def __post_init__(self):
+        for name in _COEFFICIENTS:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ConfigError(f"coefficient {name} must be a real constant, "
+                                  f"got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.a_jump_driver not in ("y", "z"):
             raise ConfigError("a_jump_driver must be 'y' or 'z'")
         if self.rate_y < 0 or self.rate_z < 0:
@@ -144,49 +141,47 @@ class SdeSpec:
         if self.rate_z > 0 and self.jump_law_z is None:
             raise ConfigError("rate_z > 0 requires jump_law_z")
 
-    @property
-    def is_constant_coefficient(self):
-        return all(
-            not callable(c)
-            for c in (self.mu_x, self.sigma, self.lambda_x, self.mu_a, self.lambda_a)
-        )
-
-    def eval_coeff(self, name, t, a, x):
-        c = getattr(self, name)
-        if callable(c):
-            return c(t, a, x)
-        return c
-
 
 @dataclass
 class PathBundle:
-    """Aligned realisation of (t, B, Y, Z, A, X) with left limits at jumps.
+    """Aligned realisation of (t, B, A, X) with left limits at jumps.
 
-    Increment arrays (length n_steps) split X into a martingale part M
-    (Brownian integral) and a finite-variation part K (drift + jumps):
+    Only the drivers are given: the Brownian path B and the per-step
+    jump-train increments dY, dZ (placed at the step that ends at the jump).
+    The increments split X into a martingale part M (Brownian integral)
+    and a finite-variation part K (drift + jumps), derived from the spec's
+    constant coefficients:
 
         x[k+1] = x[k] + ((k_drift[k] + m[k]) + k_jump[k])
 
     with that exact floating-point association; the pre-jump value is
     x[k] + (k_drift[k] + m[k]).  Same split for A with m identically 0.
+    Construction runs this Euler scheme once and stores (A, X) and their
+    left limits, which equal the value at non-jump indices.
     """
 
     grid: TimeGrid
-    b_path: np.ndarray  # driving Brownian motion
-    y_path: np.ndarray
-    z_path: np.ndarray
-    a_path: np.ndarray
-    x_path: np.ndarray
-    x_pre: np.ndarray  # left limits, equal to the value at non-jump indices
-    a_pre: np.ndarray
-    y_pre: np.ndarray
-    z_pre: np.ndarray
-    m_increments: np.ndarray
-    k_drift_increments: np.ndarray
-    k_jump_increments: np.ndarray
-    a_drift_increments: np.ndarray
-    a_jump_increments: np.ndarray
-    spec: Optional[SdeSpec] = None
+    spec: SdeSpec
+    b_path: np.ndarray
+    dy: np.ndarray
+    dz: np.ndarray
+    a_path: np.ndarray = field(init=False)
+    x_path: np.ndarray = field(init=False)
+    a_pre: np.ndarray = field(init=False)
+    x_pre: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        cont = self.diffusion_increments()
+        a_drift = self.a_drift_increments
+        self.x_path = _accumulate(self.spec.x0, cont + self.k_jump_increments)
+        self.a_path = _accumulate(self.spec.a0, a_drift + self.a_jump_increments)
+        if not (np.all(np.isfinite(self.x_path)) and np.all(np.isfinite(self.a_path))):
+            raise NumericalAbort("non-finite values in simulated path")
+        jidx = self.grid.jump_indices
+        self.x_pre = self.x_path.copy()
+        self.x_pre[jidx] = self.x_path[jidx - 1] + cont[jidx - 1]
+        self.a_pre = self.a_path.copy()
+        self.a_pre[jidx] = self.a_path[jidx - 1] + a_drift[jidx - 1]
 
     @property
     def jump_indices(self):
@@ -196,22 +191,31 @@ class PathBundle:
     def times(self):
         return self.grid.times
 
-    def left_limits(self, idx):
-        """Pre-jump (A, X, Y, Z) values at a flagged grid index."""
-        return (
-            float(self.a_pre[idx]),
-            float(self.x_pre[idx]),
-            float(self.y_pre[idx]),
-            float(self.z_pre[idx]),
-        )
+    @property
+    def m_increments(self):
+        return self.spec.sigma * np.diff(self.b_path)
+
+    @property
+    def k_drift_increments(self):
+        return self.spec.mu_x * self.grid.dts
+
+    @property
+    def k_jump_increments(self):
+        return self.spec.lambda_x * self.dy
+
+    @property
+    def a_drift_increments(self):
+        return self.spec.mu_a * self.grid.dts
+
+    @property
+    def a_jump_increments(self):
+        driver = self.dy if self.spec.a_jump_driver == "y" else self.dz
+        return self.spec.lambda_a * driver
 
     def diffusion_increments(self):
         """Per-step continuous increments of X (drift + Brownian part)."""
         return self.k_drift_increments + self.m_increments
 
-    def reconstruct_x(self):
-        total = (self.k_drift_increments + self.m_increments) + self.k_jump_increments
-        return np.cumsum(np.concatenate(([self.x_path[0]], total)))
 
 
 def build_grid(t_end, n_steps, jump_times=()):
@@ -262,17 +266,14 @@ def simulate_brownian(grid, seed):
     return np.cumsum(np.concatenate(([0.0], increments)))
 
 
-def _jump_train_on_grid(train, grid):
-    """Step-function values of a jump train aligned to the grid, with
-    per-step increments placed at the flagged index ending the step."""
-    n = grid.n_steps
-    inc = np.zeros(n)
+def _jump_increments(train, grid):
+    """Per-step increments of a jump train, each placed at the step that
+    ends at its (on-grid) jump time."""
+    inc = np.zeros(grid.n_steps)
     if train.times.size:
         idx = np.searchsorted(grid.times, train.times)
-        # each jump time is a grid point by construction
         np.add.at(inc, idx - 1, train.sizes)
-    path = np.cumsum(np.concatenate(([0.0], inc)))
-    return path, inc
+    return inc
 
 
 def _accumulate(x0, increments):
@@ -286,94 +287,9 @@ def simulate_jump_diffusion(spec, t_end, n_steps, seed):
     Y jumps, Z jumps and Brownian increments are derived from the seed, so
     the Brownian draw does not depend on how many jumps occurred.
     """
-    if n_steps < 1:
-        raise ConfigError("n_steps must be at least 1")
     seed_y, seed_z, seed_b = np.random.SeedSequence(seed).spawn(3)
     train_y = simulate_compound_poisson(spec.rate_y, spec.jump_law_y, t_end, seed_y)
     train_z = simulate_compound_poisson(spec.rate_z, spec.jump_law_z, t_end, seed_z)
-    jump_times = np.union1d(train_y.times, train_z.times)
-    grid = build_grid(t_end, n_steps, jump_times)
-    brownian = simulate_brownian(grid, seed_b)
-
-    y_path, dy = _jump_train_on_grid(train_y, grid)
-    z_path, dz = _jump_train_on_grid(train_z, grid)
-    da_driver = dy if spec.a_jump_driver == "y" else dz
-
-    n = grid.n_steps
-    dts = grid.dts
-    db = np.diff(brownian)
-    times = grid.times
-
-    if spec.is_constant_coefficient:
-        k_drift = spec.mu_x * dts
-        m_inc = spec.sigma * db
-        k_jump = spec.lambda_x * dy
-        a_drift = spec.mu_a * dts
-        a_jump = spec.lambda_a * da_driver
-        x_path = _accumulate(spec.x0, (k_drift + m_inc) + k_jump)
-        a_path = _accumulate(spec.a0, a_drift + a_jump)
-        x_pre = x_path.copy()
-        a_pre = a_path.copy()
-        jidx = grid.jump_indices
-        x_pre[jidx] = x_path[jidx - 1] + (k_drift[jidx - 1] + m_inc[jidx - 1])
-        a_pre[jidx] = a_path[jidx - 1] + a_drift[jidx - 1]
-    else:
-        k_drift = np.zeros(n)
-        m_inc = np.zeros(n)
-        k_jump = np.zeros(n)
-        a_drift = np.zeros(n)
-        a_jump = np.zeros(n)
-        x_path = np.zeros(n + 1)
-        a_path = np.zeros(n + 1)
-        x_pre = np.zeros(n + 1)
-        a_pre = np.zeros(n + 1)
-        x_path[0] = x_pre[0] = spec.x0
-        a_path[0] = a_pre[0] = spec.a0
-        flags = grid.jump_flags
-        for k in range(n):
-            t, a, x = times[k], a_path[k], x_path[k]
-            k_drift[k] = spec.eval_coeff("mu_x", t, a, x) * dts[k]
-            m_inc[k] = spec.eval_coeff("sigma", t, a, x) * db[k]
-            a_drift[k] = spec.eval_coeff("mu_a", t, a, x) * dts[k]
-            xl = x + (k_drift[k] + m_inc[k])
-            al = a + a_drift[k]
-            x_pre[k + 1] = xl
-            a_pre[k + 1] = al
-            if flags[k + 1]:
-                tj = times[k + 1]
-                k_jump[k] = spec.eval_coeff("lambda_x", tj, al, xl) * dy[k]
-                a_jump[k] = spec.eval_coeff("lambda_a", tj, al, xl) * da_driver[k]
-            x_path[k + 1] = x + ((k_drift[k] + m_inc[k]) + k_jump[k])
-            a_path[k + 1] = a + (a_drift[k] + a_jump[k])
-        # left limit equals the value at non-jump indices by convention
-        nonjump = ~flags
-        x_pre[nonjump] = x_path[nonjump]
-        a_pre[nonjump] = a_path[nonjump]
-
-    if not (np.all(np.isfinite(x_path)) and np.all(np.isfinite(a_path))):
-        raise NumericalAbort("non-finite values in simulated path")
-
-    y_pre = y_path.copy()
-    z_pre = z_path.copy()
-    jidx = grid.jump_indices
-    y_pre[jidx] = y_path[jidx] - dy[jidx - 1]
-    z_pre[jidx] = z_path[jidx] - dz[jidx - 1]
-
-    return PathBundle(
-        grid=grid,
-        b_path=brownian,
-        y_path=y_path,
-        z_path=z_path,
-        a_path=a_path,
-        x_path=x_path,
-        x_pre=x_pre,
-        a_pre=a_pre,
-        y_pre=y_pre,
-        z_pre=z_pre,
-        m_increments=m_inc,
-        k_drift_increments=k_drift,
-        k_jump_increments=k_jump,
-        a_drift_increments=a_drift,
-        a_jump_increments=a_jump,
-        spec=spec,
-    )
+    grid = build_grid(t_end, n_steps, np.union1d(train_y.times, train_z.times))
+    return PathBundle(grid, spec, simulate_brownian(grid, seed_b),
+                      _jump_increments(train_y, grid), _jump_increments(train_z, grid))

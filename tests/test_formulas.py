@@ -1,7 +1,11 @@
 """Glued functions and the formula verifiers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltsurf import (Branch, ConfigError, GeneratorSpec,
                     IncompatibleScenarioError, MeasureSpec,
@@ -169,6 +173,33 @@ class TestSurfacesStrong:
         b = simulate_jump_diffusion(parts.spec, 1.0, 300, 14)
         rep = verify_surfaces_strong(parts.psf, b)
         assert abs(rep.residual) < 1e-12
+
+
+@given(mu_x=st.floats(-2.0, 2.0), mu_a=st.floats(-2.0, 2.0),
+       rate=st.floats(0.0, 10.0), lo=st.floats(-1.0, 1.0), hi=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), qv=st.sampled_from(["analytic", "realized"]))
+@settings(max_examples=40, deadline=None)
+def test_degenerate_scenarios_exact_over_random_inputs(mu_x, mu_a, rate, lo, hi,
+                                                       seed, qv):
+    """exact_drift and exact_drift_jump: sigma = 0 and a linear F, so every
+    compatible variant closes to rounding error, jumps or not."""
+    cases = [("exact_drift", {"mu_x": mu_x, "mu_a": mu_a}, None),
+             ("exact_drift_jump", {"mu_x": mu_x, "mu_a": mu_a, "rate": rate},
+              two_point(lo, hi))]
+    for name, params, law in cases:
+        _, parts = build_parts(name, params)
+        if law is not None:
+            parts.spec = replace(parts.spec, jump_law_y=law)
+        b = simulate_jump_diffusion(parts.spec, 1.0, 50, seed)
+        # Tanaka's formula at the level is exact on a finite-variation path
+        # only while the path stays off the level and the mollifier window
+        # (width 1/n <= 1) above it
+        clear = min(b.x_path.min(), b.x_pre.min()) > parts.level + 1.0
+        for variant in parts.variants:
+            if variant == "tanaka" and not clear:
+                continue
+            rep = evaluate_variant(parts, variant, b, qv_mode=qv)
+            assert abs(rep.residual) <= 1e-10, (name, variant, rep)
 
 
 def test_variant_dispatch_rejects_unsupported_pairs():

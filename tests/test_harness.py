@@ -182,6 +182,14 @@ class TestCli:
         cfg.write_text("mystery = 1\n")
         assert main(["verify", "--config", str(cfg), "--paths", "1"]) == 2
 
+    @pytest.mark.parametrize("line", ["param.mu = abc", "paths = 1.5", "dt = x"])
+    def test_unparsable_config_value_exit_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        # the last value of a key wins, so `line` replaces a valid default
+        cfg.write_text(f"scenario = smooth_quadratic\npaths = 1\ndt = 1e-2\n{line}\n")
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert "must be" in capsys.readouterr().err
+
     def test_localtime_subcommand(self, capsys):
         rc = main(["localtime", "--scenario", "tanaka_bm", "--dt", "1e-2",
                    "--paths", "3", "--seed", "2"])
@@ -199,6 +207,35 @@ class TestCli:
 
     def test_envelope_unknown_surface_exit_2(self):
         assert main(["envelope", "--surface", "nope"]) == 2
+
+    def test_envelope_flags_override_config(self, tmp_path, capsys):
+        cfg = tmp_path / "env.cfg"
+        cfg.write_text("surface = nope\nm = 5,6,7\ngrid_n = 9\n")
+        rc = main(["envelope", "--config", str(cfg), "--surface", "abs",
+                   "--m", "1,100", "--grid-n", "3", "--out", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "envelope.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + 2 * 3 * 3
+
+    def test_envelope_reads_grid_n_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "env.cfg"
+        cfg.write_text(f"m = 1\ngrid_n = 3\nout = {tmp_path}\n")
+        assert main(["envelope", "--config", str(cfg)]) == 0
+        lines = (tmp_path / "envelope.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + 3 * 3
+
+    @pytest.mark.parametrize("grid_n", ["0", "-1"])
+    def test_envelope_grid_n_below_one_exit_2(self, tmp_path, capsys, grid_n):
+        assert main(["envelope", "--grid-n", grid_n]) == 2
+        cfg = tmp_path / "env.cfg"
+        cfg.write_text(f"grid_n = {grid_n}\n")
+        assert main(["envelope", "--config", str(cfg)]) == 2
+        assert "grid_n must be at least 1" in capsys.readouterr().err
+
+    def test_envelope_unparsable_grid_n_in_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "env.cfg"
+        cfg.write_text("grid_n = many\n")
+        assert main(["envelope", "--config", str(cfg)]) == 2
 
     def test_converge_subcommand(self, capsys):
         rc = main(["converge", "--scenario", "smooth_quadratic",
