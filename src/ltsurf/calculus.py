@@ -56,7 +56,7 @@ def continuous_qv_measure(bundle, qv_mode="analytic"):
     if qv_mode == "analytic":
         return np.square(float(bundle.spec.sigma)) * bundle.grid.dts
     if qv_mode == "realized":
-        return np.square(bundle.diffusion_increments())
+        return np.square(bundle.diffusion_increments)
     raise ConfigError(f"unknown qv_mode: {qv_mode!r}")
 
 

@@ -164,7 +164,7 @@ def verify_tanaka(bundle, level, n=None, qv_mode="analytic"):
     u_pre = bundle.x_pre - a
     sgn = np.where(u > 0.0, 1.0, -1.0)
     sgn_pre = np.where(u_pre > 0.0, 1.0, -1.0)
-    cont_inc = bundle.diffusion_increments()
+    cont_inc = bundle.diffusion_increments
     jump_inc = bundle.k_jump_increments
 
     stoch = float(np.sum(sgn[:-1] * cont_inc) + np.sum(sgn_pre[1:] * jump_inc))
@@ -281,7 +281,7 @@ _VARIANTS = {
         ("avg_fa_da_jumps", lambda v: _ordered_sum(
             v.deriv("d_a", True, j) * j.da for j, _ in v.jumps)),
         ("avg_fx_dx_continuous", lambda v: _against(
-            v.deriv("d_x", True), v.bundle.diffusion_increments())),
+            v.deriv("d_x", True), v.bundle.diffusion_increments)),
         ("avg_fx_dx_jumps", lambda v: _ordered_sum(
             v.deriv("d_x", True, j) * j.dx for j, _ in v.jumps)),
         ("half_fxx_qv", lambda v: _against(

@@ -108,10 +108,38 @@ def derive_path_seed(master_seed, path_index):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _evaluate_one(args):
-    (name, params, t_end, n_steps, seed, variant, eps, n, qv_mode) = args
+def _run_paths(parts, t_end, n_steps, seeds, evaluate, args):
+    """evaluate(parts, bundle, *args) for the path of each seed, in order."""
+    return [evaluate(parts, simulate_jump_diffusion(parts.spec, t_end, n_steps, seed), *args)
+            for seed in seeds]
+
+
+def _run_chunk(task):
+    """One pool task: build the scenario once, then run its chunk of paths."""
+    name, params, t_end, n_steps, seeds, evaluate, args = task
     _, parts = build_parts(name, params)
-    bundle = simulate_jump_diffusion(parts.spec, t_end, n_steps, seed)
+    return _run_paths(parts, t_end, n_steps, seeds, evaluate, args)
+
+
+def _fan_out(config, parts, evaluate, *args):
+    """Per-path results of evaluate over the ensemble, in path order.
+
+    With several workers, each pool task takes a contiguous chunk of path
+    indices and rebuilds the scenario from its name, since the parts hold
+    closures that do not pickle.
+    """
+    seeds = [derive_path_seed(config.seed, i) for i in range(config.n_paths)]
+    if config.workers == 1 or config.n_paths == 1:
+        return _run_paths(parts, config.t_end, config.n_steps, seeds, evaluate, args)
+    n_chunks = min(config.n_paths, 4 * config.workers)
+    bounds = [config.n_paths * k // n_chunks for k in range(n_chunks + 1)]
+    tasks = [(config.scenario, config.params, config.t_end, config.n_steps,
+              seeds[lo:hi], evaluate, args) for lo, hi in zip(bounds, bounds[1:])]
+    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        return [r for chunk in pool.map(_run_chunk, tasks) for r in chunk]
+
+
+def _verify_path(parts, bundle, variant, eps, n, qv_mode):
     report = evaluate_variant(parts, variant, bundle, eps=eps, n=n, qv_mode=qv_mode)
     return report.lhs, dict(report.terms), report.rhs, report.residual
 
@@ -131,17 +159,7 @@ def run_scenario(config, keep_reports=False):
         # raise the dedicated incompatibility error with context
         evaluate_variant(parts, variant, None)
     eps, n = config.bandwidths()
-
-    jobs = [
-        (config.scenario, config.params, config.t_end, config.n_steps,
-         derive_path_seed(config.seed, i), variant, eps, n, config.qv_mode)
-        for i in range(config.n_paths)
-    ]
-    if config.workers > 1 and config.n_paths > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_evaluate_one, jobs, chunksize=8))
-    else:
-        results = [_evaluate_one(j) for j in jobs]
+    results = _fan_out(config, parts, _verify_path, variant, eps, n, config.qv_mode)
 
     term_names = list(results[0][1].keys())
     lhs = [r[0] for r in results]
@@ -260,10 +278,7 @@ def convergence_study(config, dt_list, out_dir=None):
     return table
 
 
-def _localtime_one(args):
-    (name, params, t_end, n_steps, seed, eps, n, qv_mode) = args
-    _, parts = build_parts(name, params)
-    bundle = simulate_jump_diffusion(parts.spec, t_end, n_steps, seed)
+def _localtime_path(parts, bundle, eps, n, qv_mode):
     level = parts.level
     occ = local_time_occupation(bundle, level, eps, side="right", qv_mode=qv_mode)
     mol = local_time_mollifier(bundle, level, n, qv_mode=qv_mode)
@@ -274,18 +289,9 @@ def _localtime_one(args):
 def compare_estimators(config):
     """Final-time local time at the scenario level under all three
     estimators, aggregated over the ensemble."""
-    scen, parts = build_parts(config.scenario, config.params)
+    _, parts = build_parts(config.scenario, config.params)
     eps, n = config.bandwidths()
-    jobs = [
-        (config.scenario, config.params, config.t_end, config.n_steps,
-         derive_path_seed(config.seed, i), eps, n, config.qv_mode)
-        for i in range(config.n_paths)
-    ]
-    if config.workers > 1 and config.n_paths > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_localtime_one, jobs, chunksize=8))
-    else:
-        results = [_localtime_one(j) for j in jobs]
+    results = _fan_out(config, parts, _localtime_path, eps, n, config.qv_mode)
     arr = np.asarray(results, dtype=float)
     names = ["occupation", "mollifier", "tanaka"]
     out = {

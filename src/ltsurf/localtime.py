@@ -117,7 +117,7 @@ def local_time_tanaka_residual(bundle, level):
     sgn = np.where(u > 0.0, 1.0, -1.0)
     sgn_pre = np.where(u_pre > 0.0, 1.0, -1.0)
 
-    cont_inc = bundle.diffusion_increments()
+    cont_inc = bundle.diffusion_increments
     jump_inc = bundle.k_jump_increments
 
     # stochastic integral: continuous part uses the step-start value,

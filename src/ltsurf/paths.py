@@ -8,6 +8,7 @@ the pre-jump value recorded, and the jump applied afterwards.
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -19,36 +20,47 @@ _COEFFICIENTS = ("mu_x", "sigma", "lambda_x", "mu_a", "lambda_a")
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing time points on [0, t_end] with jump markers."""
+    """Strictly increasing time points on [0, t_end] with jump markers.
+
+    The arrays are read-only views, so one grid can be shared by every
+    path simulated on it.  The step lengths and jump indices are computed
+    once, at construction.
+    """
 
     times: np.ndarray
     jump_flags: np.ndarray
+    dts: np.ndarray = field(init=False, repr=False, compare=False)
+    jump_indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         f = np.asarray(self.jump_flags, dtype=bool)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "jump_flags", f)
         if t.ndim != 1 or t.size < 2:
             raise ConfigError("grid needs at least two time points")
         if t[0] != 0.0:
             raise ConfigError("grid must start at 0")
-        if not np.all(np.diff(t) > 0):
+        dts = np.diff(t)
+        if not np.all(dts > 0):
             raise ConfigError("grid times must be strictly increasing")
         if f.shape != t.shape:
             raise ConfigError("jump_flags must align with times")
+        for name, value in (("times", t), ("jump_flags", f), ("dts", dts),
+                            ("jump_indices", np.nonzero(f)[0])):
+            object.__setattr__(self, name, _read_only(value))
 
     @property
     def n_steps(self):
         return self.times.size - 1
 
-    @property
-    def dts(self):
-        return np.diff(self.times)
+    @cached_property
+    def sqrt_dts(self):
+        return _read_only(np.sqrt(self.dts))
 
-    @property
-    def jump_indices(self):
-        return np.nonzero(self.jump_flags)[0]
+
+def _read_only(array):
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -171,11 +183,12 @@ class PathBundle:
     x_pre: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        cont = self.diffusion_increments()
+        cont = self.diffusion_increments
         a_drift = self.a_drift_increments
-        self.x_path = _accumulate(self.spec.x0, cont + self.k_jump_increments)
-        self.a_path = _accumulate(self.spec.a0, a_drift + self.a_jump_increments)
-        if not (np.all(np.isfinite(self.x_path)) and np.all(np.isfinite(self.a_path))):
+        self.x_path = _accumulate(self.spec.x0, cont, self.k_jump_increments)
+        self.a_path = _accumulate(self.spec.a0, a_drift, self.a_jump_increments)
+        # a running sum stays non-finite once it is, so the last value decides
+        if not (np.isfinite(self.x_path[-1]) and np.isfinite(self.a_path[-1])):
             raise NumericalAbort("non-finite values in simulated path")
         jidx = self.grid.jump_indices
         self.x_pre = self.x_path.copy()
@@ -191,44 +204,53 @@ class PathBundle:
     def times(self):
         return self.grid.times
 
-    @property
+    # The derived increments are computed on first read and kept, read-only,
+    # for the bundle's lifetime.
+
+    @cached_property
     def m_increments(self):
-        return self.spec.sigma * np.diff(self.b_path)
+        m = np.diff(self.b_path)
+        m *= self.spec.sigma
+        return _read_only(m)
 
-    @property
+    @cached_property
     def k_drift_increments(self):
-        return self.spec.mu_x * self.grid.dts
+        return _read_only(self.spec.mu_x * self.grid.dts)
 
-    @property
+    @cached_property
     def k_jump_increments(self):
-        return self.spec.lambda_x * self.dy
+        return _read_only(self.spec.lambda_x * self.dy)
 
-    @property
+    @cached_property
     def a_drift_increments(self):
-        return self.spec.mu_a * self.grid.dts
+        return _read_only(self.spec.mu_a * self.grid.dts)
 
-    @property
+    @cached_property
     def a_jump_increments(self):
         driver = self.dy if self.spec.a_jump_driver == "y" else self.dz
-        return self.spec.lambda_a * driver
+        return _read_only(self.spec.lambda_a * driver)
 
+    @cached_property
     def diffusion_increments(self):
         """Per-step continuous increments of X (drift + Brownian part)."""
-        return self.k_drift_increments + self.m_increments
-
+        return _read_only(self.k_drift_increments + self.m_increments)
 
 
 def build_grid(t_end, n_steps, jump_times=()):
     """Uniform grid of n_steps intervals with jump times merged in.
 
     A jump time coinciding with a uniform point replaces it (flagged once).
+    Without jump times the shared uniform grid of (t_end, n_steps) is
+    returned.
     """
     if t_end <= 0:
         raise ConfigError("t_end must be positive")
     if n_steps < 1:
         raise ConfigError("n_steps must be at least 1")
     jt = np.sort(np.asarray(jump_times, dtype=float))
-    if jt.size and (jt[0] <= 0 or jt[-1] > t_end):
+    if jt.size == 0:
+        return _uniform_grid(t_end, n_steps)
+    if jt[0] <= 0 or jt[-1] > t_end:
         raise ConfigError("jump times must lie in (0, t_end]")
     uniform = np.linspace(0.0, t_end, n_steps + 1)
     atol = 1e-12 * max(1.0, t_end)
@@ -242,13 +264,18 @@ def build_grid(t_end, n_steps, jump_times=()):
     return TimeGrid(times[order], flags[order])
 
 
+@lru_cache(maxsize=8)
+def _uniform_grid(t_end, n_steps):
+    return TimeGrid(np.linspace(0.0, t_end, n_steps + 1), np.zeros(n_steps + 1, dtype=bool))
+
+
 def simulate_compound_poisson(rate, jump_law, t_end, seed):
     """Compound Poisson event train on (0, t_end], deterministic per seed."""
     if rate < 0:
         raise ConfigError("rate must be nonnegative")
-    rng = np.random.default_rng(seed)
     if rate == 0:
         return JumpTrain(np.empty(0), np.empty(0))
+    rng = np.random.default_rng(seed)
     count = rng.poisson(rate * t_end)
     times = np.sort(rng.uniform(0.0, t_end, count))
     # strictly increasing times almost surely; drop pathological duplicates
@@ -262,8 +289,11 @@ def simulate_compound_poisson(rate, jump_law, t_end, seed):
 def simulate_brownian(grid, seed):
     """Standard Brownian motion sampled on the grid (B_0 = 0)."""
     rng = np.random.default_rng(seed)
-    increments = rng.standard_normal(grid.n_steps) * np.sqrt(grid.dts)
-    return np.cumsum(np.concatenate(([0.0], increments)))
+    path = np.empty(grid.n_steps + 1)
+    path[0] = 0.0
+    increments = rng.standard_normal(out=path[1:])
+    increments *= grid.sqrt_dts
+    return np.cumsum(path, out=path)
 
 
 def _jump_increments(train, grid):
@@ -276,8 +306,12 @@ def _jump_increments(train, grid):
     return inc
 
 
-def _accumulate(x0, increments):
-    return np.cumsum(np.concatenate(([x0], increments)))
+def _accumulate(x0, continuous, jumps):
+    """Running sum x0, x0 + (continuous[0] + jumps[0]), ... in one buffer."""
+    path = np.empty(continuous.size + 1)
+    path[0] = x0
+    np.add(continuous, jumps, out=path[1:])
+    return np.cumsum(path, out=path)
 
 
 def simulate_jump_diffusion(spec, t_end, n_steps, seed):
@@ -287,6 +321,8 @@ def simulate_jump_diffusion(spec, t_end, n_steps, seed):
     Y jumps, Z jumps and Brownian increments are derived from the seed, so
     the Brownian draw does not depend on how many jumps occurred.
     """
+    if t_end <= 0:
+        raise ConfigError("t_end must be positive")
     seed_y, seed_z, seed_b = np.random.SeedSequence(seed).spawn(3)
     train_y = simulate_compound_poisson(spec.rate_y, spec.jump_law_y, t_end, seed_y)
     train_z = simulate_compound_poisson(spec.rate_z, spec.jump_law_z, t_end, seed_z)

@@ -47,7 +47,7 @@ class TestQvMeasure:
     def test_realized_excludes_jumps(self):
         b = _bundle()
         qv = continuous_qv_measure(b, qv_mode="realized")
-        np.testing.assert_array_equal(qv, np.square(b.diffusion_increments()))
+        np.testing.assert_array_equal(qv, np.square(b.diffusion_increments))
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):

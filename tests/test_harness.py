@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ltsurf import (ConfigError, ScenarioConfig, convergence_study,
-                    emit_bundles, run_scenario)
+from ltsurf import (ConfigError, ScenarioConfig, compare_estimators,
+                    convergence_study, emit_bundles, run_scenario)
+from ltsurf import harness
 from ltsurf.cli import main, read_config_file
 from ltsurf.harness import derive_path_seed
 from ltsurf.scenarios import REGISTRY, build_parts, list_scenarios
@@ -87,6 +88,19 @@ class TestRunScenario:
             outs.append((out / "verify.csv").read_bytes()
                         + (out / "summary.json").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("run", [run_scenario, compare_estimators])
+    def test_serial_run_builds_the_scenario_once(self, monkeypatch, run):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build_parts(*args)
+
+        monkeypatch.setattr(harness, "build_parts", counting)
+        run(ScenarioConfig(scenario="glued_quadratic_jump", dt=1e-2, n_paths=5,
+                           seed=1, workers=1))
+        assert len(calls) == 1
 
     def test_derived_seeds_are_stable_and_distinct(self):
         s = [derive_path_seed(7, i) for i in range(100)]
@@ -196,6 +210,15 @@ class TestCli:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert set(out) >= {"occupation", "mollifier", "tanaka"}
+
+    def test_localtime_stdout_worker_invariant(self, capsys):
+        outs = []
+        for workers in ("1", "2"):
+            assert main(["localtime", "--scenario", "peskir_diffusion", "--dt", "1e-2",
+                         "--paths", "13", "--seed", "5", "--qv", "realized",
+                         "--workers", workers]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_envelope_subcommand(self, tmp_path, capsys):
         rc = main(["envelope", "--surface", "abs", "--m", "1,100",

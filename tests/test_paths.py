@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltsurf import (ConfigError, SdeSpec, build_grid, simulate_brownian,
-                    simulate_compound_poisson, simulate_jump_diffusion,
-                    two_point)
+from ltsurf import (ConfigError, NumericalAbort, SdeSpec, build_grid,
+                    simulate_brownian, simulate_compound_poisson,
+                    simulate_jump_diffusion, two_point)
 
 
 class TestBuildGrid:
@@ -51,6 +51,37 @@ class TestBuildGrid:
         assert g.times[0] == 0.0 and g.times[-1] == 1.0
 
 
+class TestSharedGrid:
+    def test_jump_free_grid_is_shared(self):
+        assert build_grid(1.0, 100) is build_grid(1.0, 100)
+
+    @pytest.mark.parametrize("name", ["times", "dts", "jump_flags", "jump_indices"])
+    def test_grid_arrays_are_read_only(self, name):
+        for g in (build_grid(1.0, 100), build_grid(1.0, 100, jump_times=[0.305])):
+            with pytest.raises(ValueError):
+                getattr(g, name)[:1] = 0
+
+    def test_dts_are_the_time_differences(self):
+        g = build_grid(1.0, 100, jump_times=[0.305])
+        np.testing.assert_array_equal(g.dts, np.diff(g.times))
+        np.testing.assert_array_equal(g.sqrt_dts, np.sqrt(np.diff(g.times)))
+        np.testing.assert_array_equal(g.jump_indices, np.nonzero(g.jump_flags)[0])
+
+    def test_grid_with_jumps_is_separate(self):
+        shared = build_grid(1.0, 100)
+        times = shared.times.copy()
+        g = build_grid(1.0, 100, jump_times=[0.305])
+        assert g is not shared
+        assert g.n_steps == 101 and g.jump_flags.sum() == 1
+        assert build_grid(1.0, 100) is shared
+        np.testing.assert_array_equal(shared.times, times)
+        assert not shared.jump_flags.any() and shared.n_steps == 100
+
+    def test_jump_free_path_uses_the_shared_grid(self):
+        b = simulate_jump_diffusion(SdeSpec(sigma=1.0), 1.0, 100, seed=2)
+        assert b.grid is build_grid(1.0, 100)
+
+
 class TestCompoundPoisson:
     def test_deterministic(self):
         a = simulate_compound_poisson(2.0, two_point(-1, 1), 1.0, seed=5)
@@ -61,6 +92,11 @@ class TestCompoundPoisson:
     def test_zero_rate_empty(self):
         train = simulate_compound_poisson(0.0, None, 1.0, seed=1)
         assert train.times.size == 0
+
+    def test_zero_rate_builds_no_rng(self):
+        # a negative seed is rejected by default_rng, which must not be reached
+        train = simulate_compound_poisson(0.0, None, 1.0, seed=-1)
+        assert train.times.size == 0 and train.sizes.size == 0
 
     def test_event_count_matches_poisson_law(self):
         # oracle: counts ~ Poisson(2), mean 2, var 2
@@ -77,6 +113,12 @@ class TestBrownian:
         b2 = simulate_brownian(g, seed=3)
         assert b1[0] == 0.0
         np.testing.assert_array_equal(b1, b2)
+
+    def test_matches_scaled_normals_bit_for_bit(self):
+        g = build_grid(1.0, 100, jump_times=[0.305])
+        normals = np.random.default_rng(3).standard_normal(g.n_steps)
+        expected = np.cumsum(np.concatenate(([0.0], normals * np.sqrt(np.diff(g.times)))))
+        np.testing.assert_array_equal(simulate_brownian(g, seed=3), expected)
 
     def test_increment_variance(self):
         # oracle: Var(B_1) = 1, sample variance over ensembles
@@ -132,6 +174,35 @@ class TestJumpDiffusion:
         np.testing.assert_allclose(
             b.a_jump_increments[jidx - 1],
             spec.lambda_a * b.dy[jidx - 1])
+
+    def test_cached_increments_match_fresh_computation(self):
+        spec = _jump_spec()
+        b = simulate_jump_diffusion(spec, 1.0, 100, seed=23)
+        dts = np.diff(b.times)
+        fresh = {
+            "m_increments": spec.sigma * np.diff(b.b_path),
+            "k_drift_increments": spec.mu_x * dts,
+            "k_jump_increments": spec.lambda_x * b.dy,
+            "a_drift_increments": spec.mu_a * dts,
+            "a_jump_increments": spec.lambda_a * b.dz,
+            "diffusion_increments": spec.mu_x * dts + spec.sigma * np.diff(b.b_path),
+        }
+        for name, expected in fresh.items():
+            value = getattr(b, name)
+            np.testing.assert_array_equal(value, expected, err_msg=name)
+            assert getattr(b, name) is value, name
+            assert not value.flags.writeable, name
+
+    def test_t_end_not_positive_rejected_before_jump_draws(self):
+        for t_end in (-1.0, 0.0):
+            with pytest.raises(ConfigError, match="t_end"):
+                simulate_jump_diffusion(_jump_spec(), t_end, 100, seed=1)
+
+    @pytest.mark.parametrize("name", ["mu_x", "mu_a"])
+    def test_overflowing_path_aborts(self, name):
+        # the drift alone sums to 4e308, past the largest float
+        with np.errstate(over="ignore"), pytest.raises(NumericalAbort):
+            simulate_jump_diffusion(_jump_spec(**{name: 1e308}), 4.0, 100, seed=1)
 
     @pytest.mark.parametrize("name", ["mu_x", "sigma", "lambda_x", "mu_a", "lambda_a"])
     def test_callable_coefficient_rejected(self, name):
