@@ -1,6 +1,8 @@
 """Golden outputs: byte-exact verify.csv and summary.json for every
-(scenario, variant) pair of the registry, under both qv modes, and the
-byte-exact paths.csv that `simulate` writes for every registry scenario.
+(scenario, variant) pair of the registry, under both qv modes, the
+byte-exact paths.csv that `simulate` writes for every registry scenario,
+and the byte-exact envelope.csv that `envelope` writes for every registry
+surface.
 
 Refactors must leave these digests unchanged. A change that alters the
 outputs on purpose regenerates the file and says why:
@@ -19,12 +21,15 @@ from pathlib import Path
 import pytest
 
 from ltsurf.cli import main
-from ltsurf.scenarios import REGISTRY, build_parts
+from ltsurf.scenarios import REGISTRY, SURFACES, build_parts
 
 GOLDEN = Path(__file__).with_name("golden_verify.json")
 CONFIG = ["--dt", "1e-2", "--paths", "6", "--seed", "7"]
 QV_MODES = ("analytic", "realized")
 OUTPUTS = ("verify.csv", "summary.json")
+# one penalty per decade, none of them a round number
+ENVELOPE_CONFIG = ["--m", "3.1622776601683795,31.622776601683793,"
+                          "316.22776601683796,3162.2776601683795", "--grid-n", "7"]
 
 
 def _cases():
@@ -40,6 +45,10 @@ def _key(name, variant, qv):
 
 def _simulate_key(name):
     return f"{name}/simulate"
+
+
+def _envelope_key(surface):
+    return f"{surface}/envelope"
 
 
 def _digests(name, variant, qv, out_dir):
@@ -59,6 +68,14 @@ def _simulate_digests(name, out_dir):
     return _sha256(out_dir, ("paths.csv",))
 
 
+def _envelope_digests(surface, out_dir):
+    argv = ["envelope", "--surface", surface, *ENVELOPE_CONFIG, "--out", str(out_dir)]
+    with open(os.devnull, "w") as sink, redirect_stdout(sink), redirect_stderr(sink):
+        code = main(argv)
+    assert code == 0, f"{_envelope_key(surface)}: exit code {code}"
+    return _sha256(out_dir, ("envelope.csv",))
+
+
 def _sha256(out_dir, files):
     return {f: hashlib.sha256((Path(out_dir) / f).read_bytes()).hexdigest()
             for f in files}
@@ -71,7 +88,8 @@ def golden():
 
 def test_golden_covers_every_pair(golden):
     assert sorted(golden) == sorted([_key(*c) for c in _cases()]
-                                    + [_simulate_key(name) for name in REGISTRY])
+                                    + [_simulate_key(name) for name in REGISTRY]
+                                    + [_envelope_key(s) for s in SURFACES])
 
 
 @pytest.mark.parametrize("name,variant,qv", _cases(),
@@ -88,6 +106,12 @@ def test_simulate_paths_match_golden(golden, tmp_path, name):
     assert _simulate_digests(name, tmp_path) == golden[key], f"{key}: paths.csv changed"
 
 
+@pytest.mark.parametrize("surface", list(SURFACES))
+def test_envelope_table_matches_golden(golden, tmp_path, surface):
+    key = _envelope_key(surface)
+    assert _envelope_digests(surface, tmp_path) == golden[key], f"{key}: envelope.csv changed"
+
+
 if __name__ == "__main__":
     table = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -95,5 +119,7 @@ if __name__ == "__main__":
             table[_key(*case)] = _digests(*case, tmp)
         for name in REGISTRY:
             table[_simulate_key(name)] = _simulate_digests(name, tmp)
+        for surface in SURFACES:
+            table[_envelope_key(surface)] = _envelope_digests(surface, tmp)
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} entries to {GOLDEN}", file=sys.stderr)
