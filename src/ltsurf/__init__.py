@@ -24,7 +24,6 @@ from .paths import (JumpLaw, JumpTrain, PathBundle, SdeSpec, TimeGrid,
                     simulate_jump_diffusion, two_point)
 from .scenarios import (REGISTRY, SURFACES, build_parts, evaluate_variant,
                         list_scenarios)
-from .surfaces import (Surface, constant_surface, envelope_path,
-                       moreau_envelope, pathwise_variation)
+from .surfaces import Surface, constant_surface, moreau_envelope
 
 __version__ = "0.1.0"

@@ -200,6 +200,8 @@ def _dispatch(args):
             m_values = [float(v) for v in str(args.m).split(",") if v]
         except ValueError:
             raise ConfigError(f"--m must be comma-separated numbers, got {args.m!r}")
+        if not m_values:
+            raise ConfigError("--m must list at least one penalty")
         rows = envelope_table(args.surface, m_values, grid_n=args.grid_n,
                               out_dir=args.out)
         print(f"surface {args.surface}: {len(rows)} envelope evaluations "

@@ -335,17 +335,15 @@ def envelope_table(surface_name, m_values, t_range=(0.0, 1.0), a_range=(-1.0, 1.
         raise ConfigError(f"unknown surface: {surface_name!r} "
                           f"(registry: {', '.join(sorted(SURFACES))})")
     surface = SURFACES[surface_name]
-    ts = np.linspace(t_range[0], t_range[1], grid_n)
-    as_ = np.linspace(a_range[0], a_range[1], grid_n)
+    tt, aa = (g.ravel() for g in np.meshgrid(np.linspace(*t_range, grid_n),
+                                              np.linspace(*a_range, grid_n), indexing="ij"))
     pad = 1.0 + (a_range[1] - a_range[0])
     box = ((t_range[0] - pad, t_range[1] + pad), (a_range[0] - pad, a_range[1] + pad))
+    b = surface.b(tt, aa).tolist()
     rows = []
-    for m in m_values:
-        for t in ts:
-            for a in as_:
-                env = moreau_envelope(surface, float(m), (float(t), float(a)), box)
-                rows.append((float(m), float(t), float(a), env,
-                             float(surface.b(np.asarray(t), np.asarray(a)))))
+    for m in map(float, m_values):
+        env = moreau_envelope(surface, m, (tt, aa), box)
+        rows += [(m, *r) for r in zip(tt.tolist(), aa.tolist(), env.tolist(), b)]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         lines = ["m,t,a,envelope,b"]

@@ -1,4 +1,4 @@
-"""Moving surfaces b(t, a), their Moreau envelopes and pathwise variation."""
+"""Moving surfaces b(t, a) and their Moreau envelopes."""
 
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -21,9 +21,6 @@ class Surface:
     lipschitz_const: Optional[float] = None
     name: str = ""
 
-    def __call__(self, t, a):
-        return self.b(t, a)
-
     @property
     def is_lipschitz(self):
         return self.lipschitz_const is not None
@@ -36,71 +33,68 @@ def constant_surface(level, name=None):
                    name=name or f"const({c})")
 
 
-def moreau_envelope(surface, m, query, search_box, grid_n=33, rounds=6, shrink=10.0):
-    """Quadratic inf-convolution of b evaluated at one (t, a) query point.
+# Chunk size of the batched grid search: each chunk's (queries, grid_n, grid_n)
+# buffer holds about this many floats (0.5 MB). Larger chunks were no faster
+# and only raised peak memory.
+_CHUNK_FLOATS = 2 ** 16
 
-    Penalty convention is (m/2)||.||^2, so the envelope increases to b as
-    m grows.  The infimum is approximated by a nested grid search over the
-    search box; the query point itself is always a candidate, so the result
-    never exceeds b(query).
+
+def moreau_envelope(surface, m, query, search_box, grid_n=33, rounds=6, shrink=10.0):
+    """Quadratic inf-convolution of b evaluated at (t, a) query points.
+
+    query is (tq, aq), two scalars or two arrays of one shape; a scalar
+    query returns a float, an array query an array of that shape.  Penalty
+    convention is (m/2)||.||^2, so the envelope increases to b as m grows.
+    The infimum is approximated by a nested grid search over the search
+    box; the query point itself is always a candidate, so the result never
+    exceeds b(query).  All queries are searched at once, in chunks.
     """
-    if m <= 0:
-        raise ConfigError("m must be positive")
+    if not 0 < m < np.inf:
+        raise ConfigError("m must be positive and finite")
     (t_lo, t_hi), (a_lo, a_hi) = search_box
     if t_lo > t_hi or a_lo > a_hi:
         raise ConfigError("empty search box")
-    tq, aq = query
-    if not (t_lo <= tq <= t_hi and a_lo <= aq <= a_hi):
+    tq, aq = (np.asarray(q, dtype=float) for q in query)
+    if tq.shape != aq.shape:
+        raise ConfigError(f"query t and a differ in shape: {tq.shape} and {aq.shape}")
+    if not np.all((t_lo <= tq) & (tq <= t_hi) & (a_lo <= aq) & (aq <= a_hi)):
         raise ConfigError("query must lie inside the search box")
+    shape, tq, aq = tq.shape, tq.ravel(), aq.ravel()
+    env = np.empty(tq.size)
+    chunk = max(1, _CHUNK_FLOATS // grid_n ** 2)
+    for lo in range(0, tq.size, chunk):
+        env[lo:lo + chunk] = _grid_search(surface, m, tq[lo:lo + chunk], aq[lo:lo + chunk],
+                                          search_box, grid_n, rounds, shrink)
+    return env.reshape(shape) if shape else float(env[0])
 
-    def objective(ts, as_):
-        return surface.b(ts, as_) + (m / 2.0) * ((ts - tq) ** 2 + (as_ - aq) ** 2)
 
-    best_val = float(surface.b(np.asarray(tq), np.asarray(aq)))
-    best_t, best_a = tq, aq
-    half_t = (t_hi - t_lo) / 2.0
-    half_a = (a_hi - a_lo) / 2.0
-    ct, ca = (t_lo + t_hi) / 2.0, (a_lo + a_hi) / 2.0
+def _grid_search(surface, m, tq, aq, search_box, grid_n, rounds, shrink):
+    """The nested grid search for a 1-D batch of queries.
+
+    Row 0 of each (2, queries) array is t, row 1 is a.
+    """
+    (t_lo, t_hi), (a_lo, a_hi) = search_box
+    box_lo, box_hi = np.array([[t_lo], [a_lo]]), np.array([[t_hi], [a_hi]])
+    half = (box_hi - box_lo) / 2.0
+    best = np.stack([tq, aq])
+    center = np.broadcast_to((box_lo + box_hi) / 2.0, best.shape)
+    best_val = surface.b(tq, aq)
+    rows = np.arange(tq.size)
+    tq, aq = tq[:, None, None], aq[:, None, None]
+    vals = np.empty((rows.size, grid_n, grid_n))
+    flat = vals.reshape(rows.size, -1)
     for _ in range(rounds):
-        ts = np.linspace(max(t_lo, ct - half_t), min(t_hi, ct + half_t), grid_n)
-        as_ = np.linspace(max(a_lo, ca - half_a), min(a_hi, ca + half_a), grid_n)
-        tt, aa = np.meshgrid(ts, as_, indexing="ij")
-        vals = objective(tt, aa)
-        k = int(np.argmin(vals))
-        if vals.flat[k] < best_val:
-            best_val = float(vals.flat[k])
-            best_t = float(tt.flat[k])
-            best_a = float(aa.flat[k])
-        ct, ca = best_t, best_a
-        half_t /= shrink
-        half_a /= shrink
+        ts, as_ = np.linspace(np.maximum(box_lo, center - half),
+                              np.minimum(box_hi, center + half), grid_n, axis=-1)
+        tt, aa = ts[:, :, None], as_[:, None, :]
+        np.add((tt - tq) ** 2, (aa - aq) ** 2, out=vals)
+        vals *= m / 2.0
+        vals += surface.b(tt, aa)
+        k = flat.argmin(axis=1)
+        v = flat[rows, k]
+        better = v < best_val
+        best_val = np.where(better, v, best_val)
+        best = center = np.where(better, [ts[rows, k // grid_n], as_[rows, k % grid_n]], best)
+        half /= shrink
     return best_val
 
-
-def envelope_path(surface, m, a_path, grid, search_box=None, grid_n=33, rounds=6):
-    """Envelope values along (t_k, A_{t_k}).
-
-    A Lipschitz-declared surface is its own bounded-variation approximant,
-    so b is returned directly in that case.
-    """
-    times = grid.times
-    a_path = np.asarray(a_path, dtype=float)
-    if surface.is_lipschitz:
-        return np.asarray(surface.b(times, a_path), dtype=float)
-    if search_box is None:
-        pad_a = 1.0 + 0.5 * (a_path.max() - a_path.min())
-        search_box = ((float(times[0]), float(times[-1])),
-                      (float(a_path.min() - pad_a), float(a_path.max() + pad_a)))
-    return np.array([
-        moreau_envelope(surface, m, (float(t), float(a)), search_box,
-                        grid_n=grid_n, rounds=rounds)
-        for t, a in zip(times, a_path)
-    ])
-
-
-def pathwise_variation(series):
-    """Total variation of a discrete series: sum of |consecutive differences|."""
-    s = np.asarray(series, dtype=float)
-    if s.size == 0:
-        raise ConfigError("series must be nonempty")
-    return float(np.sum(np.abs(np.diff(s))))

@@ -194,23 +194,21 @@ def test_criterion_9_moreau_envelope_suite():
     box = ((-2.0, 3.0), (-3.0, 3.0))
     ts = np.linspace(0.0, 1.0, 20)
     as_ = np.linspace(-1.0, 1.0, 20)
+    tt, aa = np.meshgrid(ts, as_, indexing="ij")
     ms = [1.0, 10.0, 100.0, 1000.0, 10000.0]
     for name in ("abs", "quad", "sqrt"):
         surf = SURFACES[name]
+        bvals = surf.b(tt, aa)
         prev = None
         for m in ms:
-            vals = np.array([[moreau_envelope(surf, m, (float(t), float(a)), box)
-                              for a in as_] for t in ts])
-            bvals = np.array([[float(surf.b(np.asarray(t), np.asarray(a)))
-                               for a in as_] for t in ts])
+            vals = moreau_envelope(surf, m, (tt, aa), box)
             assert np.all(vals <= bvals + 1e-9), f"envelope above b for {name}"
             if prev is not None:
                 assert np.all(vals >= prev), f"not monotone in m for {name}"
             prev = vals
     # b = |a|: sup-gap and empirical Lipschitz constant at m = 1e4
     grid = np.linspace(-1.0, 1.0, 41)
-    env = np.array([moreau_envelope(SURFACES["abs"], 1e4, (0.5, float(a)), box)
-                    for a in grid])
+    env = moreau_envelope(SURFACES["abs"], 1e4, (np.full_like(grid, 0.5), grid), box)
     sup_gap = float(np.max(np.abs(grid) - env))
     lip = float(np.max(np.abs(np.diff(env)) / np.diff(grid)))
     ok = sup_gap < 1e-3 and lip <= 1.0 + 1e-6

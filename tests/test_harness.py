@@ -255,6 +255,20 @@ class TestCli:
         assert main(["envelope", "--config", str(cfg)]) == 2
         assert "grid_n must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", ["nan", "inf", "-inf", "0", "1,nan"])
+    def test_envelope_invalid_m_exit_2(self, tmp_path, capsys, m):
+        assert main(["envelope", f"--m={m}", "--grid-n", "2", "--out", str(tmp_path)]) == 2
+        assert "m must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "envelope.csv").exists()
+
+    @pytest.mark.parametrize("m", ["", ","])
+    def test_envelope_empty_m_exit_2(self, tmp_path, capsys, m):
+        assert main(["envelope", "--m", m, "--out", str(tmp_path)]) == 2
+        assert "--m must list at least one penalty" in capsys.readouterr().err
+        cfg = tmp_path / "env.cfg"
+        cfg.write_text("m =\n")
+        assert main(["envelope", "--config", str(cfg)]) == 2
+
     def test_envelope_unparsable_grid_n_in_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "env.cfg"
         cfg.write_text("grid_n = many\n")

@@ -1,15 +1,18 @@
-"""Surfaces, Moreau envelopes and pathwise variation."""
+"""Surfaces and Moreau envelopes."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltsurf import (ConfigError, Surface, build_grid, constant_surface,
-                    envelope_path, moreau_envelope, pathwise_variation)
+from ltsurf import SURFACES, ConfigError, Surface, constant_surface, moreau_envelope
+from ltsurf import surfaces
 
 BOX = ((-2.0, 2.0), (-2.0, 2.0))
 ABS = Surface(lambda t, a: np.abs(np.asarray(a, float)), None, "abs")
+# queries per chunk of the batched search at the default grid_n
+CHUNK = surfaces._CHUNK_FLOATS // 33 ** 2
+in_box = st.tuples(st.floats(*BOX[0]), st.floats(*BOX[1]))
 
 
 class TestMoreauEnvelope:
@@ -35,51 +38,49 @@ class TestMoreauEnvelope:
         surf = constant_surface(2.5)
         assert moreau_envelope(surf, 1.0, (0.0, 0.0), BOX) == pytest.approx(2.5)
 
+    @pytest.mark.parametrize("m", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+    def test_m_must_be_positive_and_finite(self, m):
+        with pytest.raises(ConfigError, match="m must be positive and finite"):
+            moreau_envelope(ABS, m, (0.0, 0.0), BOX)
+
     def test_input_validation(self):
-        with pytest.raises(ConfigError):
-            moreau_envelope(ABS, -1.0, (0.0, 0.0), BOX)
         with pytest.raises(ConfigError):
             moreau_envelope(ABS, 1.0, (5.0, 0.0), BOX)  # query outside box
         with pytest.raises(ConfigError):
             moreau_envelope(ABS, 1.0, (0.0, 0.0), ((1.0, -1.0), (-1.0, 1.0)))
 
+    def test_array_query_keeps_its_shape(self):
+        tq, aq = np.zeros((2, 3)), np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        env = moreau_envelope(ABS, 5.0, (tq, aq), BOX)
+        assert env.shape == (2, 3)
+        assert moreau_envelope(ABS, 5.0, (tq[:0], aq[:0]), BOX).shape == (0, 3)
 
-class TestEnvelopePath:
-    def test_lipschitz_surface_returned_directly(self):
-        surf = Surface(lambda t, a: 1.0 + 0.5 * np.asarray(a, float), 0.5)
-        grid = build_grid(1.0, 10)
-        a_path = np.linspace(-1, 1, 11)
-        np.testing.assert_array_equal(
-            envelope_path(surf, 100.0, a_path, grid), 1.0 + 0.5 * a_path)
+    @pytest.mark.parametrize("surf", [*SURFACES.values(), constant_surface(0.5)],
+                             ids=[*SURFACES, "constant"])
+    @given(log_m=st.floats(-1.0, 4.0),
+           queries=st.lists(in_box, min_size=CHUNK + 1, max_size=2 * CHUNK + 1))
+    @settings(max_examples=5, deadline=None)
+    def test_batch_equals_scalar_calls(self, surf, log_m, queries):
+        # a batch longer than one chunk crosses a chunk boundary
+        m = 10.0 ** log_m
+        tq, aq = np.array(queries).T
+        batch = moreau_envelope(surf, m, (tq, aq), BOX)
+        assert batch.tolist() == [moreau_envelope(surf, m, q, BOX) for q in queries]
 
-    def test_non_lipschitz_surface_below_b(self):
-        grid = build_grid(1.0, 5)
-        a_path = np.linspace(0.1, 1.0, 6)
-        env = envelope_path(ABS, 10.0, a_path, grid)
-        assert np.all(env <= np.abs(a_path) + 1e-12)
+    @given(queries=st.lists(in_box, min_size=1, max_size=20), where=st.integers(0, 19),
+           axis=st.integers(0, 1),
+           outside=st.one_of(st.floats(max_value=-2.0, exclude_max=True),
+                             st.floats(min_value=2.0, exclude_min=True), st.just(np.nan)))
+    @settings(max_examples=50, deadline=None)
+    def test_array_query_with_one_point_outside_box_rejected(self, queries, where, axis,
+                                                             outside):
+        tq, aq = np.array(queries).T
+        (tq, aq)[axis][where % len(queries)] = outside
+        with pytest.raises(ConfigError, match="inside the search box"):
+            moreau_envelope(ABS, 1.0, (tq, aq), BOX)
 
-
-class TestPathwiseVariation:
-    def test_monotone_series(self):
-        s = np.array([0.0, 1.0, 2.5, 3.0])
-        assert pathwise_variation(s) == pytest.approx(3.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            pathwise_variation([])
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2,
-                    max_size=30))
-    @settings(max_examples=100, deadline=None)
-    def test_at_least_net_change(self, vals):
-        s = np.asarray(vals)
-        assert pathwise_variation(s) >= abs(s[-1] - s[0]) - 1e-9 * max(
-            1.0, abs(s[-1] - s[0]))
-
-    @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=2,
-                    max_size=20))
-    @settings(max_examples=100, deadline=None)
-    def test_scaling(self, vals):
-        s = np.asarray(vals)
-        assert pathwise_variation(2.0 * s) == pytest.approx(
-            2.0 * pathwise_variation(s))
+    def test_query_shapes_must_match(self):
+        with pytest.raises(ConfigError, match="differ in shape"):
+            moreau_envelope(ABS, 1.0, (np.zeros(3), np.zeros(4)), BOX)
+        with pytest.raises(ConfigError, match="differ in shape"):
+            moreau_envelope(ABS, 1.0, (0.0, np.zeros(2)), BOX)
