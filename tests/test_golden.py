@@ -1,8 +1,9 @@
 """Golden outputs: byte-exact verify.csv and summary.json for every
 (scenario, variant) pair of the registry, under both qv modes, the
 byte-exact paths.csv that `simulate` writes for every registry scenario,
-and the byte-exact envelope.csv that `envelope` writes for every registry
-surface.
+the byte-exact stdout of `localtime` for every registry scenario under
+both qv modes, and the byte-exact envelope.csv that `envelope` writes for
+every registry surface.
 
 Refactors must leave these digests unchanged. A change that alters the
 outputs on purpose regenerates the file and says why:
@@ -11,6 +12,7 @@ outputs on purpose regenerates the file and says why:
 """
 
 import hashlib
+import io
 import json
 import os
 import sys
@@ -47,6 +49,10 @@ def _simulate_key(name):
     return f"{name}/simulate"
 
 
+def _localtime_key(name, qv):
+    return f"{name}/localtime/{qv}"
+
+
 def _envelope_key(surface):
     return f"{surface}/envelope"
 
@@ -66,6 +72,15 @@ def _simulate_digests(name, out_dir):
         code = main(argv)
     assert code == 0, f"{_simulate_key(name)}: exit code {code}"
     return _sha256(out_dir, ("paths.csv",))
+
+
+def _localtime_digests(name, qv):
+    argv = ["localtime", "--scenario", name, "--qv", qv, *CONFIG]
+    out = io.StringIO()
+    with open(os.devnull, "w") as sink, redirect_stdout(out), redirect_stderr(sink):
+        code = main(argv)
+    assert code == 0, f"{_localtime_key(name, qv)}: exit code {code}"
+    return {"stdout": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
 def _envelope_digests(surface, out_dir):
@@ -89,6 +104,8 @@ def golden():
 def test_golden_covers_every_pair(golden):
     assert sorted(golden) == sorted([_key(*c) for c in _cases()]
                                     + [_simulate_key(name) for name in REGISTRY]
+                                    + [_localtime_key(name, qv) for name in REGISTRY
+                                       for qv in QV_MODES]
                                     + [_envelope_key(s) for s in SURFACES])
 
 
@@ -106,6 +123,13 @@ def test_simulate_paths_match_golden(golden, tmp_path, name):
     assert _simulate_digests(name, tmp_path) == golden[key], f"{key}: paths.csv changed"
 
 
+@pytest.mark.parametrize("name,qv", [(n, qv) for n in REGISTRY for qv in QV_MODES],
+                         ids=[_localtime_key(n, qv) for n in REGISTRY for qv in QV_MODES])
+def test_localtime_stdout_matches_golden(golden, name, qv):
+    key = _localtime_key(name, qv)
+    assert _localtime_digests(name, qv) == golden[key], f"{key}: localtime stdout changed"
+
+
 @pytest.mark.parametrize("surface", list(SURFACES))
 def test_envelope_table_matches_golden(golden, tmp_path, surface):
     key = _envelope_key(surface)
@@ -119,6 +143,8 @@ if __name__ == "__main__":
             table[_key(*case)] = _digests(*case, tmp)
         for name in REGISTRY:
             table[_simulate_key(name)] = _simulate_digests(name, tmp)
+            for qv in QV_MODES:
+                table[_localtime_key(name, qv)] = _localtime_digests(name, qv)
         for surface in SURFACES:
             table[_envelope_key(surface)] = _envelope_digests(surface, tmp)
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
