@@ -161,20 +161,25 @@ def verify_tanaka(bundle, level, n=None, qv_mode="analytic"):
     if n is None:
         n = coupled_mollifier_n(float(np.median(bundle.grid.dts)))
     u = bundle.x_path - a
-    u_pre = bundle.x_pre - a
     sgn = np.where(u > 0.0, 1.0, -1.0)
-    sgn_pre = np.where(u_pre > 0.0, 1.0, -1.0)
-    cont_inc = bundle.diffusion_increments
     jump_inc = bundle.k_jump_increments
-
-    stoch = float(np.sum(sgn[:-1] * cont_inc) + np.sum(sgn_pre[1:] * jump_inc))
-    jump_corr = float(np.sum((np.abs(u[1:]) - np.abs(u_pre[1:]))
-                             - sgn_pre[1:] * jump_inc))
+    stoch = np.sum(sgn[:-1] * bundle.diffusion_increments)
+    if bundle.jump_free:
+        # x_pre is x_path and jump_inc is +0.0: each jump-correction summand is
+        # +0.0, and the jump sum a signed zero that can only sign a zero sum
+        jump_corr = 0.0
+        if stoch == 0.0:
+            stoch += np.sum(sgn[1:] * jump_inc)
+    else:
+        u_pre = bundle.x_pre[1:] - a
+        sgn_jump = np.where(u_pre > 0.0, 1.0, -1.0) * jump_inc
+        stoch += np.sum(sgn_jump)
+        jump_corr = float(np.sum((np.abs(u[1:]) - np.abs(u_pre)) - sgn_jump))
     lt = local_time_mollifier(bundle, a, n, qv_mode=qv_mode)
 
     lhs = float(np.abs(u[-1]) - np.abs(u[0]))
     terms = {
-        "sgn_stochastic_integral": stoch,
+        "sgn_stochastic_integral": float(stoch),
         "jump_correction": jump_corr,
         "local_time": lt.final,
     }
@@ -372,12 +377,10 @@ def verify_smooth_fit(psf, bundle, qv_mode="analytic", fit_tol=1e-9,
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """User-supplied (H, lambda) pair for the general formula, plus the
-    scenario author's analytic justification of the balance hypothesis."""
+    """User-supplied (H, lambda) pair for the general formula."""
 
     h: Callable  # (t, a, x) -> float, evaluated at left limits along paths
     measure: MeasureSpec = LEBESGUE
-    hypothesis_note: str = "asserted by scenario author"
 
 
 def verify_general(psf, gen, bundle, n=None, qv_mode="analytic"):

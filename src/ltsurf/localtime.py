@@ -8,7 +8,7 @@ discretisation scale).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -35,14 +35,9 @@ DEFAULT_MOLLIFIER = MollifierSpec("quadratic_bump", _default_kernel)
 
 @dataclass(frozen=True)
 class LocalTimeSeries:
-    """Cumulative local-time values aligned to a grid."""
+    """Cumulative local-time values aligned to the bundle's grid."""
 
-    grid: object
     values: np.ndarray
-    level: object  # float level or surface description string
-    side: str  # "right" | "symmetric"
-    estimator: str  # "occupation" | "mollifier" | "tanaka"
-    bandwidth: float
 
     @property
     def final(self):
@@ -78,9 +73,7 @@ def local_time_occupation(bundle, surface_or_level, eps, side="right",
     else:
         raise ConfigError(f"unknown side: {side!r}")
     inc = scale * np.where(window, qv, 0.0)
-    values = np.cumsum(np.concatenate(([0.0], inc)))
-    return LocalTimeSeries(bundle.grid, values, _level_tag(surface_or_level),
-                           side, "occupation", eps)
+    return LocalTimeSeries(np.cumsum(np.concatenate(([0.0], inc))))
 
 
 def local_time_mollifier(bundle, surface_or_level, n, rho=DEFAULT_MOLLIFIER,
@@ -88,16 +81,18 @@ def local_time_mollifier(bundle, surface_or_level, n, rho=DEFAULT_MOLLIFIER,
     """Kernel estimator: cumulative sum of n rho(n (X-b)) d[X-b, X-b]^c.
 
     Nondecreasing whenever the kernel is nonnegative; one-sided (right)
-    because the kernel is supported on [0, 1].
+    because the kernel is supported on [0, 1].  The kernel is evaluated only
+    at the steps inside that window; every other increment is exactly 0.
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
     u = _distance_to_target(bundle, surface_or_level)[:-1]
     qv = continuous_qv_measure(bundle, qv_mode=qv_mode)
-    inc = n * rho.evaluate(n * u) * qv
-    values = np.cumsum(np.concatenate(([0.0], inc)))
-    return LocalTimeSeries(bundle.grid, values, _level_tag(surface_or_level),
-                           "right", "mollifier", 1.0 / n)
+    z = n * u
+    hits = np.flatnonzero((z >= 0.0) & (z <= 1.0))
+    values = np.zeros(u.size + 1)
+    values[hits + 1] = n * rho.evaluate(z[hits]) * qv[hits]
+    return LocalTimeSeries(np.cumsum(values, out=values))
 
 
 def local_time_tanaka_residual(bundle, level):
@@ -110,24 +105,22 @@ def local_time_tanaka_residual(bundle, level):
     matching the right local time.
     """
     a = float(level)
-    x = bundle.x_path
-    x_pre = bundle.x_pre
-    u = x - a
-    u_pre = x_pre - a
-    sgn = np.where(u > 0.0, 1.0, -1.0)
-    sgn_pre = np.where(u_pre > 0.0, 1.0, -1.0)
-
-    cont_inc = bundle.diffusion_increments
-    jump_inc = bundle.k_jump_increments
-
+    u = bundle.x_path - a
+    abs_u = np.abs(u)
     # stochastic integral: continuous part uses the step-start value,
     # the jump part the pre-jump value at the step end
-    stoch = sgn[:-1] * cont_inc + sgn_pre[1:] * jump_inc
-    jump_corr = (np.abs(u[1:]) - np.abs(u_pre[1:])) - sgn_pre[1:] * jump_inc
-    # at non-jump indices x == x_pre, so jump_corr vanishes there exactly
-    inc = (np.abs(u[1:]) - np.abs(u[:-1])) - stoch - jump_corr
-    values = np.cumsum(np.concatenate(([0.0], inc)))
-    return LocalTimeSeries(bundle.grid, values, a, "right", "tanaka", 0.0)
+    stoch = np.where(u[:-1] > 0.0, 1.0, -1.0) * bundle.diffusion_increments
+    jump_corr = 0.0
+    # without jumps x_pre is x_path and each jump increment is +0.0: the jump
+    # part and jump_corr are signed zeros that leave inc unchanged
+    if not bundle.jump_free:
+        u_pre = bundle.x_pre[1:] - a
+        sgn_jump = np.where(u_pre > 0.0, 1.0, -1.0) * bundle.k_jump_increments
+        stoch += sgn_jump
+        # at non-jump indices x == x_pre, so jump_corr vanishes there exactly
+        jump_corr = (abs_u[1:] - np.abs(u_pre)) - sgn_jump
+    inc = (abs_u[1:] - abs_u[:-1]) - stoch - jump_corr
+    return LocalTimeSeries(np.cumsum(np.concatenate(([0.0], inc))))
 
 
 def occupation_formula_check(bundle, g, level_grid, eps, qv_mode="analytic",
@@ -161,9 +154,3 @@ def occupation_formula_check(bundle, g, level_grid, eps, qv_mode="analytic",
     rhs = float(trapezoid(np.asarray(g(levels), dtype=float) * lt_final, levels))
     denom = max(abs(lhs), abs(rhs), np.finfo(float).tiny)
     return lhs, rhs, abs(lhs - rhs) / denom
-
-
-def _level_tag(surface_or_level):
-    if np.isscalar(surface_or_level) or isinstance(surface_or_level, (int, float)):
-        return float(surface_or_level)
-    return getattr(surface_or_level, "name", "surface")

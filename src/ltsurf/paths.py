@@ -56,6 +56,11 @@ class TimeGrid:
     def sqrt_dts(self):
         return _read_only(np.sqrt(self.dts))
 
+    @cached_property
+    def zero_steps(self):
+        """+0.0 at every step: the increments of a train without jumps."""
+        return _read_only(np.zeros(self.n_steps))
+
 
 def _read_only(array):
     view = array.view()
@@ -85,8 +90,8 @@ class JumpTrain:
 class JumpLaw:
     """Jump-size sampler with finite mean absolute size.
 
-    kinds: two_point (values a/b with prob p/1-p), uniform (lo, hi),
-    gaussian (mean, std), exponential (mean, optionally negated via sign).
+    kinds: two_point (values a/b with prob p/1-p) and exponential (mean,
+    optionally negated via sign).
     """
 
     kind: str
@@ -96,12 +101,6 @@ class JumpLaw:
         if self.kind == "two_point":
             lo, hi, p = self.params
             return np.where(rng.random(size) < p, lo, hi).astype(float)
-        if self.kind == "uniform":
-            lo, hi = self.params
-            return rng.uniform(lo, hi, size)
-        if self.kind == "gaussian":
-            mean, std = self.params
-            return mean + std * rng.standard_normal(size)
         if self.kind == "exponential":
             (mean,) = self.params
             return np.sign(mean) * rng.exponential(abs(mean), size)
@@ -169,7 +168,8 @@ class PathBundle:
     with that exact floating-point association; the pre-jump value is
     x[k] + (k_drift[k] + m[k]).  Same split for A with m identically 0.
     Construction runs this Euler scheme once and stores (A, X) and their
-    left limits, which equal the value at non-jump indices.
+    left limits, which equal the value at non-jump indices.  Arrays are
+    read-only and shared where equal: x_pre is x_path without jumps.
     """
 
     grid: TimeGrid
@@ -184,17 +184,23 @@ class PathBundle:
 
     def __post_init__(self):
         cont = self.diffusion_increments
-        a_drift = self.a_drift_increments
-        self.x_path = _accumulate(self.spec.x0, cont, self.k_jump_increments)
-        self.a_path = _accumulate(self.spec.a0, a_drift, self.a_jump_increments)
+        x = _accumulate(self.spec.x0, cont, self.k_jump_increments)
+        if self.spec.mu_a == 0.0 and self.a_jump_increments is self.grid.zero_steps:
+            # every A increment is +0.0, so the running sum is a0 + 0.0 from step 1
+            a = np.full(self.grid.n_steps + 1, self.spec.a0 + 0.0)
+            a[0] = self.spec.a0
+        else:
+            a = _accumulate(self.spec.a0, self.a_drift_increments, self.a_jump_increments)
         # a running sum stays non-finite once it is, so the last value decides
-        if not (np.isfinite(self.x_path[-1]) and np.isfinite(self.a_path[-1])):
+        if not (np.isfinite(x[-1]) and np.isfinite(a[-1])):
             raise NumericalAbort("non-finite values in simulated path")
+        self.x_path, self.a_path = self.x_pre, self.a_pre = _read_only(x), _read_only(a)
         jidx = self.grid.jump_indices
-        self.x_pre = self.x_path.copy()
-        self.x_pre[jidx] = self.x_path[jidx - 1] + cont[jidx - 1]
-        self.a_pre = self.a_path.copy()
-        self.a_pre[jidx] = self.a_path[jidx - 1] + a_drift[jidx - 1]
+        if jidx.size:
+            x_pre, a_pre = x.copy(), a.copy()
+            x_pre[jidx] = x[jidx - 1] + cont[jidx - 1]
+            a_pre[jidx] = a[jidx - 1] + self.a_drift_increments[jidx - 1]
+            self.x_pre, self.a_pre = _read_only(x_pre), _read_only(a_pre)
 
     @property
     def jump_indices(self):
@@ -203,6 +209,11 @@ class PathBundle:
     @property
     def times(self):
         return self.grid.times
+
+    @property
+    def jump_free(self):
+        """No jump moves X: x_pre is x_path and every dX jump part is +0.0."""
+        return self.x_pre is self.x_path and self.k_jump_increments is self.grid.zero_steps
 
     # The derived increments are computed on first read and kept, read-only,
     # for the bundle's lifetime.
@@ -219,7 +230,7 @@ class PathBundle:
 
     @cached_property
     def k_jump_increments(self):
-        return _read_only(self.spec.lambda_x * self.dy)
+        return _scaled(self.spec.lambda_x, self.dy, self.grid.zero_steps)
 
     @cached_property
     def a_drift_increments(self):
@@ -228,12 +239,19 @@ class PathBundle:
     @cached_property
     def a_jump_increments(self):
         driver = self.dy if self.spec.a_jump_driver == "y" else self.dz
-        return _read_only(self.spec.lambda_a * driver)
+        return _scaled(self.spec.lambda_a, driver, self.grid.zero_steps)
 
     @cached_property
     def diffusion_increments(self):
         """Per-step continuous increments of X (drift + Brownian part)."""
         return _read_only(self.k_drift_increments + self.m_increments)
+
+
+def _scaled(coeff, driver, zeros):
+    """coeff * driver, read-only; the shared zeros when that is +0.0 throughout."""
+    if driver is zeros and coeff * 0.0 == 0.0 and not np.signbit(coeff * 0.0):
+        return zeros
+    return _read_only(coeff * driver)
 
 
 def build_grid(t_end, n_steps, jump_times=()):
@@ -287,23 +305,24 @@ def simulate_compound_poisson(rate, jump_law, t_end, seed):
 
 
 def simulate_brownian(grid, seed):
-    """Standard Brownian motion sampled on the grid (B_0 = 0)."""
+    """Standard Brownian motion sampled on the grid (B_0 = 0), read-only."""
     rng = np.random.default_rng(seed)
     path = np.empty(grid.n_steps + 1)
     path[0] = 0.0
     increments = rng.standard_normal(out=path[1:])
     increments *= grid.sqrt_dts
-    return np.cumsum(path, out=path)
+    return _read_only(np.cumsum(path, out=path))
 
 
 def _jump_increments(train, grid):
     """Per-step increments of a jump train, each placed at the step that
-    ends at its (on-grid) jump time."""
+    ends at its (on-grid) jump time.  An empty train gives grid.zero_steps."""
+    if not train.times.size:
+        return grid.zero_steps
     inc = np.zeros(grid.n_steps)
-    if train.times.size:
-        idx = np.searchsorted(grid.times, train.times)
-        np.add.at(inc, idx - 1, train.sizes)
-    return inc
+    idx = np.searchsorted(grid.times, train.times)
+    np.add.at(inc, idx - 1, train.sizes)
+    return _read_only(inc)
 
 
 def _accumulate(x0, continuous, jumps):

@@ -83,12 +83,8 @@ def _sgn(x):
 def _build_tanaka_bm(p):
     spec = SdeSpec(mu_x=p["mu"], sigma=p["sigma"], x0=p["x0"])
     psf = _abs_psf(constant_surface(p["level"]))
-    gen = GeneratorSpec(
-        h=lambda t, a, x: p["mu"] * _sgn(x - p["level"]),
-        measure=LEBESGUE,
-        hypothesis_note="generator mu*sgn is locally bounded off the level; "
-                        "the level set is Lebesgue-null along diffusion paths",
-    )
+    # mu*sgn is locally bounded off the level, a Lebesgue-null set in time
+    gen = GeneratorSpec(h=lambda t, a, x: p["mu"] * _sgn(x - p["level"]), measure=LEBESGUE)
     return ScenarioParts(spec=spec, psf=psf, level=p["level"], gen=gen,
                          variants=("tanaka", "ltc_diffusion", "surfaces_strong",
                                    "jump_ltc", "general"))
@@ -97,11 +93,9 @@ def _build_tanaka_bm(p):
 def _build_smooth_quadratic(p):
     spec = SdeSpec(mu_x=p["mu"], sigma=p["sigma"], x0=p["x0"])
     psf = _quadratic_psf()
-    gen = GeneratorSpec(
-        h=lambda t, a, x: p["mu"] * 2.0 * x + p["sigma"] ** 2 + 0.0 * x,
-        measure=LEBESGUE,
-        hypothesis_note="classical Ito generator of x^2, continuous and locally bounded",
-    )
+    # the classical Ito generator of x^2
+    gen = GeneratorSpec(h=lambda t, a, x: p["mu"] * 2.0 * x + p["sigma"] ** 2 + 0.0 * x,
+                        measure=LEBESGUE)
     return ScenarioParts(spec=spec, psf=psf, level=0.0, gen=gen,
                          variants=("ltc_diffusion", "surfaces_strong",
                                    "jump_ltc", "smooth_fit", "general", "tanaka"))
@@ -110,12 +104,8 @@ def _build_smooth_quadratic(p):
 def _build_peskir_diffusion(p):
     spec = SdeSpec(mu_x=p["mu"], sigma=p["sigma"], x0=p["x0"])
     psf = _abs_psf(constant_surface(0.0))
-    gen = GeneratorSpec(
-        h=lambda t, a, x: p["mu"] * _sgn(x),
-        measure=LEBESGUE,
-        hypothesis_note="generator mu*sgn(x) is locally bounded off the curve; "
-                        "P[X_{s-} = 0] = 0 for the driven diffusion",
-    )
+    # mu*sgn(x) is locally bounded off the curve, and P[X_{s-} = 0] = 0
+    gen = GeneratorSpec(h=lambda t, a, x: p["mu"] * _sgn(x), measure=LEBESGUE)
     return ScenarioParts(spec=spec, psf=psf, level=0.0, gen=gen,
                          variants=("ltc_diffusion", "tanaka", "surfaces_strong",
                                    "jump_ltc", "general"))
@@ -216,11 +206,8 @@ def _build_exact_drift(p):
     # no a-dependence: the curves formula carries no F_a term
     psf = _linear_psf(ca=0.0)
     h_const = 0.3 + p["mu_x"] * 1.0
-    gen = GeneratorSpec(
-        h=lambda t, a, x: h_const + 0.0 * np.asarray(x, float),
-        measure=LEBESGUE,
-        hypothesis_note="constant generator of a linear F; trivially bounded",
-    )
+    gen = GeneratorSpec(h=lambda t, a, x: h_const + 0.0 * np.asarray(x, float),
+                        measure=LEBESGUE)
     return ScenarioParts(spec=spec, psf=psf, level=-5.0, gen=gen,
                          variants=("tanaka", "ltc_diffusion", "surfaces_strong",
                                    "jump_ltc", "smooth_fit", "general"))
@@ -236,11 +223,9 @@ def _build_exact_drift_jump(p):
     )
     psf = _linear_psf()
     h_const = 0.3 + p["mu_x"] * 1.0 + p["mu_a"] * 0.2
-    gen = GeneratorSpec(
-        h=lambda t, a, x: h_const + 0.0 * np.asarray(x, float),
-        measure=LEBESGUE,
-        hypothesis_note="constant generator of a linear F; jumps enter the jump sum only",
-    )
+    # jumps enter the jump sum only
+    gen = GeneratorSpec(h=lambda t, a, x: h_const + 0.0 * np.asarray(x, float),
+                        measure=LEBESGUE)
     return ScenarioParts(spec=spec, psf=psf, level=-5.0, gen=gen,
                          variants=("tanaka", "surfaces_strong", "jump_ltc",
                                    "smooth_fit", "general"))

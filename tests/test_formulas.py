@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from ltsurf import (Branch, ConfigError, GeneratorSpec,
                     IncompatibleScenarioError, MeasureSpec,
                     PiecewiseSurfaceFunction, SdeSpec, constant_surface,
-                    simulate_jump_diffusion, smooth_psf, two_point,
+                    local_time_tanaka_residual, simulate_jump_diffusion,
+                    smooth_psf, two_point,
                     verify_general, verify_jump_ltc, verify_ltc_diffusion,
                     verify_smooth_fit, verify_surfaces_strong, verify_tanaka)
 from ltsurf.formulas import eval_F, fx_jump
@@ -90,6 +91,27 @@ class TestVerifyTanaka:
         assert set(rep.terms) == {"sgn_stochastic_integral", "jump_correction",
                                   "local_time"}
         assert rep.residual == rep.lhs - rep.rhs
+
+
+    @pytest.mark.parametrize("spec", [
+        SdeSpec(sigma=1.0),
+        SdeSpec(mu_x=0.3, sigma=0.5, x0=0.1, mu_a=0.2),
+        SdeSpec(sigma=1.0, lambda_x=-1.0),
+        SdeSpec(sigma=1.0, lambda_x=1.0, rate_y=5.0, jump_law_y=two_point(-0.2, 0.3)),
+    ], ids=["brownian", "drift", "negative_lambda", "jumps"])
+    def test_matches_the_full_formula_bit_for_bit(self, spec):
+        # the jump parts written out at every step, whether or not X jumps
+        b = simulate_jump_diffusion(spec, 1.0, 2000, 3)
+        u, u_pre = b.x_path - 0.1, b.x_pre - 0.1
+        sgn, sgn_pre = np.where(u > 0.0, 1.0, -1.0), np.where(u_pre > 0.0, 1.0, -1.0)
+        cont, jump = sgn[:-1] * b.diffusion_increments, sgn_pre[1:] * b.k_jump_increments
+        corr = (np.abs(u[1:]) - np.abs(u_pre[1:])) - jump
+        rep = verify_tanaka(b, 0.1, n=100)
+        assert rep.terms["sgn_stochastic_integral"] == float(np.sum(cont) + np.sum(jump))
+        assert rep.terms["jump_correction"] == float(np.sum(corr))
+        inc = (np.abs(u[1:]) - np.abs(u[:-1])) - (cont + jump) - corr
+        expected = np.cumsum(np.concatenate(([0.0], inc)))
+        assert local_time_tanaka_residual(b, 0.1).values.tobytes() == expected.tobytes()
 
 
 class TestVerifyLtcDiffusion:

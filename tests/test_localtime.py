@@ -1,12 +1,17 @@
 """Local-time estimators and the occupation-time identity."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ltsurf import (ConfigError, SdeSpec, constant_surface,
-                    local_time_mollifier, local_time_occupation,
-                    local_time_tanaka_residual, occupation_formula_check,
-                    simulate_jump_diffusion, two_point)
+from ltsurf import (ConfigError, MollifierSpec, SdeSpec, constant_surface,
+                    continuous_qv_measure, local_time_mollifier,
+                    local_time_occupation, local_time_tanaka_residual,
+                    occupation_formula_check, simulate_jump_diffusion,
+                    two_point)
 from ltsurf.localtime import DEFAULT_MOLLIFIER
 
 
@@ -92,6 +97,36 @@ class TestMollifier:
         via_level = local_time_mollifier(b, 0.0, n=50).values
         via_surface = local_time_mollifier(b, constant_surface(0.0), n=50).values
         np.testing.assert_allclose(via_level, via_surface)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           rate=st.sampled_from([0.0, 4.0]), qv=st.sampled_from(["analytic", "realized"]),
+           offsets=st.lists(st.floats(-0.5, 1.5), min_size=100, max_size=100))
+    @settings(max_examples=60, deadline=None)
+    def test_window_only_kernel_matches_full_kernel(self, seed, n, rate, qv, offsets):
+        spec = SdeSpec(sigma=0.3, lambda_x=1.0, rate_y=rate,
+                       jump_law_y=two_point(-0.2, 0.2) if rate else None)
+        b = simulate_jump_diffusion(spec, 1.0, 100, seed)
+        # X - b is offsets / n at the left limits: exactly 1/n at step 0,
+        # where x_pre = x0 = 0, and exactly 0 wherever the offset is 0
+        offsets = np.resize(offsets, b.x_pre.size)
+        offsets[:2] = (1.0, 0.0)
+        target = b.x_pre - offsets / n
+        surface = SimpleNamespace(b=lambda t, a: target)
+        u = b.x_pre[:-1] - target[:-1]
+        assert u[0] == 1.0 / n and u[1] == 0.0
+        seen = []
+
+        def recording(z):
+            seen.append(np.array(z))
+            return DEFAULT_MOLLIFIER.evaluate(z)
+
+        lt = local_time_mollifier(b, surface, n, rho=MollifierSpec("recording", recording),
+                                  qv_mode=qv)
+        inc = n * DEFAULT_MOLLIFIER.evaluate(n * u) * continuous_qv_measure(b, qv)
+        assert lt.values.tobytes() == np.cumsum(np.concatenate(([0.0], inc))).tobytes()
+        z = np.concatenate(seen)
+        assert np.all((z >= 0.0) & (z <= 1.0))
+        assert z.size == np.count_nonzero((n * u >= 0.0) & (n * u <= 1.0))
 
     def test_n_validation(self):
         with pytest.raises(ConfigError):

@@ -193,6 +193,13 @@ class TestJumpDiffusion:
             assert getattr(b, name) is value, name
             assert not value.flags.writeable, name
 
+    def test_every_array_is_read_only(self):
+        b = simulate_jump_diffusion(_jump_spec(), 1.0, 100, seed=29)
+        assert b.jump_indices.size > 0
+        for name in ("b_path", "dy", "dz", "a_path", "x_path", "a_pre", "x_pre"):
+            assert not getattr(b, name).flags.writeable, name
+        assert b.x_pre is not b.x_path and not b.jump_free
+
     def test_t_end_not_positive_rejected_before_jump_draws(self):
         for t_end in (-1.0, 0.0):
             with pytest.raises(ConfigError, match="t_end"):
@@ -216,3 +223,50 @@ class TestJumpDiffusion:
             SdeSpec(rate_y=-1.0)
         with pytest.raises(ConfigError):
             SdeSpec(a_jump_driver="w")
+
+
+def _euler_reference(spec, b):
+    """The Euler scheme written out with a fresh array per step, as a check
+    on the bundle's shared and constant arrays."""
+    dts, zeros = np.diff(b.times), np.zeros(b.times.size - 1)
+    x_inc = (spec.mu_x * dts + spec.sigma * np.diff(b.b_path)) + spec.lambda_x * zeros
+    a_inc = spec.mu_a * dts + spec.lambda_a * zeros
+    return (np.cumsum(np.concatenate(([spec.x0], x_inc))),
+            np.cumsum(np.concatenate(([spec.a0], a_inc))))
+
+
+class TestJumpFreeBundle:
+    @pytest.mark.parametrize("mu_a", [0.0, -0.0, 0.4])
+    @pytest.mark.parametrize("a0", [0.0, -0.0, -0.7])
+    @pytest.mark.parametrize("lam", [0.0, -0.0, 1.5, -1.5])
+    def test_paths_match_the_euler_scheme_bit_for_bit(self, mu_a, a0, lam):
+        spec = SdeSpec(mu_x=0.2, sigma=0.8, lambda_x=lam, mu_a=mu_a, lambda_a=lam,
+                       x0=-0.0, a0=a0)
+        b = simulate_jump_diffusion(spec, 1.0, 50, seed=31)
+        x_ref, a_ref = _euler_reference(spec, b)
+        assert b.x_path.tobytes() == x_ref.tobytes()
+        assert b.a_path.tobytes() == a_ref.tobytes()
+        for name in ("k_jump_increments", "a_jump_increments"):
+            assert getattr(b, name).tobytes() == (lam * np.zeros(50)).tobytes(), name
+
+    def test_left_limits_and_jump_drivers_are_shared(self):
+        b = simulate_jump_diffusion(SdeSpec(sigma=1.0), 1.0, 100, seed=37)
+        assert b.x_pre is b.x_path and b.a_pre is b.a_path
+        zeros = b.grid.zero_steps
+        assert b.dy is zeros and b.dz is zeros
+        assert b.k_jump_increments is zeros and b.a_jump_increments is zeros
+        assert b.jump_free
+        assert zeros.tobytes() == np.zeros(100).tobytes()
+
+    def test_negative_jump_coefficient_gets_its_own_signed_zeros(self):
+        b = simulate_jump_diffusion(SdeSpec(sigma=1.0, lambda_x=-1.0), 1.0, 100, seed=37)
+        assert b.k_jump_increments is not b.grid.zero_steps
+        assert np.all(np.signbit(b.k_jump_increments)) and not b.jump_free
+
+    def test_every_array_is_read_only(self):
+        b = simulate_jump_diffusion(SdeSpec(sigma=1.0, mu_a=0.3), 1.0, 100, seed=41)
+        for name in ("b_path", "dy", "dz", "a_path", "x_path", "a_pre", "x_pre",
+                     "m_increments", "k_drift_increments", "k_jump_increments",
+                     "a_drift_increments", "a_jump_increments", "diffusion_increments"):
+            with pytest.raises(ValueError):
+                getattr(b, name)[:1] = 1.0
