@@ -202,7 +202,10 @@ class _PathView:
 
     @cached_property
     def off(self):
-        """The strict indicator 1{X != b}."""
+        """The strict indicator 1{X != b}; all true for a smooth F, whose
+        Ito formula makes no exception on the surface."""
+        if self.psf.lower is self.psf.upper:
+            return np.ones(self.x.shape, dtype=bool)
         return self.x != self.psf.b(self.t, self.a)
 
     def deriv(self, attr, averaged=False, jump=None):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltsurf import (Branch, ConfigError, GeneratorSpec,
@@ -201,6 +201,8 @@ class TestSurfacesStrong:
        rate=st.floats(0.0, 10.0), lo=st.floats(-1.0, 1.0), hi=st.floats(-1.0, 1.0),
        seed=st.integers(0, 2**32 - 1), qv=st.sampled_from(["analytic", "realized"]))
 @settings(max_examples=40, deadline=None)
+# integer jumps land X exactly on the surface b = -5 and keep it there
+@example(mu_x=0.0, mu_a=0.0, rate=2.0, lo=-1.0, hi=-1.0, seed=342, qv="analytic")
 def test_degenerate_scenarios_exact_over_random_inputs(mu_x, mu_a, rate, lo, hi,
                                                        seed, qv):
     """exact_drift and exact_drift_jump: sigma = 0 and a linear F, so every
