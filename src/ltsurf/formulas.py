@@ -162,17 +162,14 @@ def verify_tanaka(bundle, level, n=None, qv_mode="analytic"):
         n = coupled_mollifier_n(float(np.median(bundle.grid.dts)))
     u = bundle.x_path - a
     sgn = np.where(u > 0.0, 1.0, -1.0)
-    jump_inc = bundle.k_jump_increments
     stoch = np.sum(sgn[:-1] * bundle.diffusion_increments)
-    if bundle.jump_free:
-        # x_pre is x_path and jump_inc is +0.0: each jump-correction summand is
-        # +0.0, and the jump sum a signed zero that can only sign a zero sum
-        jump_corr = 0.0
-        if stoch == 0.0:
-            stoch += np.sum(sgn[1:] * jump_inc)
-    else:
+    jump_corr = 0.0
+    # without jumps x_pre is x_path and each jump increment is +0.0: the jump
+    # sum is a signed zero, which leaves stoch (a numpy sum, never -0.0)
+    # unchanged, and each jump-correction summand is +0.0
+    if not bundle.jump_free:
         u_pre = bundle.x_pre[1:] - a
-        sgn_jump = np.where(u_pre > 0.0, 1.0, -1.0) * jump_inc
+        sgn_jump = np.where(u_pre > 0.0, 1.0, -1.0) * bundle.k_jump_increments
         stoch += np.sum(sgn_jump)
         jump_corr = float(np.sum((np.abs(u[1:]) - np.abs(u_pre)) - sgn_jump))
     lt = local_time_mollifier(bundle, a, n, qv_mode=qv_mode)

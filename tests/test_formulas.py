@@ -107,8 +107,9 @@ class TestVerifyTanaka:
         cont, jump = sgn[:-1] * b.diffusion_increments, sgn_pre[1:] * b.k_jump_increments
         corr = (np.abs(u[1:]) - np.abs(u_pre[1:])) - jump
         rep = verify_tanaka(b, 0.1, n=100)
-        assert rep.terms["sgn_stochastic_integral"] == float(np.sum(cont) + np.sum(jump))
-        assert rep.terms["jump_correction"] == float(np.sum(corr))
+        for name, expected in (("sgn_stochastic_integral", np.sum(cont) + np.sum(jump)),
+                               ("jump_correction", np.sum(corr))):
+            assert repr(rep.terms[name]) == repr(float(expected)), name
         inc = (np.abs(u[1:]) - np.abs(u[:-1])) - (cont + jump) - corr
         expected = np.cumsum(np.concatenate(([0.0], inc)))
         assert local_time_tanaka_residual(b, 0.1).values.tobytes() == expected.tobytes()

@@ -193,7 +193,7 @@ class TestJumpDiffusion:
             assert getattr(b, name) is value, name
             assert not value.flags.writeable, name
 
-    def test_every_array_is_read_only(self):
+    def test_jump_bundle_arrays_are_read_only(self):
         b = simulate_jump_diffusion(_jump_spec(), 1.0, 100, seed=29)
         assert b.jump_indices.size > 0
         for name in ("b_path", "dy", "dz", "a_path", "x_path", "a_pre", "x_pre"):
