@@ -249,7 +249,7 @@ class PathBundle:
 
 def _scaled(coeff, driver, zeros):
     """coeff * driver, read-only; the shared zeros when that is +0.0 throughout."""
-    if driver is zeros and coeff * 0.0 == 0.0 and not np.signbit(coeff * 0.0):
+    if driver is zeros and np.isfinite(coeff) and not np.signbit(coeff):
         return zeros
     return _read_only(coeff * driver)
 

@@ -161,6 +161,7 @@ class TestJumpDiffusion:
         nonjump = ~b.grid.jump_flags
         np.testing.assert_array_equal(b.x_pre[nonjump], b.x_path[nonjump])
         np.testing.assert_array_equal(b.a_pre[nonjump], b.a_path[nonjump])
+        assert b.x_pre is not b.x_path and not b.jump_free
 
     def test_jumps_live_in_k_not_m(self):
         b = simulate_jump_diffusion(_jump_spec(), 1.0, 100, seed=17)
@@ -193,12 +194,15 @@ class TestJumpDiffusion:
             assert getattr(b, name) is value, name
             assert not value.flags.writeable, name
 
-    def test_jump_bundle_arrays_are_read_only(self):
-        b = simulate_jump_diffusion(_jump_spec(), 1.0, 100, seed=29)
-        assert b.jump_indices.size > 0
-        for name in ("b_path", "dy", "dz", "a_path", "x_path", "a_pre", "x_pre"):
-            assert not getattr(b, name).flags.writeable, name
-        assert b.x_pre is not b.x_path and not b.jump_free
+    @pytest.mark.parametrize("spec", [_jump_spec(), SdeSpec(sigma=1.0, mu_a=0.3)],
+                             ids=["jumps", "jump_free"])
+    def test_every_array_is_read_only(self, spec):
+        b = simulate_jump_diffusion(spec, 1.0, 100, seed=41)
+        for name in ("b_path", "dy", "dz", "a_path", "x_path", "a_pre", "x_pre",
+                     "m_increments", "k_drift_increments", "k_jump_increments",
+                     "a_drift_increments", "a_jump_increments", "diffusion_increments"):
+            with pytest.raises(ValueError):
+                getattr(b, name)[:1] = 1.0
 
     def test_t_end_not_positive_rejected_before_jump_draws(self):
         for t_end in (-1.0, 0.0):
@@ -262,11 +266,3 @@ class TestJumpFreeBundle:
         b = simulate_jump_diffusion(SdeSpec(sigma=1.0, lambda_x=-1.0), 1.0, 100, seed=37)
         assert b.k_jump_increments is not b.grid.zero_steps
         assert np.all(np.signbit(b.k_jump_increments)) and not b.jump_free
-
-    def test_every_array_is_read_only(self):
-        b = simulate_jump_diffusion(SdeSpec(sigma=1.0, mu_a=0.3), 1.0, 100, seed=41)
-        for name in ("b_path", "dy", "dz", "a_path", "x_path", "a_pre", "x_pre",
-                     "m_increments", "k_drift_increments", "k_jump_increments",
-                     "a_drift_increments", "a_jump_increments", "diffusion_increments"):
-            with pytest.raises(ValueError):
-                getattr(b, name)[:1] = 1.0
