@@ -92,7 +92,6 @@ class TestVerifyTanaka:
                                   "local_time"}
         assert rep.residual == rep.lhs - rep.rhs
 
-
     @pytest.mark.parametrize("spec", [
         SdeSpec(sigma=1.0),
         SdeSpec(mu_x=0.3, sigma=0.5, x0=0.1, mu_a=0.2),

@@ -230,8 +230,8 @@ class TestJumpDiffusion:
 
 
 def _euler_reference(spec, b):
-    """The Euler scheme written out with a fresh array per step, as a check
-    on the bundle's shared and constant arrays."""
+    """The Euler scheme written out with every increment as its own array:
+    the reference for the bundle's shared and constant arrays."""
     dts, zeros = np.diff(b.times), np.zeros(b.times.size - 1)
     x_inc = (spec.mu_x * dts + spec.sigma * np.diff(b.b_path)) + spec.lambda_x * zeros
     a_inc = spec.mu_a * dts + spec.lambda_a * zeros
