@@ -117,9 +117,14 @@ def smooth_psf(f, d_t, d_a, d_x, d_xx, surface):
 
 
 def eval_F(psf, t, a, x):
-    """Evaluate the glued function; the lower branch owns x = b."""
-    return psf.deriv("f", np.asarray(t, float), np.asarray(a, float),
-                     np.asarray(x, float))
+    """Evaluate the glued function on at-least-1-D arrays, so a point is an
+    array of one; the lower branch owns x = b.
+
+    A scalar and an array can round differently: numpy squares an array
+    with `square` but raises a scalar to 2 with `pow`.
+    """
+    return psf.deriv("f", *np.atleast_1d(np.asarray(t, float), np.asarray(a, float),
+                                         np.asarray(x, float)))
 
 
 def fx_jump(psf, t, a):
@@ -211,7 +216,8 @@ class _PathView:
         if key not in self._derivs:
             select = self.psf.deriv_averaged if averaged else self.psf.deriv
             self._derivs[key] = (select(attr, self.t, self.a, self.x) if jump is None else
-                                 float(select(attr, jump.t, jump.a_pre, jump.x_pre)))
+                                 float(select(attr, *np.atleast_1d(
+                                     jump.t, jump.a_pre, jump.x_pre))[0]))
         return self._derivs[key]
 
     def coeff(self, name):
@@ -224,8 +230,8 @@ class _PathView:
     @cached_property
     def jumps(self):
         """(jump, F after minus F before) for each jump, in time order."""
-        return [(j, float(eval_F(self.psf, j.t, j.a, j.x)
-                          - eval_F(self.psf, j.t, j.a_pre, j.x_pre)))
+        return [(j, float(eval_F(self.psf, j.t, j.a, j.x)[0]
+                          - eval_F(self.psf, j.t, j.a_pre, j.x_pre)[0]))
                 for j in iter_jumps(self.bundle)]
 
 
@@ -326,8 +332,8 @@ _VARIANTS = {
 def _assemble(variant, psf, bundle, qv_mode, **view_args):
     view = _PathView(psf, bundle, qv_mode, **view_args)
     terms = {name: build(view) for name, build in _VARIANTS[variant]}
-    lhs = (float(eval_F(psf, view.t[-1], view.a[-1], view.x[-1]))
-           - float(eval_F(psf, view.t[0], view.a[0], view.x[0])))
+    lhs = (float(eval_F(psf, view.t[-1], view.a[-1], view.x[-1])[0])
+           - float(eval_F(psf, view.t[0], view.a[0], view.x[0])[0]))
     return _make_report(variant, lhs, terms)
 
 

@@ -41,6 +41,19 @@ class TestPiecewise:
         assert eval_F(psf, 0.0, 0.0, -2.0) == 2.0
         assert eval_F(psf, 0.0, 0.0, 3.0) == 3.0
 
+    @pytest.mark.parametrize("name", ["glued_quadratic_jump", "smooth_fit_sqrt_surface"])
+    @given(points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-2.0, 2.0),
+                                     st.floats(-4.0, 4.0)), min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    # (x - b)**2 of these x differs in the last bit between pow and square
+    @example(points=[(0.0, 0.0, -1.1838241715662081), (0.5, 1.0, 1.5603810380614256)])
+    def test_point_equals_the_array_evaluation(self, name, points):
+        psf = build_parts(name)[1].psf
+        t, a, x = np.array(points).T
+        batch = eval_F(psf, t, a, x)
+        for k, point in enumerate(points):
+            assert eval_F(psf, *point).tobytes() == batch[k:k + 1].tobytes()
+
     def test_fx_jump_examples(self):
         assert fx_jump(_abs_psf(), 0.0, 0.0) == 2.0  # |x|: 1 - (-1)
         assert fx_jump(_linear_psf(), 0.0, 0.0) == 0.0
