@@ -1,12 +1,14 @@
 """Pathwise integral evaluators: left-point Stieltjes sums, continuous
 quadratic variation, local-time time integrals, the jump iteration and
-integrals against signed measures.
+integrals against a constant density in time.
 
-Every reduction runs in fixed index order on immutable arrays, so results
-are bit-reproducible regardless of how paths are distributed to workers.
+Each takes one path's arrays or a block with one path per row, and
+reduces along the last axis. Every reduction runs in fixed index order on
+immutable arrays, and a row of a block reduces exactly as that path does
+alone, so results are bit-reproducible regardless of how paths are
+distributed to blocks or workers.
 """
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,33 +19,25 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Signed measure on [0, t_end]: a density against dt plus atoms."""
+    """Measure on [0, t_end] with a constant density against dt."""
 
-    density: object = None  # callable of t, float, or None for zero
-    atoms: tuple = ()  # (time, signed mass) pairs
-
-    def density_values(self, times):
-        if self.density is None:
-            return np.zeros(len(times))
-        if callable(self.density):
-            return np.asarray(self.density(np.asarray(times, dtype=float)), dtype=float)
-        return np.full(len(times), float(self.density))
+    density: float = 1.0
 
 
-LEBESGUE = MeasureSpec(density=1.0)
+LEBESGUE = MeasureSpec()
 
 
 def _check_aligned(f_vals, g_vals):
-    if len(f_vals) != len(g_vals):
+    if np.shape(f_vals)[-1:] != np.shape(g_vals)[-1:]:
         raise ConfigError("integrand and integrator must be aligned")
 
 
 def stieltjes_integral(f_vals, g_vals):
-    """Left-point Riemann-Stieltjes sum: sum f[k] * (g[k+1] - g[k])."""
+    """Left-point Riemann-Stieltjes sum of each row: sum f[k] * (g[k+1] - g[k])."""
     f = np.asarray(f_vals, dtype=float)
     g = np.asarray(g_vals, dtype=float)
     _check_aligned(f, g)
-    return float(np.sum(f[:-1] * np.diff(g)))
+    return np.sum(f[..., :-1] * np.diff(g, axis=-1), axis=-1)
 
 
 def continuous_qv_measure(bundle, qv_mode="analytic"):
@@ -66,6 +60,9 @@ def local_time_time_integral(f_vals, lt):
 
 
 class JumpContext(NamedTuple):
+    """The values at one jump: floats for one path; for a block, one value
+    per row, each row's jump of the same rank."""
+
     t: float
     a: float
     x: float
@@ -73,41 +70,26 @@ class JumpContext(NamedTuple):
     x_pre: float
     dx: float
     da: float
+    dy: float  # the jump of the train Y
 
 
 def iter_jumps(bundle):
-    dx, da = bundle.k_jump_increments, bundle.a_jump_increments
-    for idx in bundle.jump_indices:
-        yield JumpContext(
-            t=float(bundle.times[idx]),
-            a=float(bundle.a_path[idx]),
-            x=float(bundle.x_path[idx]),
-            a_pre=float(bundle.a_pre[idx]),
-            x_pre=float(bundle.x_pre[idx]),
-            dx=float(dx[idx - 1]),
-            da=float(da[idx - 1]),
-        )
+    """The jumps in time order (in column order for a block)."""
+    jidx = bundle.jump_indices
+    if not jidx.size:
+        return
+
+    def at(values, shift=0):
+        return np.take_along_axis(values, jidx - shift, axis=-1).T
+
+    yield from map(JumpContext._make, zip(
+        at(bundle.times), at(bundle.a_path), at(bundle.x_path), at(bundle.a_pre),
+        at(bundle.x_pre), at(bundle.k_jump_increments, 1),
+        at(bundle.a_jump_increments, 1), at(bundle.dy, 1)))
 
 
 def measure_integral(f_vals, measure, grid):
-    """Integral of a left-limit integrand against a signed measure.
-
-    Density part is a left-point dt sum; atoms off the grid snap to the
-    nearest grid point from the right (predictability-preserving) with a
-    warning.
-    """
+    """Left-point dt sum of each row of an integrand against the measure."""
     f = np.asarray(f_vals, dtype=float)
-    times = grid.times
-    _check_aligned(f, times)
-    dens = measure.density_values(times[:-1])
-    total = float(np.sum(f[:-1] * dens * grid.dts))
-    for atom_t, mass in measure.atoms:
-        if atom_t < 0 or atom_t > times[-1]:
-            raise ConfigError(f"atom at {atom_t} outside [0, t_end]")
-        idx = int(np.searchsorted(times, atom_t, side="left"))
-        if idx >= len(times) or times[idx] != atom_t:
-            warnings.warn(
-                f"measure atom at t={atom_t} is off-grid; snapped right to t={times[idx]}"
-            )
-        total += float(f[idx]) * mass
-    return total
+    _check_aligned(f, grid.times)
+    return np.sum(f[..., :-1] * measure.density * grid.dts, axis=-1)

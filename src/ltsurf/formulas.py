@@ -2,9 +2,11 @@
 
 Each verify_* function returns a FormulaReport: the left-hand side, every
 right-hand-side term by name, their left-to-right sum and the residual
-lhs - rhs. A non-finite term aborts the run. verify_tanaka writes Tanaka's
-formula out; every other variant is a row of _VARIANTS, an ordered tuple
-of (column name, term builder) over one _PathView of the bundle.
+lhs - rhs. On a block of paths it returns one report per row, each equal
+to that path's report alone. A non-finite term aborts the run.
+verify_tanaka writes Tanaka's formula out; every other variant is a row of
+_VARIANTS, an ordered tuple of (column name, term builder) over one
+_PathView of the bundle.
 
 Conventions shared by all variants:
   * integrands are evaluated at left limits: step-start values for the
@@ -13,7 +15,8 @@ Conventions shared by all variants:
     the surface is its limit from below; averaged derivatives are the mean
     of the limits from below and from above;
   * indicators on {X != b} are strict inequalities on left limits;
-  * jump terms accumulate one jump at a time, in time order.
+  * jump terms accumulate one jump at a time, in time order; on a block,
+    one column of same-rank jumps at a time.
 """
 
 import math
@@ -151,49 +154,64 @@ def _ordered_sum(values):
     return total
 
 
-def _make_report(variant, lhs, terms):
-    for name, value in {"lhs": lhs, **terms}.items():
-        if not math.isfinite(value):
-            raise NumericalAbort(f"{variant}: non-finite {name} ({value})")
-    rhs = _ordered_sum(terms.values())
-    return FormulaReport(variant=variant, lhs=float(lhs), terms=terms,
-                         rhs=rhs, residual=float(lhs) - rhs)
+def _make_report(variant, lhs, terms, rows):
+    """One report per row of `rows` paths, or one report if rows == ()."""
+    names = ["lhs", *terms]
+    # one row per name, then rhs and the residual; one column per path
+    table = np.empty((len(names) + 2, *(rows or (1,))))
+    for k, value in enumerate((lhs, *terms.values())):
+        table[k] = value
+    finite = np.isfinite(table[:-2])
+    if not finite.all():
+        k = int(np.argmin(finite.all(axis=1)))
+        raise NumericalAbort(f"{variant}: non-finite {names[k]} ({table[k][~finite[k]][0]})")
+    table[-2] = _ordered_sum(table[1:-2])
+    table[-1] = table[0] - table[-2]
+    reports = [FormulaReport(variant, lhs_k, dict(zip(terms, terms_k)), rhs_k, residual_k)
+               for lhs_k, *terms_k, rhs_k, residual_k in zip(*table.tolist())]
+    return reports if rows else reports[0]
+
+
+def _bandwidth(bundle, given, coupled):
+    """The given bandwidth, else the one coupled to each grid row's median step."""
+    if given is not None:
+        return given
+    return np.vectorize(coupled)(np.median(bundle.grid.dts, axis=-1, keepdims=True))
 
 
 def verify_tanaka(bundle, level, n=None, qv_mode="analytic"):
     """Tanaka's formula for |X - a|, local time via the mollifier estimator."""
     a = float(level)
-    if n is None:
-        n = coupled_mollifier_n(float(np.median(bundle.grid.dts)))
+    n = _bandwidth(bundle, n, coupled_mollifier_n)
     u = bundle.x_path - a
     sgn = np.where(u > 0.0, 1.0, -1.0)
-    stoch = np.sum(sgn[:-1] * bundle.diffusion_increments)
+    stoch = np.sum(sgn[..., :-1] * bundle.diffusion_increments, axis=-1)
     jump_corr = 0.0
     # without jumps x_pre is x_path and each jump increment is +0.0: the jump
     # sum is a signed zero, which leaves stoch (a numpy sum, never -0.0)
     # unchanged, and each jump-correction summand is +0.0
     if not bundle.jump_free:
-        u_pre = bundle.x_pre[1:] - a
+        u_pre = bundle.x_pre[..., 1:] - a
         sgn_jump = np.where(u_pre > 0.0, 1.0, -1.0) * bundle.k_jump_increments
-        stoch += np.sum(sgn_jump)
-        jump_corr = float(np.sum((np.abs(u[1:]) - np.abs(u_pre)) - sgn_jump))
+        stoch += np.sum(sgn_jump, axis=-1)
+        jump_corr = np.sum((np.abs(u[..., 1:]) - np.abs(u_pre)) - sgn_jump, axis=-1)
     lt = local_time_mollifier(bundle, a, n, qv_mode=qv_mode)
 
-    lhs = float(np.abs(u[-1]) - np.abs(u[0]))
+    lhs = np.abs(u[..., -1]) - np.abs(u[..., 0])
     terms = {
-        "sgn_stochastic_integral": float(stoch),
+        "sgn_stochastic_integral": stoch,
         "jump_correction": jump_corr,
         "local_time": lt.final,
     }
-    return _make_report("tanaka", lhs, terms)
+    return _make_report("tanaka", lhs, terms, u.shape[:-1])
 
 
 class _PathView:
     """One bundle as the term builders read it.
 
-    t, a, x span the whole grid. The calculus primitives take entries
-    0..n-1 as the left points of the n steps, so the last entry never
-    enters a sum.
+    t, a, x span the whole grid, one row per path of a block. The calculus
+    primitives take entries 0..n-1 of each row as the left points of the n
+    steps, so the last entry never enters a sum.
     """
 
     def __init__(self, psf, bundle, qv_mode, eps=None, n=None, gen=None):
@@ -212,32 +230,27 @@ class _PathView:
 
     def deriv(self, attr, averaged=False, jump=None):
         """A derivative of F on the grid or at a jump's left limit, memoised."""
-        key = (attr, averaged, jump)
+        # self.jumps keeps every context alive, so its id stays its own
+        key = (attr, averaged, None if jump is None else id(jump))
         if key not in self._derivs:
             select = self.psf.deriv_averaged if averaged else self.psf.deriv
             self._derivs[key] = (select(attr, self.t, self.a, self.x) if jump is None else
-                                 float(select(attr, *np.atleast_1d(
-                                     jump.t, jump.a_pre, jump.x_pre))[0]))
+                                 select(attr, *np.atleast_1d(jump.t, jump.a_pre, jump.x_pre)))
         return self._derivs[key]
 
     def coeff(self, name):
         return float(getattr(self.bundle.spec, name))
 
-    def bandwidth(self, given, coupled):
-        """The given bandwidth, else the one coupled to the median step."""
-        return coupled(float(np.median(self.bundle.grid.dts))) if given is None else given
-
     @cached_property
     def jumps(self):
         """(jump, F after minus F before) for each jump, in time order."""
-        return [(j, float(eval_F(self.psf, j.t, j.a, j.x)[0]
-                          - eval_F(self.psf, j.t, j.a_pre, j.x_pre)[0]))
+        return [(j, eval_F(self.psf, j.t, j.a, j.x) - eval_F(self.psf, j.t, j.a_pre, j.x_pre))
                 for j in iter_jumps(self.bundle)]
 
 
 def _against(f, increments):
     """Left-point sum of a whole-grid integrand against per-step increments."""
-    return float(np.sum(f[:-1] * increments))
+    return np.sum(f[..., :-1] * increments, axis=-1)
 
 
 def _generator(v):
@@ -258,16 +271,16 @@ def _brownian(v):
 def _local_time(estimate):
     """1/2 (F_x(b+) - F_x(b-)) dl, with l = estimate(view)."""
     def term(v):
-        gap = np.broadcast_to(0.5 * fx_jump(v.psf, v.t, v.a), v.t.shape)
+        gap = np.broadcast_to(0.5 * fx_jump(v.psf, v.t, v.a), v.x.shape)
         return local_time_time_integral(gap, estimate(v))
     return term
 
 
 _SYMMETRIC_LOCAL_TIME = _local_time(lambda v: local_time_occupation(
-    v.bundle, v.psf.surface, v.bandwidth(v.eps, coupled_eps), side="symmetric",
+    v.bundle, v.psf.surface, _bandwidth(v.bundle, v.eps, coupled_eps), side="symmetric",
     qv_mode=v.qv_mode))
 _RIGHT_LOCAL_TIME = _local_time(lambda v: local_time_mollifier(
-    v.bundle, v.psf.surface, v.bandwidth(v.n, coupled_mollifier_n), qv_mode=v.qv_mode))
+    v.bundle, v.psf.surface, _bandwidth(v.bundle, v.n, coupled_mollifier_n), qv_mode=v.qv_mode))
 
 
 def _jump_sum(v):
@@ -312,15 +325,14 @@ _VARIANTS = {
     "smooth_fit": (
         ("sigma_fx_brownian", _brownian),
         ("lambda_fx_dY", lambda v: _ordered_sum(
-            v.coeff("lambda_x") * v.deriv("d_x", jump=j) * float(v.bundle.dy[k - 1])
-            for k, (j, _) in zip(v.bundle.jump_indices, v.jumps))),
+            v.coeff("lambda_x") * v.deriv("d_x", jump=j) * j.dy for j, _ in v.jumps)),
         ("generator_time_integral", _generator),
         ("jump_compensation", lambda v: _ordered_sum(
             df - v.deriv("d_x", jump=j) * j.dx for j, df in v.jumps)),
     ),
     "general": (
         ("h_dlambda", lambda v: measure_integral(
-            np.broadcast_to(v.gen.h(v.t, v.bundle.a_pre, v.bundle.x_pre), v.t.shape),
+            np.broadcast_to(v.gen.h(v.t, v.bundle.a_pre, v.bundle.x_pre), v.x.shape),
             v.gen.measure, v.bundle.grid)),
         ("fx_dM", lambda v: _against(v.deriv("d_x"), v.bundle.m_increments)),
         ("local_time", _RIGHT_LOCAL_TIME),
@@ -332,9 +344,9 @@ _VARIANTS = {
 def _assemble(variant, psf, bundle, qv_mode, **view_args):
     view = _PathView(psf, bundle, qv_mode, **view_args)
     terms = {name: build(view) for name, build in _VARIANTS[variant]}
-    lhs = (float(eval_F(psf, view.t[-1], view.a[-1], view.x[-1])[0])
-           - float(eval_F(psf, view.t[0], view.a[0], view.x[0])[0]))
-    return _make_report(variant, lhs, terms)
+    lhs = (eval_F(psf, view.t[..., -1], view.a[..., -1], view.x[..., -1])
+           - eval_F(psf, view.t[..., 0], view.a[..., 0], view.x[..., 0]))
+    return _make_report(variant, lhs, terms, view.x.shape[:-1])
 
 
 def verify_ltc_diffusion(psf, bundle, eps=None, qv_mode="analytic"):
@@ -370,11 +382,10 @@ def verify_smooth_fit(psf, bundle, qv_mode="analytic", fit_tol=1e-9,
     The vanishing of the one-sided derivative gap is checked on a test grid
     spanning the path's (t, a) range before evaluation.
     """
-    t_grid = np.linspace(bundle.times[0], bundle.times[-1], fit_grid)
-    a_lo, a_hi = float(bundle.a_path.min()), float(bundle.a_path.max())
-    a_grid = np.linspace(a_lo - 0.1, a_hi + 0.1, fit_grid)
-    tt, aa = np.meshgrid(t_grid, a_grid, indexing="ij")
-    gap = np.max(np.abs(fx_jump(psf, tt, aa)))
+    t_grid = np.linspace(bundle.times[..., 0], bundle.times[..., -1], fit_grid, axis=-1)
+    a_grid = np.linspace(bundle.a_path.min(axis=-1) - 0.1, bundle.a_path.max(axis=-1) + 0.1,
+                         fit_grid, axis=-1)
+    gap = np.max(np.abs(fx_jump(psf, t_grid[..., :, None], a_grid[..., None, :])))
     if gap >= fit_tol:
         raise IncompatibleScenarioError(
             f"smooth-fit condition violated on the test grid: max gap {gap:g}")

@@ -19,11 +19,15 @@ from .errors import ConfigError
 from .formulas import coupled_eps, coupled_mollifier_n
 from .localtime import (local_time_mollifier, local_time_occupation,
                         local_time_tanaka_residual)
-from .paths import simulate_jump_diffusion
+from .paths import draw_path, simulate_jump_diffusion
 from .scenarios import SURFACES, build_parts, evaluate_variant, list_scenarios
 from .surfaces import moreau_envelope
 
 CODE_VERSION = "0.1.0"
+
+# Grid points per block of paths: many short paths share a block, and a
+# path of 4096 steps or more has one to itself.
+BLOCK_POINTS = 4096
 
 
 @dataclass
@@ -109,9 +113,32 @@ def derive_path_seed(master_seed, path_index):
 
 
 def _run_paths(parts, t_end, n_steps, seeds, evaluate, args):
-    """evaluate(parts, bundle, *args) for the path of each seed, in order."""
-    return [evaluate(parts, simulate_jump_diffusion(parts.spec, t_end, n_steps, seed), *args)
-            for seed in seeds]
+    """Per-path results of evaluate over the seeds' paths, in seed order.
+
+    The paths go in blocks of at most BLOCK_POINTS // (n_steps + 1) rows
+    whose grids share a step count and a jump count, each block run as
+    soon as it is full, and evaluate(parts, block, *args) returns one
+    result per row.
+    """
+    rows = max(1, BLOCK_POINTS // (n_steps + 1))
+    results = [None] * len(seeds)
+
+    def run(block):
+        indices, draws = zip(*block)
+        bundle = simulate_jump_diffusion(parts.spec, t_end, n_steps, list(draws))
+        for i, result in zip(indices, evaluate(parts, bundle, *args)):
+            results[i] = result
+
+    pending = {}  # (grid steps, jumps) -> [(path index, draw)] of a block being filled
+    for i, seed in enumerate(seeds):
+        draw = draw_path(parts.spec, t_end, n_steps, seed)
+        key = (draw.n_steps, draw.jump_times.size)
+        pending.setdefault(key, []).append((i, draw))
+        if len(pending[key]) == rows:
+            run(pending.pop(key))
+    for block in pending.values():
+        run(block)
+    return results
 
 
 def _run_chunk(task):
@@ -139,9 +166,9 @@ def _fan_out(config, parts, evaluate, *args):
         return [r for chunk in pool.map(_run_chunk, tasks) for r in chunk]
 
 
-def _verify_path(parts, bundle, variant, eps, n, qv_mode):
-    report = evaluate_variant(parts, variant, bundle, eps=eps, n=n, qv_mode=qv_mode)
-    return report.lhs, dict(report.terms), report.rhs, report.residual
+def _verify_rows(parts, block, variant, eps, n, qv_mode):
+    return [(r.lhs, dict(r.terms), r.rhs, r.residual) for r in evaluate_variant(
+        parts, variant, block, eps=eps, n=n, qv_mode=qv_mode)]
 
 
 def _column_stats(values, n):
@@ -159,7 +186,7 @@ def run_scenario(config, keep_reports=False):
         # raise the dedicated incompatibility error with context
         evaluate_variant(parts, variant, None)
     eps, n = config.bandwidths()
-    results = _fan_out(config, parts, _verify_path, variant, eps, n, config.qv_mode)
+    results = _fan_out(config, parts, _verify_rows, variant, eps, n, config.qv_mode)
 
     term_names = list(results[0][1].keys())
     lhs = [r[0] for r in results]
@@ -278,12 +305,12 @@ def convergence_study(config, dt_list, out_dir=None):
     return table
 
 
-def _localtime_path(parts, bundle, eps, n, qv_mode):
+def _localtime_rows(parts, block, eps, n, qv_mode):
     level = parts.level
-    occ = local_time_occupation(bundle, level, eps, side="right", qv_mode=qv_mode)
-    mol = local_time_mollifier(bundle, level, n, qv_mode=qv_mode)
-    tan = local_time_tanaka_residual(bundle, level)
-    return occ.final, mol.final, tan.final
+    occ = local_time_occupation(block, level, eps, side="right", qv_mode=qv_mode)
+    mol = local_time_mollifier(block, level, n, qv_mode=qv_mode)
+    tan = local_time_tanaka_residual(block, level)
+    return list(zip(occ.final.tolist(), mol.final.tolist(), tan.final.tolist()))
 
 
 def compare_estimators(config):
@@ -291,7 +318,7 @@ def compare_estimators(config):
     estimators, aggregated over the ensemble."""
     _, parts = build_parts(config.scenario, config.params)
     eps, n = config.bandwidths()
-    results = _fan_out(config, parts, _localtime_path, eps, n, config.qv_mode)
+    results = _fan_out(config, parts, _localtime_rows, eps, n, config.qv_mode)
     arr = np.asarray(results, dtype=float)
     names = ["occupation", "mollifier", "tanaka"]
     out = {

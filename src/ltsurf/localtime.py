@@ -4,7 +4,7 @@ Three independent estimators are provided: the epsilon-occupation window,
 the mollified kernel accumulation, and the rearranged Tanaka residual.
 All return a nondecreasing cumulative series starting at 0 (the Tanaka
 residual is nondecreasing in the limit; on a grid it may wiggle at the
-discretisation scale).
+discretisation scale), with one row per path of a block.
 """
 
 from dataclasses import dataclass
@@ -41,7 +41,15 @@ class LocalTimeSeries:
 
     @property
     def final(self):
-        return float(self.values[-1])
+        """The last value: a float for one path, one per row for a block."""
+        return self.values.T[-1]
+
+
+def _running_sums(increments):
+    """Each row's running sums 0, inc[0], inc[0] + inc[1], ..."""
+    values = np.zeros(increments.shape[:-1] + (increments.shape[-1] + 1,))
+    values[..., 1:] = increments
+    return LocalTimeSeries(np.cumsum(values, axis=-1, out=values))
 
 
 def _distance_to_target(bundle, surface_or_level):
@@ -60,9 +68,9 @@ def local_time_occupation(bundle, surface_or_level, eps, side="right",
     symmetric: (1/2eps) with window (-eps, eps), both strict at the edges
     except the right window is closed at 0.
     """
-    if eps <= 0:
+    if np.any(eps <= 0):
         raise ConfigError("eps must be positive")
-    u = _distance_to_target(bundle, surface_or_level)[:-1]
+    u = _distance_to_target(bundle, surface_or_level)[..., :-1]
     qv = continuous_qv_measure(bundle, qv_mode=qv_mode)
     if side == "right":
         window = (u >= 0.0) & (u < eps)
@@ -72,8 +80,7 @@ def local_time_occupation(bundle, surface_or_level, eps, side="right",
         scale = 1.0 / (2.0 * eps)
     else:
         raise ConfigError(f"unknown side: {side!r}")
-    inc = scale * np.where(window, qv, 0.0)
-    return LocalTimeSeries(np.cumsum(np.concatenate(([0.0], inc))))
+    return _running_sums(scale * np.where(window, qv, 0.0))
 
 
 def local_time_mollifier(bundle, surface_or_level, n, rho=DEFAULT_MOLLIFIER,
@@ -83,16 +90,20 @@ def local_time_mollifier(bundle, surface_or_level, n, rho=DEFAULT_MOLLIFIER,
     Nondecreasing whenever the kernel is nonnegative; one-sided (right)
     because the kernel is supported on [0, 1].  The kernel is evaluated only
     at the steps inside that window; every other increment is exactly 0.
+    n is a number, or one per row of a block.
     """
-    if n < 1:
+    if np.any(n < 1):
         raise ConfigError("n must be at least 1")
-    u = _distance_to_target(bundle, surface_or_level)[:-1]
+    u = _distance_to_target(bundle, surface_or_level)[..., :-1]
     qv = continuous_qv_measure(bundle, qv_mode=qv_mode)
     z = n * u
-    hits = np.flatnonzero((z >= 0.0) & (z <= 1.0))
-    values = np.zeros(u.size + 1)
-    values[hits + 1] = n * rho.evaluate(z[hits]) * qv[hits]
-    return LocalTimeSeries(np.cumsum(values, out=values))
+    hits = np.unravel_index(np.flatnonzero((z >= 0.0) & (z <= 1.0)), z.shape)
+    if np.ndim(n):
+        n = np.broadcast_to(n, u.shape)[hits]
+    values = np.zeros(u.shape[:-1] + (u.shape[-1] + 1,))
+    # a qv shared by every row of a block is indexed by the step alone
+    values[..., 1:][hits] = n * rho.evaluate(z[hits]) * qv[hits[-qv.ndim:]]
+    return LocalTimeSeries(np.cumsum(values, axis=-1, out=values))
 
 
 def local_time_tanaka_residual(bundle, level):
@@ -109,18 +120,17 @@ def local_time_tanaka_residual(bundle, level):
     abs_u = np.abs(u)
     # stochastic integral: continuous part uses the step-start value,
     # the jump part the pre-jump value at the step end
-    stoch = np.where(u[:-1] > 0.0, 1.0, -1.0) * bundle.diffusion_increments
+    stoch = np.where(u[..., :-1] > 0.0, 1.0, -1.0) * bundle.diffusion_increments
     jump_corr = 0.0
     # without jumps x_pre is x_path and each jump increment is +0.0: the jump
     # part and jump_corr are signed zeros that leave inc unchanged
     if not bundle.jump_free:
-        u_pre = bundle.x_pre[1:] - a
+        u_pre = bundle.x_pre[..., 1:] - a
         sgn_jump = np.where(u_pre > 0.0, 1.0, -1.0) * bundle.k_jump_increments
         stoch += sgn_jump
         # at non-jump indices x == x_pre, so jump_corr vanishes there exactly
-        jump_corr = (abs_u[1:] - np.abs(u_pre)) - sgn_jump
-    inc = (abs_u[1:] - abs_u[:-1]) - stoch - jump_corr
-    return LocalTimeSeries(np.cumsum(np.concatenate(([0.0], inc))))
+        jump_corr = (abs_u[..., 1:] - np.abs(u_pre)) - sgn_jump
+    return _running_sums((abs_u[..., 1:] - abs_u[..., :-1]) - stoch - jump_corr)
 
 
 def occupation_formula_check(bundle, g, level_grid, eps, qv_mode="analytic",

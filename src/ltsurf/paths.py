@@ -9,7 +9,7 @@ the pre-jump value recorded, and the jump applied afterwards.
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -20,7 +20,8 @@ _COEFFICIENTS = ("mu_x", "sigma", "lambda_x", "mu_a", "lambda_a")
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing time points on [0, t_end] with jump markers.
+    """Strictly increasing time points on [0, t_end] with jump markers, in
+    one row (L+1,) or in P rows (P, L+1) with k jumps each.
 
     The arrays are read-only views, so one grid can be shared by every
     path simulated on it.  The step lengths and jump indices are computed
@@ -35,22 +36,23 @@ class TimeGrid:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         f = np.asarray(self.jump_flags, dtype=bool)
-        if t.ndim != 1 or t.size < 2:
+        if t.ndim not in (1, 2) or t.shape[-1] < 2:
             raise ConfigError("grid needs at least two time points")
-        if t[0] != 0.0:
+        if np.any(t[..., 0] != 0.0):
             raise ConfigError("grid must start at 0")
-        dts = np.diff(t)
+        dts = np.diff(t, axis=-1)
         if not np.all(dts > 0):
             raise ConfigError("grid times must be strictly increasing")
         if f.shape != t.shape:
             raise ConfigError("jump_flags must align with times")
+        jump_indices = np.nonzero(f)[-1].reshape(*f.shape[:-1], -1)
         for name, value in (("times", t), ("jump_flags", f), ("dts", dts),
-                            ("jump_indices", np.nonzero(f)[0])):
+                            ("jump_indices", jump_indices)):
             object.__setattr__(self, name, _read_only(value))
 
     @property
     def n_steps(self):
-        return self.times.size - 1
+        return self.times.shape[-1] - 1
 
     @cached_property
     def sqrt_dts(self):
@@ -59,7 +61,7 @@ class TimeGrid:
     @cached_property
     def zero_steps(self):
         """+0.0 at every step: the increments of a train without jumps."""
-        return _read_only(np.zeros(self.n_steps))
+        return _read_only(np.zeros(self.dts.shape))
 
 
 def _read_only(array):
@@ -155,7 +157,8 @@ class SdeSpec:
 
 @dataclass
 class PathBundle:
-    """Aligned realisation of (t, B, A, X) with left limits at jumps.
+    """Aligned realisation of (t, B, A, X) with left limits at jumps, for
+    one path (L+1,) or a block of P paths (P, L+1) on a grid of either shape.
 
     Only the drivers are given: the Brownian path B and the per-step
     jump-train increments dY, dZ (placed at the step that ends at the jump).
@@ -183,23 +186,26 @@ class PathBundle:
     x_pre: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        cont = self.diffusion_increments
-        x = _accumulate(self.spec.x0, cont, self.k_jump_increments)
+        cont, shape = self.diffusion_increments, self.b_path.shape
+        x = _accumulate(self.spec.x0, cont, self.k_jump_increments, shape)
         if self.spec.mu_a == 0.0 and self.a_jump_increments is self.grid.zero_steps:
             # every A increment is +0.0, so the running sum is a0 + 0.0 from step 1
-            a = np.full(self.grid.n_steps + 1, self.spec.a0 + 0.0)
-            a[0] = self.spec.a0
+            a = np.full(shape, self.spec.a0 + 0.0)
+            a[..., 0] = self.spec.a0
         else:
-            a = _accumulate(self.spec.a0, self.a_drift_increments, self.a_jump_increments)
+            a = _accumulate(self.spec.a0, self.a_drift_increments, self.a_jump_increments,
+                            shape)
         # a running sum stays non-finite once it is, so the last value decides
-        if not (np.isfinite(x[-1]) and np.isfinite(a[-1])):
+        if not np.all(np.isfinite(x[..., -1]) & np.isfinite(a[..., -1])):
             raise NumericalAbort("non-finite values in simulated path")
         self.x_path, self.a_path = self.x_pre, self.a_pre = _read_only(x), _read_only(a)
         jidx = self.grid.jump_indices
         if jidx.size:
+            before = jidx - 1
             x_pre, a_pre = x.copy(), a.copy()
-            x_pre[jidx] = x[jidx - 1] + cont[jidx - 1]
-            a_pre[jidx] = a[jidx - 1] + self.a_drift_increments[jidx - 1]
+            np.put_along_axis(x_pre, jidx, _take(x, before) + _take(cont, before), axis=-1)
+            np.put_along_axis(a_pre, jidx, _take(a, before)
+                              + _take(self.a_drift_increments, before), axis=-1)
             self.x_pre, self.a_pre = _read_only(x_pre), _read_only(a_pre)
 
     @property
@@ -220,7 +226,7 @@ class PathBundle:
 
     @cached_property
     def m_increments(self):
-        m = np.diff(self.b_path)
+        m = np.diff(self.b_path, axis=-1)
         m *= self.spec.sigma
         return _read_only(m)
 
@@ -247,6 +253,11 @@ class PathBundle:
         return _read_only(self.k_drift_increments + self.m_increments)
 
 
+def _take(values, idx):
+    """values[..., idx] row by row: idx has one row of indices per row."""
+    return np.take_along_axis(values, idx, axis=-1)
+
+
 def _scaled(coeff, driver, zeros):
     """coeff * driver, read-only; the shared zeros when that is +0.0 throughout."""
     if driver is zeros and np.isfinite(coeff) and not np.signbit(coeff):
@@ -259,27 +270,32 @@ def build_grid(t_end, n_steps, jump_times=()):
 
     A jump time coinciding with a uniform point replaces it (flagged once).
     Without jump times the shared uniform grid of (t_end, n_steps) is
-    returned.
+    returned.  Jump times of shape (P, k) give a block of P rows, which
+    must keep equally many uniform points.
     """
     if t_end <= 0:
         raise ConfigError("t_end must be positive")
     if n_steps < 1:
         raise ConfigError("n_steps must be at least 1")
-    jt = np.sort(np.asarray(jump_times, dtype=float))
+    jt = np.sort(np.asarray(jump_times, dtype=float), axis=-1)
     if jt.size == 0:
         return _uniform_grid(t_end, n_steps)
-    if jt[0] <= 0 or jt[-1] > t_end:
+    if jt.min() <= 0 or jt.max() > t_end:
         raise ConfigError("jump times must lie in (0, t_end]")
-    uniform = np.linspace(0.0, t_end, n_steps + 1)
+    uniform, keep = _kept_uniform(t_end, n_steps, jt)
+    kept = np.broadcast_to(uniform, keep.shape)[keep].reshape(*jt.shape[:-1], -1)
+    times = np.concatenate((kept, jt), axis=-1)
+    flags = np.concatenate((np.zeros(kept.shape, dtype=bool), np.ones(jt.shape, dtype=bool)),
+                           axis=-1)
+    order = np.argsort(times, axis=-1, kind="stable")
+    return TimeGrid(_take(times, order), _take(flags, order))
+
+
+def _kept_uniform(t_end, n_steps, jump_times):
+    """The uniform grid points, and which of them no jump time replaces."""
+    uniform = _uniform_grid(t_end, n_steps).times
     atol = 1e-12 * max(1.0, t_end)
-    keep = np.ones(uniform.size, dtype=bool)
-    for t in jt:
-        close = np.abs(uniform - t) <= atol
-        keep &= ~close
-    times = np.concatenate((uniform[keep], jt))
-    flags = np.concatenate((np.zeros(keep.sum(), dtype=bool), np.ones(jt.size, dtype=bool)))
-    order = np.argsort(times, kind="stable")
-    return TimeGrid(times[order], flags[order])
+    return uniform, ~(np.abs(uniform - jump_times[..., None]) <= atol).any(axis=-2)
 
 
 @lru_cache(maxsize=8)
@@ -287,12 +303,15 @@ def _uniform_grid(t_end, n_steps):
     return TimeGrid(np.linspace(0.0, t_end, n_steps + 1), np.zeros(n_steps + 1, dtype=bool))
 
 
+_NO_JUMPS = JumpTrain(_read_only(np.empty(0)), _read_only(np.empty(0)))
+
+
 def simulate_compound_poisson(rate, jump_law, t_end, seed):
     """Compound Poisson event train on (0, t_end], deterministic per seed."""
     if rate < 0:
         raise ConfigError("rate must be nonnegative")
     if rate == 0:
-        return JumpTrain(np.empty(0), np.empty(0))
+        return _NO_JUMPS
     rng = np.random.default_rng(seed)
     count = rng.poisson(rate * t_end)
     times = np.sort(rng.uniform(0.0, t_end, count))
@@ -305,46 +324,81 @@ def simulate_compound_poisson(rate, jump_law, t_end, seed):
 
 
 def simulate_brownian(grid, seed):
-    """Standard Brownian motion sampled on the grid (B_0 = 0), read-only."""
-    rng = np.random.default_rng(seed)
-    path = np.empty(grid.n_steps + 1)
-    path[0] = 0.0
-    increments = rng.standard_normal(out=path[1:])
-    increments *= grid.sqrt_dts
-    return _read_only(np.cumsum(path, out=path))
+    """Standard Brownian motion sampled on the grid (B_0 = 0), read-only.
+
+    A list of seeds gives one row per seed, each drawn from its own seed.
+    """
+    seeds = seed if isinstance(seed, list) else [seed]
+    path = np.empty((len(seeds), grid.n_steps + 1))
+    path[:, 0] = 0.0
+    for row, row_seed in zip(path, seeds):
+        np.random.default_rng(row_seed).standard_normal(out=row[1:])
+    path[:, 1:] *= grid.sqrt_dts
+    np.cumsum(path, axis=-1, out=path)
+    return _read_only(path if isinstance(seed, list) else path[0])
 
 
-def _jump_increments(train, grid):
-    """Per-step increments of a jump train, each placed at the step that
-    ends at its (on-grid) jump time.  An empty train gives grid.zero_steps."""
-    if not train.times.size:
+def _jump_increments(trains, grid):
+    """Per-step increments of one jump train per grid row, each placed at the
+    step that ends at its (on-grid) jump time; grid.zero_steps if none jumps."""
+    if not any(train.times.size for train in trains):
         return grid.zero_steps
-    inc = np.zeros(grid.n_steps)
-    idx = np.searchsorted(grid.times, train.times)
-    np.add.at(inc, idx - 1, train.sizes)
+    inc = np.zeros(grid.dts.shape)
+    for row, times, train in zip(np.atleast_2d(inc), np.atleast_2d(grid.times), trains):
+        # a train's jump times are distinct grid points, one per step at most
+        row[np.searchsorted(times, train.times) - 1] += train.sizes
     return _read_only(inc)
 
 
-def _accumulate(x0, continuous, jumps):
-    """Running sum x0, x0 + (continuous[0] + jumps[0]), ... in one buffer."""
-    path = np.empty(continuous.size + 1)
-    path[0] = x0
-    np.add(continuous, jumps, out=path[1:])
-    return np.cumsum(path, out=path)
+def _accumulate(x0, continuous, jumps, shape):
+    """Each row's running sum x0, x0 + (continuous[0] + jumps[0]), ... in one buffer."""
+    path = np.empty(shape)
+    path[..., 0] = x0
+    np.add(continuous, jumps, out=path[..., 1:])
+    return np.cumsum(path, axis=-1, out=path)
 
 
-def simulate_jump_diffusion(spec, t_end, n_steps, seed):
-    """Euler left-point simulation of (A, X) driven by B, Y, Z.
+class PathDraw(NamedTuple):
+    """A path's random inputs short of its normals."""
 
-    Deterministic given (spec, t_end, n_steps, seed).  Sub-streams for the
-    Y jumps, Z jumps and Brownian increments are derived from the seed, so
-    the Brownian draw does not depend on how many jumps occurred.
-    """
+    train_y: JumpTrain
+    train_z: JumpTrain
+    jump_times: np.ndarray  # both trains' times, merged
+    n_steps: int  # steps of the grid with the jump times merged in
+    seed_b: object  # the SeedSequence of the Brownian increments
+
+
+def draw_path(spec, t_end, n_steps, seed):
+    """Both jump trains of a path from its seed.  Sub-streams for the Y
+    jumps, Z jumps and Brownian increments are derived from the seed, so
+    the Brownian draw does not depend on how many jumps occurred."""
     if t_end <= 0:
         raise ConfigError("t_end must be positive")
     seed_y, seed_z, seed_b = np.random.SeedSequence(seed).spawn(3)
     train_y = simulate_compound_poisson(spec.rate_y, spec.jump_law_y, t_end, seed_y)
     train_z = simulate_compound_poisson(spec.rate_z, spec.jump_law_z, t_end, seed_z)
-    grid = build_grid(t_end, n_steps, np.union1d(train_y.times, train_z.times))
-    return PathBundle(grid, spec, simulate_brownian(grid, seed_b),
-                      _jump_increments(train_y, grid), _jump_increments(train_z, grid))
+    # each train's times are sorted and distinct already
+    jump_times = (np.union1d(train_y.times, train_z.times)
+                  if train_y.times.size and train_z.times.size
+                  else train_y.times if train_y.times.size else train_z.times)
+    steps = (np.count_nonzero(_kept_uniform(t_end, n_steps, jump_times)[1])
+             + jump_times.size - 1) if jump_times.size else n_steps
+    return PathDraw(train_y, train_z, jump_times, steps, seed_b)
+
+
+def simulate_jump_diffusion(spec, t_end, n_steps, seed):
+    """Euler left-point simulation of (A, X) driven by B, Y, Z.
+
+    `seed` is one path's seed, which gives a 1-D bundle, or a list of
+    draw_path results whose grids share a step count and a jump count,
+    which gives a block with one row per draw, in list order.  Either way
+    a path's values depend only on (spec, t_end, n_steps) and its seed.
+    """
+    block = isinstance(seed, list)
+    draws = seed if block else [draw_path(spec, t_end, n_steps, seed)]
+    jump_times = [d.jump_times for d in draws]
+    grid = build_grid(t_end, n_steps, jump_times if block else jump_times[0])
+    seeds_b = [d.seed_b for d in draws]
+    return PathBundle(grid, spec, simulate_brownian(grid, seeds_b if block else seeds_b[0]),
+                      _jump_increments([d.train_y for d in draws], grid),
+                      _jump_increments([d.train_z for d in draws], grid))

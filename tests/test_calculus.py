@@ -67,24 +67,16 @@ class TestMeasureIntegral:
         val = measure_integral(np.ones_like(b.times), LEBESGUE, b.grid)
         assert val == pytest.approx(1.0)
 
-    def test_on_grid_atom(self):
-        b = _bundle(rate=0.0)
-        mu = MeasureSpec(density=None, atoms=((0.5, 2.0),))
-        f = b.times.copy()
-        assert measure_integral(f, mu, b.grid) == pytest.approx(1.0)
+    def test_constant_density_scales_each_step(self):
+        b = _bundle()
+        val = measure_integral(b.times, MeasureSpec(density=2.0), b.grid)
+        assert val == np.sum(b.times[:-1] * 2.0 * b.grid.dts)
+        assert val == pytest.approx(1.0, abs=0.01)  # 2 * int_0^1 t dt
 
-    def test_off_grid_atom_warns_and_snaps_right(self):
-        b = _bundle(rate=0.0)  # uniform grid, 200 steps
-        mu = MeasureSpec(density=None, atoms=((0.50001, 1.0),))
-        with pytest.warns(UserWarning):
-            val = measure_integral(b.times, mu, b.grid)
-        assert val == pytest.approx(0.505)
-
-    def test_atom_outside_range_rejected(self):
-        b = _bundle(rate=0.0)
-        mu = MeasureSpec(atoms=((1.5, 1.0),))
+    def test_misaligned_rejected(self):
+        b = _bundle()
         with pytest.raises(ConfigError):
-            measure_integral(b.times, mu, b.grid)
+            measure_integral(b.times[1:], LEBESGUE, b.grid)
 
 
 def test_local_time_time_integral_matches_stieltjes():

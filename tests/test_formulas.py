@@ -175,11 +175,11 @@ class TestVerifySmoothFit:
 
 
 class TestVerifyGeneral:
-    def test_single_atom_measure_with_linear_f_is_exact(self):
+    def test_constant_density_measure_with_linear_f_is_exact(self):
         spec = SdeSpec(mu_x=1.0, x0=0.0)
         b = simulate_jump_diffusion(spec, 1.0, 100, 0)
-        gen = GeneratorSpec(h=lambda t, a, x: 1.0 + 0.0 * np.asarray(t, float),
-                            measure=MeasureSpec(density=None, atoms=((0.5, 1.0),)))
+        gen = GeneratorSpec(h=lambda t, a, x: 0.5 + 0.0 * np.asarray(t, float),
+                            measure=MeasureSpec(density=2.0))
         rep = verify_general(_linear_psf(), gen, b)
         assert abs(rep.residual) < 1e-14
 
