@@ -84,3 +84,19 @@ def test_local_time_time_integral_matches_stieltjes():
     f = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     assert local_time_time_integral(f, values) == pytest.approx(
         2.0 * 0.5 + 4.0 * 0.75)
+
+
+@given(rows=st.integers(1, 40),
+       steps=st.one_of(st.integers(1, 300), st.sampled_from([1000, 8192, 8193, 10000])),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_row_reductions_equal_one_path_reductions(rows, steps, seed):
+    """A block's row sums and running sums are each path's own, bit for bit,
+    on whole rows and on the [:, :-1] views the left-point sums take."""
+    block = np.random.default_rng(seed).standard_normal((rows, steps + 1))
+    for view in (block, block[:, :-1]):
+        sums, running = np.sum(view, axis=-1), np.cumsum(view, axis=-1)
+        for r in range(rows):
+            path = view[r].copy()
+            assert sums[r].tobytes() == np.sum(path).tobytes()
+            assert running[r].tobytes() == np.cumsum(path).tobytes()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ltsurf import (ConfigError, NumericalAbort, SdeSpec, build_grid,
                     simulate_brownian, simulate_compound_poisson,
                     simulate_jump_diffusion, two_point)
+from ltsurf.paths import JumpLaw, draw_path
 
 
 class TestBuildGrid:
@@ -266,3 +267,37 @@ class TestJumpFreeBundle:
         b = simulate_jump_diffusion(SdeSpec(sigma=1.0, lambda_x=-1.0), 1.0, 100, seed=37)
         assert b.k_jump_increments is not b.grid.zero_steps
         assert np.all(np.signbit(b.k_jump_increments)) and not b.jump_free
+
+
+_ARRAYS = ("b_path", "dy", "dz", "x_path", "a_path", "x_pre", "a_pre", "diffusion_increments")
+
+
+class TestBlocks:
+    @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=30, unique=True),
+           lam=st.sampled_from([1.0, -1.0, 0.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_equal_single_paths(self, seeds, lam):
+        spec = SdeSpec(mu_x=0.1, sigma=0.7, lambda_x=lam, mu_a=0.3, lambda_a=0.5,
+                       rate_y=2.0, jump_law_y=two_point(-0.4, 0.6), rate_z=1.0,
+                       jump_law_z=JumpLaw("exponential", (0.3,)), x0=0.2, a0=-0.1)
+        groups = {}
+        for seed in seeds:
+            draw = draw_path(spec, 1.0, 40, seed)
+            groups.setdefault((draw.n_steps, draw.jump_times.size), []).append((seed, draw))
+        for group in groups.values():
+            block = simulate_jump_diffusion(spec, 1.0, 40, [draw for _, draw in group])
+            assert block.grid.n_steps == group[0][1].n_steps
+            for row, (seed, _) in enumerate(group):
+                path = simulate_jump_diffusion(spec, 1.0, 40, seed)
+                for name in ("times", *_ARRAYS):
+                    # a jump-free block keeps one shared grid row
+                    values = np.broadcast_to(getattr(block, name),
+                                             (len(group), *getattr(path, name).shape))
+                    assert values[row].tobytes() == getattr(path, name).tobytes(), name
+
+    def test_jump_free_block_shares_the_uniform_grid(self):
+        draws = [draw_path(SdeSpec(sigma=1.0), 1.0, 30, seed) for seed in range(5)]
+        block = simulate_jump_diffusion(SdeSpec(sigma=1.0), 1.0, 30, draws)
+        assert block.grid is build_grid(1.0, 30)
+        assert block.x_path.shape == (5, 31) and block.jump_free
+        assert block.x_pre is block.x_path and block.dy is block.grid.zero_steps
