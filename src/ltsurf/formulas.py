@@ -165,8 +165,8 @@ def _make_report(variant, lhs, terms, rows):
     if not finite.all():
         k = int(np.argmin(finite.all(axis=1)))
         raise NumericalAbort(f"{variant}: non-finite {names[k]} ({table[k][~finite[k]][0]})")
-    table[-2] = _ordered_sum(table[1:-2])
-    table[-1] = table[0] - table[-2]
+    table[-2] = rhs = _ordered_sum(terms.values())
+    table[-1] = lhs - rhs
     reports = [FormulaReport(variant, lhs_k, dict(zip(terms, terms_k)), rhs_k, residual_k)
                for lhs_k, *terms_k, rhs_k, residual_k in zip(*table.tolist())]
     return reports if rows else reports[0]

@@ -196,7 +196,7 @@ class PathBundle:
             a = _accumulate(self.spec.a0, self.a_drift_increments, self.a_jump_increments,
                             shape)
         # a running sum stays non-finite once it is, so the last value decides
-        if not np.all(np.isfinite(x[..., -1]) & np.isfinite(a[..., -1])):
+        if not (np.isfinite(x[..., -1]).all() and np.isfinite(a[..., -1]).all()):
             raise NumericalAbort("non-finite values in simulated path")
         self.x_path, self.a_path = self.x_pre, self.a_pre = _read_only(x), _read_only(a)
         jidx = self.grid.jump_indices
