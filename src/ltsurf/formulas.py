@@ -154,21 +154,26 @@ def _ordered_sum(values):
     return total
 
 
+def _column(value, size):
+    """A value of every row, or of all rows at once, as one float per row."""
+    if np.ndim(value) == 0:
+        return [float(value)] * size
+    return (value if value.shape == (size,) else np.broadcast_to(value, (size,))).tolist()
+
+
 def _make_report(variant, lhs, terms, rows):
     """One report per row of `rows` paths, or one report if rows == ()."""
-    names = ["lhs", *terms]
-    # one row per name, then rhs and the residual; one column per path
-    table = np.empty((len(names) + 2, *(rows or (1,))))
-    for k, value in enumerate((lhs, *terms.values())):
-        table[k] = value
-    finite = np.isfinite(table[:-2])
-    if not finite.all():
-        k = int(np.argmin(finite.all(axis=1)))
-        raise NumericalAbort(f"{variant}: non-finite {names[k]} ({table[k][~finite[k]][0]})")
-    table[-2] = rhs = _ordered_sum(terms.values())
-    table[-1] = lhs - rhs
-    reports = [FormulaReport(variant, lhs_k, dict(zip(terms, terms_k)), rhs_k, residual_k)
-               for lhs_k, *terms_k, rhs_k, residual_k in zip(*table.tolist())]
+    columns = {}
+    for name, value in {"lhs": lhs, **terms}.items():
+        columns[name] = column = _column(value, rows[0] if rows else 1)
+        bad = [v for v in column if not math.isfinite(v)]
+        if bad:
+            raise NumericalAbort(f"{variant}: non-finite {name} ({bad[0]})")
+    reports = []
+    for lhs_k, *terms_k in zip(*columns.values()):
+        rhs_k = _ordered_sum(terms_k)
+        reports.append(FormulaReport(variant, lhs_k, dict(zip(terms, terms_k)), rhs_k,
+                                     lhs_k - rhs_k))
     return reports if rows else reports[0]
 
 

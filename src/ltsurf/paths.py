@@ -389,13 +389,13 @@ def draw_path(spec, t_end, n_steps, seed):
 def simulate_jump_diffusion(spec, t_end, n_steps, seed):
     """Euler left-point simulation of (A, X) driven by B, Y, Z.
 
-    `seed` is one path's seed, which gives a 1-D bundle, or a list of
-    draw_path results whose grids share a step count and a jump count,
-    which gives a block with one row per draw, in list order.  Either way
-    a path's values depend only on (spec, t_end, n_steps) and its seed.
+    `seed` is one path's seed, or a list of draw_path results whose grids
+    share a step count and a jump count.  Several draws give a block with
+    one row per draw, in list order; one path gives a 1-D bundle.  Either
+    way a path's values depend only on (spec, t_end, n_steps) and its seed.
     """
-    block = isinstance(seed, list)
-    draws = seed if block else [draw_path(spec, t_end, n_steps, seed)]
+    draws = seed if isinstance(seed, list) else [draw_path(spec, t_end, n_steps, seed)]
+    block = len(draws) > 1
     jump_times = [d.jump_times for d in draws]
     grid = build_grid(t_end, n_steps, jump_times if block else jump_times[0])
     seeds_b = [d.seed_b for d in draws]

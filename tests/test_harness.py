@@ -332,7 +332,7 @@ def test_benchmark_worker_calls(monkeypatch):
 
     def counting(*args):
         block = simulate_jump_diffusion(*args)
-        blocked.append(block.grid.n_steps * block.x_path.shape[0])
+        blocked.append(block.grid.n_steps * block.x_path[..., 0].size)
         return block
 
     monkeypatch.setattr(harness, "simulate_jump_diffusion", counting)

@@ -301,3 +301,5 @@ class TestBlocks:
         assert block.grid is build_grid(1.0, 30)
         assert block.x_path.shape == (5, 31) and block.jump_free
         assert block.x_pre is block.x_path and block.dy is block.grid.zero_steps
+        one = simulate_jump_diffusion(SdeSpec(sigma=1.0), 1.0, 30, draws[:1])
+        assert one.x_path.tobytes() == block.x_path[0].tobytes() and one.x_path.ndim == 1
