@@ -2,11 +2,10 @@
 quadratic variation, local-time time integrals, the jump iteration and
 integrals against a constant density in time.
 
-Each takes one path's arrays or a block with one path per row, and
-reduces along the last axis. Every reduction runs in fixed index order on
-immutable arrays, and a row of a block reduces exactly as that path does
-alone, so results are bit-reproducible regardless of how paths are
-distributed to blocks or workers.
+Each reduces along the last axis, so a block of paths reduces row by row,
+exactly as each path alone. Every reduction runs in fixed index order on
+immutable arrays, so results are bit-reproducible regardless of how paths
+are distributed to blocks or workers.
 """
 
 from dataclasses import dataclass

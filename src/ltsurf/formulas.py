@@ -120,12 +120,9 @@ def smooth_psf(f, d_t, d_a, d_x, d_xx, surface):
 
 
 def eval_F(psf, t, a, x):
-    """Evaluate the glued function on at-least-1-D arrays, so a point is an
-    array of one; the lower branch owns x = b.
-
-    A scalar and an array can round differently: numpy squares an array
-    with `square` but raises a scalar to 2 with `pow`.
-    """
+    """Evaluate the glued function on at-least-1-D arrays; the lower branch
+    owns x = b. A point is an array of one, because numpy squares a scalar
+    with `pow` and an array with `square`, which can round differently."""
     return psf.deriv("f", *np.atleast_1d(np.asarray(t, float), np.asarray(a, float),
                                          np.asarray(x, float)))
 
@@ -285,7 +282,8 @@ _SYMMETRIC_LOCAL_TIME = _local_time(lambda v: local_time_occupation(
     v.bundle, v.psf.surface, _bandwidth(v.bundle, v.eps, coupled_eps), side="symmetric",
     qv_mode=v.qv_mode))
 _RIGHT_LOCAL_TIME = _local_time(lambda v: local_time_mollifier(
-    v.bundle, v.psf.surface, _bandwidth(v.bundle, v.n, coupled_mollifier_n), qv_mode=v.qv_mode))
+    v.bundle, v.psf.surface, _bandwidth(v.bundle, v.n, coupled_mollifier_n),
+    qv_mode=v.qv_mode))
 
 
 def _jump_sum(v):
@@ -385,7 +383,7 @@ def verify_smooth_fit(psf, bundle, qv_mode="analytic", fit_tol=1e-9,
     """Extended Ito formula under smooth fit: no local-time term.
 
     The vanishing of the one-sided derivative gap is checked on a test grid
-    spanning the path's (t, a) range before evaluation.
+    spanning each path's (t, a) range before evaluation.
     """
     t_grid = np.linspace(bundle.times[..., 0], bundle.times[..., -1], fit_grid, axis=-1)
     a_grid = np.linspace(bundle.a_path.min(axis=-1) - 0.1, bundle.a_path.max(axis=-1) + 0.1,

@@ -113,12 +113,9 @@ def derive_path_seed(master_seed, path_index):
 
 
 def _run_paths(parts, t_end, n_steps, seeds, evaluate, args):
-    """Per-path results of evaluate over the seeds' paths, in seed order.
-
-    The paths go in blocks of at most BLOCK_POINTS // (n_steps + 1) rows
-    whose grids share a step count and a jump count, each block run as
-    soon as it is full, and evaluate(parts, block, *args) returns one
-    result per row.
+    """Per-path results of evaluate(parts, block, *args), which gives one per
+    row, in seed order. A block holds up to BLOCK_POINTS // (n_steps + 1)
+    paths whose grids share a step count and a jump count, and runs once full.
     """
     rows = max(1, BLOCK_POINTS // (n_steps + 1))
     results = [None] * len(seeds)

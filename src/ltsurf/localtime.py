@@ -47,8 +47,7 @@ class LocalTimeSeries:
 
 def _running_sums(increments):
     """Each row's running sums 0, inc[0], inc[0] + inc[1], ..."""
-    values = np.zeros(increments.shape[:-1] + (increments.shape[-1] + 1,))
-    values[..., 1:] = increments
+    values = np.concatenate((np.zeros(increments.shape[:-1] + (1,)), increments), axis=-1)
     return LocalTimeSeries(np.cumsum(values, axis=-1, out=values))
 
 
@@ -97,7 +96,7 @@ def local_time_mollifier(bundle, surface_or_level, n, rho=DEFAULT_MOLLIFIER,
     u = _distance_to_target(bundle, surface_or_level)[..., :-1]
     qv = continuous_qv_measure(bundle, qv_mode=qv_mode)
     z = n * u
-    hits = np.unravel_index(np.flatnonzero((z >= 0.0) & (z <= 1.0)), z.shape)
+    hits = np.nonzero((z >= 0.0) & (z <= 1.0))
     if np.ndim(n):
         n = np.broadcast_to(n, u.shape)[hits]
     values = np.zeros(u.shape[:-1] + (u.shape[-1] + 1,))
