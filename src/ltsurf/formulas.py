@@ -153,7 +153,7 @@ def _ordered_sum(values):
 
 def _column(value, size):
     """A value of every row, or of all rows at once, as one float per row."""
-    if np.ndim(value) == 0:
+    if getattr(value, "ndim", 0) == 0:
         return [float(value)] * size
     return (value if value.shape == (size,) else np.broadcast_to(value, (size,))).tolist()
 
@@ -163,9 +163,9 @@ def _make_report(variant, lhs, terms, rows):
     columns = {}
     for name, value in {"lhs": lhs, **terms}.items():
         columns[name] = column = _column(value, rows[0] if rows else 1)
-        bad = [v for v in column if not math.isfinite(v)]
-        if bad:
-            raise NumericalAbort(f"{variant}: non-finite {name} ({bad[0]})")
+        if not all(map(math.isfinite, column)):
+            bad = next(v for v in column if not math.isfinite(v))
+            raise NumericalAbort(f"{variant}: non-finite {name} ({bad})")
     reports = []
     for lhs_k, *terms_k in zip(*columns.values()):
         rhs_k = _ordered_sum(terms_k)

@@ -67,7 +67,7 @@ def local_time_occupation(bundle, surface_or_level, eps, side="right",
     symmetric: (1/2eps) with window (-eps, eps), both strict at the edges
     except the right window is closed at 0.
     """
-    if np.any(eps <= 0):
+    if (np.min(eps) if np.ndim(eps) else eps) <= 0:
         raise ConfigError("eps must be positive")
     u = _distance_to_target(bundle, surface_or_level)[..., :-1]
     qv = continuous_qv_measure(bundle, qv_mode=qv_mode)
@@ -91,7 +91,7 @@ def local_time_mollifier(bundle, surface_or_level, n, rho=DEFAULT_MOLLIFIER,
     at the steps inside that window; every other increment is exactly 0.
     n is a number, or one per row of a block.
     """
-    if np.any(n < 1):
+    if (np.min(n) if np.ndim(n) else n) < 1:
         raise ConfigError("n must be at least 1")
     u = _distance_to_target(bundle, surface_or_level)[..., :-1]
     qv = continuous_qv_measure(bundle, qv_mode=qv_mode)
