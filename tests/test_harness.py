@@ -439,3 +439,18 @@ def test_nonfinite_term_in_a_block_aborts():
                                                  d_xx=lambda t, a, x: np.nan * x))
     with pytest.raises(NumericalAbort, match="non-finite"):
         _blocked(parts, "surfaces_strong", list(range(20)), 50, 0.3, 7, "analytic", 8)
+
+
+def test_default_bandwidths_on_a_block_are_each_paths_own():
+    """Without given bandwidths each row couples them to its own median step,
+    which differs between rows once jumps split different steps."""
+    _, parts = build_parts("glued_quadratic_jump")
+    draws = [paths.draw_path(parts.spec, 1.0, 4, seed) for seed in range(100)]
+    block = [d for d in draws if d.jump_times.size == 2 and d.n_steps == 6]
+    bundle = simulate_jump_diffusion(parts.spec, 1.0, 4, block)
+    assert len({float(np.median(row)) for row in bundle.grid.dts}) > 1
+    for variant in parts.variants:
+        reports = evaluate_variant(parts, variant, bundle)
+        singles = [evaluate_variant(parts, variant, simulate_jump_diffusion(
+            parts.spec, 1.0, 4, [draw])) for draw in block]
+        assert repr(reports) == repr(singles), variant
