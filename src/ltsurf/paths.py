@@ -370,20 +370,26 @@ class PathDraw(NamedTuple):
 
 def draw_path(spec, t_end, n_steps, seed):
     """Both jump trains of a path from its seed.  Sub-streams for the Y
-    jumps, Z jumps and Brownian increments are derived from the seed, so
-    the Brownian draw does not depend on how many jumps occurred."""
+    jumps, Z jumps and Brownian increments are children 0, 1 and 2 of
+    SeedSequence(seed), so the Brownian draw does not depend on how many
+    jumps occurred.  Each child is built alone, and only if it is used."""
     if t_end <= 0:
         raise ConfigError("t_end must be positive")
-    seed_y, seed_z, seed_b = np.random.SeedSequence(seed).spawn(3)
-    train_y = simulate_compound_poisson(spec.rate_y, spec.jump_law_y, t_end, seed_y)
-    train_z = simulate_compound_poisson(spec.rate_z, spec.jump_law_z, t_end, seed_z)
+
+    def child(k, used=True):
+        return np.random.SeedSequence(seed, spawn_key=(k,)) if used else None
+
+    train_y = simulate_compound_poisson(spec.rate_y, spec.jump_law_y, t_end,
+                                        child(0, spec.rate_y > 0))
+    train_z = simulate_compound_poisson(spec.rate_z, spec.jump_law_z, t_end,
+                                        child(1, spec.rate_z > 0))
     # each train's times are sorted and distinct already
     jump_times = (np.union1d(train_y.times, train_z.times)
                   if train_y.times.size and train_z.times.size
                   else train_y.times if train_y.times.size else train_z.times)
     steps = (np.count_nonzero(_kept_uniform(t_end, n_steps, jump_times)[1])
              + jump_times.size - 1) if jump_times.size else n_steps
-    return PathDraw(train_y, train_z, jump_times, steps, seed_b)
+    return PathDraw(train_y, train_z, jump_times, steps, child(2))
 
 
 def simulate_jump_diffusion(spec, t_end, n_steps, seed):

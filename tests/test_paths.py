@@ -295,6 +295,20 @@ class TestBlocks:
                                              (len(group), *getattr(path, name).shape))
                     assert values[row].tobytes() == getattr(path, name).tobytes(), name
 
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    def test_draws_use_the_three_children_of_the_path_seed(self, seed):
+        spec = SdeSpec(sigma=1.0, lambda_x=1.0, rate_y=3.0, jump_law_y=two_point(-0.4, 0.6),
+                       rate_z=2.0, jump_law_z=JumpLaw("exponential", (0.3,)))
+        seed_y, seed_z, seed_b = np.random.SeedSequence(seed).spawn(3)
+        draw = draw_path(spec, 1.0, 40, seed)
+        for train, rate, law, child in ((draw.train_y, 3.0, spec.jump_law_y, seed_y),
+                                        (draw.train_z, 2.0, spec.jump_law_z, seed_z)):
+            ref = simulate_compound_poisson(rate, law, 1.0, child)
+            assert train.times.tobytes() == ref.times.tobytes()
+            assert train.sizes.tobytes() == ref.sizes.tobytes()
+        b = simulate_jump_diffusion(spec, 1.0, 40, seed)
+        assert b.b_path.tobytes() == simulate_brownian(b.grid, seed_b).tobytes()
+
     def test_jump_free_block_shares_the_uniform_grid(self):
         draws = [draw_path(SdeSpec(sigma=1.0), 1.0, 30, seed) for seed in range(5)]
         block = simulate_jump_diffusion(SdeSpec(sigma=1.0), 1.0, 30, draws)
