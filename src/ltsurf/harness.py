@@ -26,7 +26,7 @@ from .surfaces import moreau_envelope
 CODE_VERSION = "0.1.0"
 
 # Grid points per block of paths: many short paths share a block, and a
-# path of 4096 steps or more has one to itself.
+# path of 2048 steps or more has one to itself.
 BLOCK_POINTS = 4096
 
 
