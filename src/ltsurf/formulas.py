@@ -151,18 +151,13 @@ def _ordered_sum(values):
     return total
 
 
-def _column(value, size):
-    """A value of every row, or of all rows at once, as one float per row."""
-    if getattr(value, "ndim", 0) == 0:
-        return [float(value)] * size
-    return (value if value.shape == (size,) else np.broadcast_to(value, (size,))).tolist()
-
-
 def _make_report(variant, lhs, terms, rows):
-    """One report per row of `rows` paths, or one report if rows == ()."""
-    columns = {}
+    """One report per row of `rows` paths, or one report if rows == ();
+    lhs and each term hold one value per row, or one for all rows."""
+    size, columns = (rows[0] if rows else 1), {}
     for name, value in {"lhs": lhs, **terms}.items():
-        columns[name] = column = _column(value, rows[0] if rows else 1)
+        columns[name] = column = ([float(value)] * size if getattr(value, "ndim", 0) == 0
+                                  else np.broadcast_to(value, (size,)).tolist())
         if not all(map(math.isfinite, column)):
             bad = next(v for v in column if not math.isfinite(v))
             raise NumericalAbort(f"{variant}: non-finite {name} ({bad})")
