@@ -2,8 +2,8 @@
 
 Each verify_* function returns a FormulaReport: the left-hand side, every
 right-hand-side term by name, their left-to-right sum and the residual
-lhs - rhs. On a block of paths it returns one report per row, each equal
-to that path's report alone. A non-finite term aborts the run.
+lhs - rhs. On a block of paths it returns FormulaReports, one report per
+row, each equal to that path's report alone. A non-finite term aborts the run.
 verify_tanaka writes Tanaka's formula out; every other variant is a row of
 _VARIANTS, an ordered tuple of (column name, term builder) over one
 _PathView of the bundle.
@@ -151,13 +151,22 @@ def _ordered_sum(values):
     return total
 
 
+class FormulaReports(tuple):
+    """The reports of a block's paths, in row order."""
+
+    @property
+    def terms(self):
+        """Each term summed over the block in row order, so code that reads a
+        report's terms (bench/layertrace.py counts them) reads a block too."""
+        return {name: _ordered_sum(r.terms[name] for r in self) for name in self[0].terms}
+
+
 def _make_report(variant, lhs, terms, rows):
-    """One report per row of `rows` paths, or one report if rows == ();
+    """A path's report if rows == (), else FormulaReports of rows[0] paths;
     lhs and each term hold one value per row, or one for all rows."""
-    size, columns = (rows[0] if rows else 1), {}
+    columns = {}
     for name, value in {"lhs": lhs, **terms}.items():
-        columns[name] = column = ([float(value)] * size if getattr(value, "ndim", 0) == 0
-                                  else np.broadcast_to(value, (size,)).tolist())
+        columns[name] = column = np.broadcast_to(value, rows or (1,)).tolist()
         if not all(map(math.isfinite, column)):
             bad = next(v for v in column if not math.isfinite(v))
             raise NumericalAbort(f"{variant}: non-finite {name} ({bad})")
@@ -166,14 +175,16 @@ def _make_report(variant, lhs, terms, rows):
         rhs_k = _ordered_sum(terms_k)
         reports.append(FormulaReport(variant, lhs_k, dict(zip(terms, terms_k)), rhs_k,
                                      lhs_k - rhs_k))
-    return reports if rows else reports[0]
+    return FormulaReports(reports) if rows else reports[0]
 
 
 def _bandwidth(bundle, given, coupled):
-    """The given bandwidth, else the one coupled to each grid row's median step."""
+    """The given bandwidth, else, for one path, the one coupled to its median step."""
     if given is not None:
         return given
-    return np.vectorize(coupled)(np.median(bundle.grid.dts, axis=-1, keepdims=True))
+    if bundle.x_path.ndim > 1:
+        raise ConfigError("a block of paths needs given bandwidths")
+    return coupled(float(np.median(bundle.grid.dts)))
 
 
 def verify_tanaka(bundle, level, n=None, qv_mode="analytic"):

@@ -164,9 +164,8 @@ def _fan_out(config, parts, evaluate, *args):
 
 
 def _verify_rows(parts, block, variant, eps, n, qv_mode):
-    reports = evaluate_variant(parts, variant, block, eps=eps, n=n, qv_mode=qv_mode)
     return [(r.lhs, dict(r.terms), r.rhs, r.residual)
-            for r in (reports if isinstance(reports, list) else [reports])]
+            for r in evaluate_variant(parts, variant, block, eps=eps, n=n, qv_mode=qv_mode)]
 
 
 def _column_stats(values, n):
@@ -308,7 +307,7 @@ def _localtime_rows(parts, block, eps, n, qv_mode):
     occ = local_time_occupation(block, level, eps, side="right", qv_mode=qv_mode)
     mol = local_time_mollifier(block, level, n, qv_mode=qv_mode)
     tan = local_time_tanaka_residual(block, level)
-    return list(zip(*(np.atleast_1d(lt.final).tolist() for lt in (occ, mol, tan))))
+    return list(zip(*(lt.final.tolist() for lt in (occ, mol, tan))))
 
 
 def compare_estimators(config):

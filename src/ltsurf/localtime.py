@@ -67,7 +67,7 @@ def local_time_occupation(bundle, surface_or_level, eps, side="right",
     symmetric: (1/2eps) with window (-eps, eps), both strict at the edges
     except the right window is closed at 0.
     """
-    if (np.min(eps) if np.ndim(eps) else eps) <= 0:
+    if eps <= 0:
         raise ConfigError("eps must be positive")
     u = _distance_to_target(bundle, surface_or_level)[..., :-1]
     qv = continuous_qv_measure(bundle, qv_mode=qv_mode)
@@ -89,16 +89,13 @@ def local_time_mollifier(bundle, surface_or_level, n, rho=DEFAULT_MOLLIFIER,
     Nondecreasing whenever the kernel is nonnegative; one-sided (right)
     because the kernel is supported on [0, 1].  The kernel is evaluated only
     at the steps inside that window; every other increment is exactly 0.
-    n is a number, or one per row of a block.
     """
-    if (np.min(n) if np.ndim(n) else n) < 1:
+    if n < 1:
         raise ConfigError("n must be at least 1")
     u = _distance_to_target(bundle, surface_or_level)[..., :-1]
     qv = continuous_qv_measure(bundle, qv_mode=qv_mode)
     z = n * u
     hits = np.nonzero((z >= 0.0) & (z <= 1.0))
-    if np.ndim(n):
-        n = np.broadcast_to(n, u.shape)[hits]
     values = np.zeros(u.shape[:-1] + (u.shape[-1] + 1,))
     # a qv shared by every row of a block is indexed by the step alone
     values[..., 1:][hits] = n * rho.evaluate(z[hits]) * qv[hits[-qv.ndim:]]

@@ -326,16 +326,19 @@ def simulate_compound_poisson(rate, jump_law, t_end, seed):
 def simulate_brownian(grid, seed):
     """Standard Brownian motion sampled on the grid (B_0 = 0), read-only.
 
-    A list of seeds gives one row per seed, each drawn from its own seed.
+    A list of SeedSequences gives one row per entry, each drawn from its own
+    SeedSequence; any other seed, a list of ints too, gives one path.
     """
-    seeds = seed if isinstance(seed, list) else [seed]
+    rows = isinstance(seed, list) and bool(seed) and all(
+        isinstance(s, np.random.SeedSequence) for s in seed)
+    seeds = seed if rows else [seed]
     path = np.empty((len(seeds), grid.n_steps + 1))
     path[:, 0] = 0.0
     for row, row_seed in zip(path, seeds):
         np.random.default_rng(row_seed).standard_normal(out=row[1:])
     path[:, 1:] *= grid.sqrt_dts
     np.cumsum(path, axis=-1, out=path)
-    return _read_only(path if isinstance(seed, list) else path[0])
+    return _read_only(path if rows else path[0])
 
 
 def _jump_increments(trains, grid):
@@ -395,13 +398,15 @@ def draw_path(spec, t_end, n_steps, seed):
 def simulate_jump_diffusion(spec, t_end, n_steps, seed):
     """Euler left-point simulation of (A, X) driven by B, Y, Z.
 
-    `seed` is one path's seed, or a list of draw_path results whose grids
-    share a step count and a jump count.  Several draws give a block with
-    one row per draw, in list order; one path gives a 1-D bundle.  Either
-    way a path's values depend only on (spec, t_end, n_steps) and its seed.
+    `seed` is one path's seed, which gives a 1-D bundle, or a list of
+    draw_path results whose grids share a step count and a jump count, which
+    gives a block with one row per draw, in list order.  Either way a path's
+    values depend only on (spec, t_end, n_steps) and its seed.
     """
-    draws = seed if isinstance(seed, list) else [draw_path(spec, t_end, n_steps, seed)]
-    block = len(draws) > 1
+    block = isinstance(seed, list)
+    if block and not (seed and all(isinstance(d, PathDraw) for d in seed)):
+        raise ConfigError("a block of paths is a non-empty list of draw_path results")
+    draws = seed if block else [draw_path(spec, t_end, n_steps, seed)]
     jump_times = [d.jump_times for d in draws]
     grid = build_grid(t_end, n_steps, jump_times if block else jump_times[0])
     seeds_b = [d.seed_b for d in draws]

@@ -441,16 +441,28 @@ def test_nonfinite_term_in_a_block_aborts():
         _blocked(parts, "surfaces_strong", list(range(20)), 50, 0.3, 7, "analytic", 8)
 
 
-def test_default_bandwidths_on_a_block_are_each_paths_own():
-    """Without given bandwidths each row couples them to its own median step,
-    which differs between rows once jumps split different steps."""
+def test_block_needs_given_bandwidths():
+    """Without given bandwidths only one path couples them to its median step."""
     _, parts = build_parts("glued_quadratic_jump")
-    draws = [paths.draw_path(parts.spec, 1.0, 4, seed) for seed in range(100)]
-    block = [d for d in draws if d.jump_times.size == 2 and d.n_steps == 6]
-    bundle = simulate_jump_diffusion(parts.spec, 1.0, 4, block)
-    assert len({float(np.median(row)) for row in bundle.grid.dts}) > 1
-    for variant in parts.variants:
-        reports = evaluate_variant(parts, variant, bundle)
-        singles = [evaluate_variant(parts, variant, simulate_jump_diffusion(
-            parts.spec, 1.0, 4, [draw])) for draw in block]
-        assert repr(reports) == repr(singles), variant
+    draws = [paths.draw_path(parts.spec, 1.0, 50, seed) for seed in range(3)]
+    block = simulate_jump_diffusion(parts.spec, 1.0, 50, draws[:1])
+    for variant in ("jump_ltc", "surfaces_strong"):
+        with pytest.raises(ConfigError, match="given bandwidths"):
+            evaluate_variant(parts, variant, block)
+    path = simulate_jump_diffusion(parts.spec, 1.0, 50, 0)
+    assert repr(evaluate_variant(parts, "jump_ltc", path)) == repr(evaluate_variant(
+        parts, "jump_ltc", path, n=ScenarioConfig(scenario="x", dt=0.02).bandwidths()[1]))
+
+
+def test_block_reports_sum_their_terms():
+    """A block's reports are each path's; their `terms` sum each term over
+    the rows, which is what reading one report's terms gives on a block."""
+    _, parts = build_parts("glued_quadratic_jump")
+    draws = [paths.draw_path(parts.spec, 1.0, 50, seed) for seed in range(40)]
+    group = [d for d in draws if (d.n_steps, d.jump_times.size) == (51, 1)]
+    reports = evaluate_variant(parts, "jump_ltc", simulate_jump_diffusion(
+        parts.spec, 1.0, 50, group), n=7)
+    assert len(group) > 2 and len(reports) == len(group)
+    assert list(reports.terms) == list(reports[0].terms)
+    for name, total in reports.terms.items():
+        assert total == sum(r.terms[name] for r in reports)

@@ -316,4 +316,14 @@ class TestBlocks:
         assert block.x_path.shape == (5, 31) and block.jump_free
         assert block.x_pre is block.x_path and block.dy is block.grid.zero_steps
         one = simulate_jump_diffusion(SdeSpec(sigma=1.0), 1.0, 30, draws[:1])
-        assert one.x_path.tobytes() == block.x_path[0].tobytes() and one.x_path.ndim == 1
+        assert one.x_path.shape == (1, 31) and one.x_path.tobytes() == block.x_path[0].tobytes()
+
+    def test_a_list_of_seeds_is_not_a_block(self):
+        with pytest.raises(ConfigError, match="draw_path"):
+            simulate_jump_diffusion(SdeSpec(sigma=1.0), 1.0, 30, [3, 4])
+        # a list of ints is one SeedSequence's entropy, as for numpy
+        grid = build_grid(1.0, 30)
+        path = simulate_brownian(grid, [3, 4])
+        ref = np.cumsum(np.concatenate(
+            ([0.0], np.random.default_rng([3, 4]).standard_normal(30) * grid.sqrt_dts)))
+        assert path.shape == (31,) and path.tobytes() == ref.tobytes()
