@@ -2,11 +2,10 @@
 
 Each verify_* function returns a FormulaReport: the left-hand side, every
 right-hand-side term by name, their left-to-right sum and the residual
-lhs - rhs. On a block of paths it returns FormulaReports, one report per
-row, each equal to that path's report alone. A non-finite term aborts the run.
-verify_tanaka writes Tanaka's formula out; every other variant is a row of
-_VARIANTS, an ordered tuple of (column name, term builder) over one
-_PathView of the bundle.
+lhs - rhs; on a block of paths, FormulaReports of each path's own report.
+A non-finite term aborts the run. verify_tanaka writes Tanaka's formula
+out; every other variant is a row of _VARIANTS, an ordered tuple of
+(column name, term builder) over one _PathView of the bundle.
 
 Conventions shared by all variants:
   * integrands are evaluated at left limits: step-start values for the
@@ -152,12 +151,11 @@ def _ordered_sum(values):
 
 
 class FormulaReports(tuple):
-    """The reports of a block's paths, in row order."""
+    """A block's reports in row order. `terms` sums each term over the rows,
+    so code that reads a report's terms (bench/layertrace.py) reads a block."""
 
     @property
     def terms(self):
-        """Each term summed over the block in row order, so code that reads a
-        report's terms (bench/layertrace.py counts them) reads a block too."""
         return {name: _ordered_sum(r.terms[name] for r in self) for name in self[0].terms}
 
 
@@ -180,11 +178,9 @@ def _make_report(variant, lhs, terms, rows):
 
 def _bandwidth(bundle, given, coupled):
     """The given bandwidth, else, for one path, the one coupled to its median step."""
-    if given is not None:
-        return given
-    if bundle.x_path.ndim > 1:
+    if given is None and bundle.x_path.ndim > 1:
         raise ConfigError("a block of paths needs given bandwidths")
-    return coupled(float(np.median(bundle.grid.dts)))
+    return coupled(float(np.median(bundle.grid.dts))) if given is None else given
 
 
 def verify_tanaka(bundle, level, n=None, qv_mode="analytic"):

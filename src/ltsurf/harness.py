@@ -25,8 +25,7 @@ from .surfaces import moreau_envelope
 
 CODE_VERSION = "0.1.0"
 
-# Grid points per block of paths: many short paths share a block, and a
-# path of 2048 steps or more has one to itself.
+# Grid points per block of paths; a path of 2048 steps or more is alone.
 BLOCK_POINTS = 4096
 
 

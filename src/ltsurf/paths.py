@@ -324,11 +324,8 @@ def simulate_compound_poisson(rate, jump_law, t_end, seed):
 
 
 def simulate_brownian(grid, seed):
-    """Standard Brownian motion sampled on the grid (B_0 = 0), read-only.
-
-    A list of SeedSequences gives one row per entry, each drawn from its own
-    SeedSequence; any other seed, a list of ints too, gives one path.
-    """
+    """Standard Brownian motion sampled on the grid (B_0 = 0), read-only: one
+    path, or one row per entry of a list of SeedSequences, drawn from each."""
     rows = isinstance(seed, list) and bool(seed) and all(
         isinstance(s, np.random.SeedSequence) for s in seed)
     seeds = seed if rows else [seed]
@@ -387,9 +384,8 @@ def draw_path(spec, t_end, n_steps, seed):
     train_z = simulate_compound_poisson(spec.rate_z, spec.jump_law_z, t_end,
                                         child(1, spec.rate_z > 0))
     # each train's times are sorted and distinct already
-    jump_times = (np.union1d(train_y.times, train_z.times)
-                  if train_y.times.size and train_z.times.size
-                  else train_y.times if train_y.times.size else train_z.times)
+    y, z = train_y.times, train_z.times
+    jump_times = np.union1d(y, z) if y.size and z.size else y if y.size else z
     steps = (np.count_nonzero(_kept_uniform(t_end, n_steps, jump_times)[1])
              + jump_times.size - 1) if jump_times.size else n_steps
     return PathDraw(train_y, train_z, jump_times, steps, child(2))
