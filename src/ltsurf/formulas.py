@@ -162,9 +162,10 @@ class FormulaReports(tuple):
 def _make_report(variant, lhs, terms, rows):
     """A path's report if rows == (), else FormulaReports of rows[0] paths;
     lhs and each term hold one value per row, or one for all rows."""
-    columns = {}
+    size, columns = (rows[0] if rows else 1), {}
     for name, value in {"lhs": lhs, **terms}.items():
-        columns[name] = column = np.broadcast_to(value, rows or (1,)).tolist()
+        columns[name] = column = ([float(value)] * size if getattr(value, "ndim", 0) == 0
+                                  else value.reshape(size).tolist())
         if not all(map(math.isfinite, column)):
             bad = next(v for v in column if not math.isfinite(v))
             raise NumericalAbort(f"{variant}: non-finite {name} ({bad})")

@@ -95,10 +95,13 @@ def local_time_mollifier(bundle, surface_or_level, n, rho=DEFAULT_MOLLIFIER,
     u = _distance_to_target(bundle, surface_or_level)[..., :-1]
     qv = continuous_qv_measure(bundle, qv_mode=qv_mode)
     z = n * u
-    hits = np.nonzero((z >= 0.0) & (z <= 1.0))
-    values = np.zeros(u.shape[:-1] + (u.shape[-1] + 1,))
-    # a qv shared by every row of a block is indexed by the step alone
-    values[..., 1:][hits] = n * rho.evaluate(z[hits]) * qv[hits[-qv.ndim:]]
+    steps = u.shape[-1]
+    hits = np.flatnonzero((z >= 0.0) & (z <= 1.0))  # row * steps + step
+    values = np.zeros(u.shape[:-1] + (steps + 1,))
+    # a hit's increment is entry step + 1 of its row; a qv shared by every
+    # row of a block has one row, so its index wraps
+    values.flat[hits + hits // steps + 1] = (n * rho.evaluate(z.flat[hits])
+                                             * qv.flat[hits % qv.size])
     return LocalTimeSeries(np.cumsum(values, axis=-1, out=values))
 
 
