@@ -2,9 +2,8 @@
 estimate local time three independent ways, and verify change-of-variables
 formulas term by term on each simulated path."""
 
-from .calculus import (LEBESGUE, MeasureSpec, continuous_qv_measure,
-                       local_time_time_integral, measure_integral,
-                       stieltjes_integral)
+from .calculus import (continuous_qv_measure, local_time_time_integral,
+                       measure_integral, stieltjes_integral)
 from .errors import (ConfigError, IncompatibleScenarioError, LtsurfError,
                      NumericalAbort)
 from .formulas import (Branch, FormulaReport, GeneratorSpec,

@@ -1,6 +1,6 @@
 """Pathwise integral evaluators: left-point Stieltjes sums, continuous
 quadratic variation, local-time time integrals, the jump iteration and
-integrals against a constant density in time.
+dt integrals.
 
 Each reduces along the last axis, so a block of paths reduces row by row,
 exactly as each path alone. Every reduction runs in fixed index order on
@@ -8,22 +8,11 @@ immutable arrays, so results are bit-reproducible regardless of how paths
 are distributed to blocks or workers.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
-
-
-@dataclass(frozen=True)
-class MeasureSpec:
-    """Measure on [0, t_end] with a constant density against dt."""
-
-    density: float = 1.0
-
-
-LEBESGUE = MeasureSpec()
 
 
 def _check_aligned(f_vals, g_vals):
@@ -87,8 +76,8 @@ def iter_jumps(bundle):
         at(bundle.a_jump_increments, 1), at(bundle.dy, 1)))
 
 
-def measure_integral(f_vals, measure, grid):
-    """Left-point dt sum of each row of an integrand against the measure."""
+def measure_integral(f_vals, grid):
+    """Left-point dt sum of each row of an integrand."""
     f = np.asarray(f_vals, dtype=float)
     _check_aligned(f, grid.times)
-    return np.sum(f[..., :-1] * measure.density * grid.dts, axis=-1)
+    return np.sum(f[..., :-1] * grid.dts, axis=-1)

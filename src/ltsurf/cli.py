@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Subcommands: simulate, verify, converge, localtime, envelope, scenarios.
-A flat key=value config file may supply any flag's value; command-line
-flags override the file.  Exit codes: 0 ok, 2 config error, 3 scenario /
-variant incompatibility, 4 numerical abort.
+COMMANDS lists the keys each command reads, with their types.  Each key is
+a flag (`t_end` is `--t-end`) and a key of the flat key=value file that
+--config names; command-line flags override the file.  A command with a
+scenario also takes `--param k=v` and `param.k = v`.  A flag or file key
+that the command does not read is an error.  Exit codes: 0 ok, 2 config
+error, 3 scenario / variant incompatibility, 4 numerical abort.
 """
 
 import argparse
@@ -45,15 +48,30 @@ def read_config_file(path):
     return values
 
 
-_CONFIG_KEYS = {
-    "scenario": str, "t_end": float, "dt": float, "paths": int, "seed": int,
-    "variant": str, "qv": str, "bandwidth": str, "out": str, "workers": int,
-    "surface": str, "level": float,
+_SCENARIO = {"scenario": str, "t_end": float, "dt": float, "paths": int, "seed": int}
+
+# command -> (help, {key it reads: type})
+COMMANDS = {
+    "simulate": ("emit raw simulated path bundles as CSV", {**_SCENARIO, "out": str}),
+    "verify": ("run a scenario ensemble and report per-term residuals",
+               {**_SCENARIO, "variant": str, "qv": str, "bandwidth": str,
+                "workers": int, "out": str}),
+    "converge": ("residual convergence study over a dt grid",
+                 {"scenario": str, "t_end": float, "paths": int, "seed": int,
+                  "variant": str, "qv": str, "workers": int, "dts": str, "out": str}),
+    "localtime": ("compare the three local-time estimators at the scenario level",
+                  {**_SCENARIO, "qv": str, "bandwidth": str, "workers": int}),
+    "envelope": ("Moreau envelope table for a registry surface",
+                 {"surface": str, "m": str, "grid_n": int, "out": str}),
 }
 
-# envelope flags with their defaults, applied after the config file
-_ENVELOPE_KEYS = {"surface": (str, "abs"), "m": (str, "1,10,100,1000"),
-                  "grid_n": (int, 20), "out": (str, None)}
+# Defaults of the keys that ScenarioConfig does not hold.
+_DEFAULTS = {"dts": "1e-2,1e-3,1e-4", "surface": "abs", "m": "1,10,100,1000",
+             "grid_n": 20}
+
+# Keys that name a ScenarioConfig field differently.
+_FIELDS = {"paths": "n_paths", "qv": "qv_mode", "bandwidth": "bandwidth_rule",
+           "out": "output"}
 
 
 def _convert(what, value, kind):
@@ -63,78 +81,34 @@ def _convert(what, value, kind):
         raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}")
 
 
-def _merge_config(args):
-    """File values fill in anything the command line left at its default."""
-    file_vals = read_config_file(args.config) if args.config else {}
+def _given(args):
+    """The values of the keys args.command reads: the defaults above, then
+    the config file, then the command line. A scenario command's parameters
+    go under "params"."""
+    keys = COMMANDS[args.command][1]
+    given = {k: v for k, v in _DEFAULTS.items() if k in keys}
+    entries = list(read_config_file(args.config).items()) if args.config else []
+    flag_params = map(_parse_kv, getattr(args, "param", None) or [])
+    entries += [("param." + k, v) for k, v in flag_params]
     params = {}
-    for key, value in file_vals.items():
-        if key.startswith("param."):
+    for key, value in entries:
+        if key.startswith("param.") and "scenario" in keys:
             name = key[len("param."):]
             params[name] = _convert(f"parameter {name!r}", value, float)
-        elif key in _CONFIG_KEYS:
-            if getattr(args, key, None) is None:
-                setattr(args, key, _convert(f"config key {key!r}", value,
-                                            _CONFIG_KEYS[key]))
+        elif key in keys:
+            given[key] = _convert(f"config key {key!r}", value, keys[key])
         else:
-            raise ConfigError(f"unknown config key: {key!r}")
-    for item in args.param or []:
-        key, value = _parse_kv(item)
-        params[key] = _convert(f"parameter {key!r}", value, float)
-    args.params = params
-    return args
+            raise ConfigError(f"{args.command} reads no config key {key!r}")
+    given.update((k, getattr(args, k)) for k in keys if getattr(args, k) is not None)
+    if "scenario" in keys:
+        given["params"] = params
+    return given
 
 
-def _merge_envelope_config(args):
-    """As _merge_config for the envelope flags; other file keys are ignored."""
-    file_vals = read_config_file(args.config) if args.config else {}
-    for key, (kind, default) in _ENVELOPE_KEYS.items():
-        if getattr(args, key) is None:
-            value = file_vals.get(key)
-            setattr(args, key, default if value is None else
-                    _convert(f"config key {key!r}", value, kind))
-    return args
-
-
-def _bandwidth_rule(text):
-    if text is None or text == "coupled":
-        return "coupled"
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"--bandwidth must be 'coupled' or a number, got {text!r}")
-
-
-def _scenario_config(args, need_scenario=True):
-    if need_scenario and not args.scenario:
+def _scenario_config(given):
+    if not given.get("scenario"):
         raise ConfigError("--scenario is required")
-    return ScenarioConfig(
-        scenario=args.scenario,
-        params=args.params,
-        t_end=args.t_end if args.t_end is not None else 1.0,
-        dt=args.dt if args.dt is not None else 1e-3,
-        n_paths=args.paths if args.paths is not None else 1,
-        seed=args.seed if args.seed is not None else 0,
-        variant=args.variant,
-        bandwidth_rule=_bandwidth_rule(args.bandwidth),
-        qv_mode=args.qv if args.qv is not None else "analytic",
-        output=args.out,
-        workers=args.workers if args.workers is not None else 1,
-    )
-
-
-def _add_common(sub):
-    sub.add_argument("--scenario")
-    sub.add_argument("--param", action="append", metavar="k=v")
-    sub.add_argument("--t-end", dest="t_end", type=float)
-    sub.add_argument("--dt", type=float)
-    sub.add_argument("--paths", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--variant")
-    sub.add_argument("--qv", choices=["analytic", "realized"])
-    sub.add_argument("--bandwidth")
-    sub.add_argument("--out")
-    sub.add_argument("--workers", type=int)
-    sub.add_argument("--config", help="flat key=value config file")
+    return ScenarioConfig(**{_FIELDS.get(k, k): v for k, v in given.items()})
 
 
 def build_parser():
@@ -144,28 +118,14 @@ def build_parser():
                     "change-of-variables formulas pathwise",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name, desc in [
-        ("simulate", "emit raw simulated path bundles as CSV"),
-        ("verify", "run a scenario ensemble and report per-term residuals"),
-        ("converge", "residual convergence study over a dt grid"),
-        ("localtime", "compare the three local-time estimators at the scenario level"),
-    ]:
-        sub = subs.add_parser(name, help=desc)
-        _add_common(sub)
-        if name == "converge":
-            sub.add_argument("--dts", default="1e-2,1e-3,1e-4",
-                             help="comma-separated decreasing step sizes")
-
-    env = subs.add_parser("envelope", help="Moreau envelope table for a registry surface")
-    env.add_argument("--surface", help="registry surface (default abs)")
-    env.add_argument("--m", help="comma-separated penalty parameters "
-                                 "(default 1,10,100,1000)")
-    env.add_argument("--grid-n", dest="grid_n", type=int,
-                     help="grid points per axis (default 20)")
-    env.add_argument("--out")
-    env.add_argument("--config", help="flat key=value config file")
-
+    for name, (desc, keys) in COMMANDS.items():
+        sub = subs.add_parser(name, help=desc, allow_abbrev=False)
+        if "scenario" in keys:
+            sub.add_argument("--param", action="append", metavar="k=v")
+        for key, kind in keys.items():
+            sub.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                             help=f"default {_DEFAULTS[key]}" if key in _DEFAULTS else None)
+        sub.add_argument("--config", help="flat key=value config file")
     subs.add_parser("scenarios", help="list registry scenarios")
     return parser
 
@@ -186,6 +146,13 @@ def main(argv=None):
         return 4
 
 
+def _floats(text, key):
+    try:
+        return [float(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ConfigError(f"--{key} must be comma-separated numbers, got {text!r}")
+
+
 def _dispatch(args):
     if args.command == "scenarios":
         for entry in list_scenarios():
@@ -194,33 +161,29 @@ def _dispatch(args):
             print(f"  params: {entry['params']}")
         return 0
 
+    given = _given(args)
+
     if args.command == "envelope":
-        args = _merge_envelope_config(args)
-        try:
-            m_values = [float(v) for v in str(args.m).split(",") if v]
-        except ValueError:
-            raise ConfigError(f"--m must be comma-separated numbers, got {args.m!r}")
+        m_values = _floats(given["m"], "m")
         if not m_values:
             raise ConfigError("--m must list at least one penalty")
-        rows = envelope_table(args.surface, m_values, grid_n=args.grid_n,
-                              out_dir=args.out)
-        print(f"surface {args.surface}: {len(rows)} envelope evaluations "
+        out = given.get("out")
+        rows = envelope_table(given["surface"], m_values, grid_n=given["grid_n"],
+                              out_dir=out)
+        print(f"surface {given['surface']}: {len(rows)} envelope evaluations "
               f"over m = {m_values}")
-        if args.out:
-            print(f"wrote {args.out}/envelope.csv")
+        if out:
+            print(f"wrote {out}/envelope.csv")
         return 0
 
-    args = _merge_config(args)
+    dts = given.pop("dts", None)
+    cfg = _scenario_config(given)
 
     if args.command == "simulate":
-        cfg = _scenario_config(args)
-        out = args.out or "."
-        path = emit_bundles(cfg, out)
-        print(f"wrote {path}")
+        print(f"wrote {emit_bundles(cfg, cfg.output or '.')}")
         return 0
 
     if args.command == "verify":
-        cfg = _scenario_config(args)
         summary = run_scenario(cfg)
         print(summary.to_json())
         if cfg.output:
@@ -228,22 +191,13 @@ def _dispatch(args):
         return 0
 
     if args.command == "converge":
-        cfg = _scenario_config(args)
-        try:
-            dts = [float(v) for v in args.dts.split(",") if v]
-        except ValueError:
-            raise ConfigError(f"--dts must be comma-separated numbers, got {args.dts!r}")
-        table = convergence_study(cfg, dts, out_dir=args.out)
+        table = convergence_study(cfg, _floats(dts, "dts"), out_dir=cfg.output)
         print(json.dumps(table, indent=2, sort_keys=True))
         return 0
 
-    if args.command == "localtime":
-        cfg = _scenario_config(args)
-        stats = compare_estimators(cfg)
-        print(json.dumps(stats, indent=2, sort_keys=True))
-        return 0
-
-    raise ConfigError(f"unknown command: {args.command!r}")
+    stats = compare_estimators(cfg)  # localtime
+    print(json.dumps(stats, indent=2, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":

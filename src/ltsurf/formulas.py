@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import (LEBESGUE, MeasureSpec, continuous_qv_measure, iter_jumps,
+from .calculus import (continuous_qv_measure, iter_jumps,
                        local_time_time_integral, measure_integral,
                        stieltjes_integral)
 from .errors import ConfigError, IncompatibleScenarioError, NumericalAbort
@@ -264,7 +264,7 @@ def _generator(v):
            + v.coeff("mu_x") * v.deriv("d_x")
            + v.coeff("mu_a") * v.deriv("d_a")
            + 0.5 * np.square(v.coeff("sigma")) * v.deriv("d_xx"))
-    return measure_integral(np.where(v.off, gen, 0.0), LEBESGUE, v.bundle.grid)
+    return measure_integral(np.where(v.off, gen, 0.0), v.bundle.grid)
 
 
 def _brownian(v):
@@ -305,7 +305,7 @@ _VARIANTS = {
     ),
     "surfaces_strong": (
         ("avg_ft_time_integral", lambda v: measure_integral(
-            v.deriv("d_t", True), LEBESGUE, v.bundle.grid)),
+            v.deriv("d_t", True), v.bundle.grid)),
         ("avg_fa_da_continuous", lambda v: _against(
             v.deriv("d_a", True), v.bundle.a_drift_increments)),
         ("avg_fa_da_jumps", lambda v: _ordered_sum(
@@ -339,7 +339,7 @@ _VARIANTS = {
     "general": (
         ("h_dlambda", lambda v: measure_integral(
             np.broadcast_to(v.gen.h(v.t, v.bundle.a_pre, v.bundle.x_pre), v.x.shape),
-            v.gen.measure, v.bundle.grid)),
+            v.bundle.grid)),
         ("fx_dM", lambda v: _against(v.deriv("d_x"), v.bundle.m_increments)),
         ("local_time", _RIGHT_LOCAL_TIME),
         ("jump_compensation", _jump_sum),
@@ -400,12 +400,11 @@ def verify_smooth_fit(psf, bundle, qv_mode="analytic", fit_tol=1e-9,
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """User-supplied (H, lambda) pair for the general formula."""
+    """User-supplied H for the general formula; lambda is dt."""
 
     h: Callable  # (t, a, x) -> float, evaluated at left limits along paths
-    measure: MeasureSpec = LEBESGUE
 
 
 def verify_general(psf, gen, bundle, n=None, qv_mode="analytic"):
-    """General semimartingale formula with user-supplied (H, lambda)."""
+    """General semimartingale formula with user-supplied H and lambda = dt."""
     return _assemble("general", psf, bundle, qv_mode, n=n, gen=gen)

@@ -10,7 +10,7 @@ order, and no wall-clock data enters the outputs.
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -60,7 +60,11 @@ class ScenarioConfig:
         if self.qv_mode not in ("analytic", "realized"):
             raise ConfigError(f"unknown qv_mode: {self.qv_mode!r}")
         if self.bandwidth_rule != "coupled":
-            bw = float(self.bandwidth_rule)
+            try:
+                bw = float(self.bandwidth_rule)
+            except (TypeError, ValueError):
+                raise ConfigError("bandwidth must be 'coupled' or a number, "
+                                  f"got {self.bandwidth_rule!r}") from None
             if bw <= 0:
                 raise ConfigError("fixed bandwidth must be positive")
             self.bandwidth_rule = bw
@@ -266,13 +270,7 @@ def convergence_study(config, dt_list, out_dir=None):
         raise ConfigError("dt_list must be strictly decreasing")
     rows = []
     for dt in dts:
-        cfg = ScenarioConfig(
-            scenario=config.scenario, params=dict(config.params),
-            t_end=config.t_end, dt=dt, n_paths=config.n_paths,
-            seed=config.seed, variant=config.variant,
-            bandwidth_rule="coupled", qv_mode=config.qv_mode,
-            workers=config.workers,
-        )
+        cfg = replace(config, dt=dt, bandwidth_rule="coupled", output=None)
         summary = run_scenario(cfg)
         eps, n = cfg.bandwidths()
         rows.append({

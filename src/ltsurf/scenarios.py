@@ -10,7 +10,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import LEBESGUE, MeasureSpec
 from .errors import ConfigError, IncompatibleScenarioError
 from .formulas import (Branch, GeneratorSpec, PiecewiseSurfaceFunction,
                        smooth_psf, verify_general, verify_jump_ltc,
@@ -84,7 +83,7 @@ def _build_tanaka_bm(p):
     spec = SdeSpec(mu_x=p["mu"], sigma=p["sigma"], x0=p["x0"])
     psf = _abs_psf(constant_surface(p["level"]))
     # mu*sgn is locally bounded off the level, a Lebesgue-null set in time
-    gen = GeneratorSpec(h=lambda t, a, x: p["mu"] * _sgn(x - p["level"]), measure=LEBESGUE)
+    gen = GeneratorSpec(h=lambda t, a, x: p["mu"] * _sgn(x - p["level"]))
     return ScenarioParts(spec=spec, psf=psf, level=p["level"], gen=gen,
                          variants=("tanaka", "ltc_diffusion", "surfaces_strong",
                                    "jump_ltc", "general"))
@@ -94,8 +93,7 @@ def _build_smooth_quadratic(p):
     spec = SdeSpec(mu_x=p["mu"], sigma=p["sigma"], x0=p["x0"])
     psf = _quadratic_psf()
     # the classical Ito generator of x^2
-    gen = GeneratorSpec(h=lambda t, a, x: p["mu"] * 2.0 * x + p["sigma"] ** 2 + 0.0 * x,
-                        measure=LEBESGUE)
+    gen = GeneratorSpec(h=lambda t, a, x: p["mu"] * 2.0 * x + p["sigma"] ** 2 + 0.0 * x)
     return ScenarioParts(spec=spec, psf=psf, level=0.0, gen=gen,
                          variants=("ltc_diffusion", "surfaces_strong",
                                    "jump_ltc", "smooth_fit", "general", "tanaka"))
@@ -105,7 +103,7 @@ def _build_peskir_diffusion(p):
     spec = SdeSpec(mu_x=p["mu"], sigma=p["sigma"], x0=p["x0"])
     psf = _abs_psf(constant_surface(0.0))
     # mu*sgn(x) is locally bounded off the curve, and P[X_{s-} = 0] = 0
-    gen = GeneratorSpec(h=lambda t, a, x: p["mu"] * _sgn(x), measure=LEBESGUE)
+    gen = GeneratorSpec(h=lambda t, a, x: p["mu"] * _sgn(x))
     return ScenarioParts(spec=spec, psf=psf, level=0.0, gen=gen,
                          variants=("ltc_diffusion", "tanaka", "surfaces_strong",
                                    "jump_ltc", "general"))
@@ -206,8 +204,7 @@ def _build_exact_drift(p):
     # no a-dependence: the curves formula carries no F_a term
     psf = _linear_psf(ca=0.0)
     h_const = 0.3 + p["mu_x"] * 1.0
-    gen = GeneratorSpec(h=lambda t, a, x: h_const + 0.0 * np.asarray(x, float),
-                        measure=LEBESGUE)
+    gen = GeneratorSpec(h=lambda t, a, x: h_const + 0.0 * np.asarray(x, float))
     return ScenarioParts(spec=spec, psf=psf, level=-5.0, gen=gen,
                          variants=("tanaka", "ltc_diffusion", "surfaces_strong",
                                    "jump_ltc", "smooth_fit", "general"))
@@ -224,8 +221,7 @@ def _build_exact_drift_jump(p):
     psf = _linear_psf()
     h_const = 0.3 + p["mu_x"] * 1.0 + p["mu_a"] * 0.2
     # jumps enter the jump sum only
-    gen = GeneratorSpec(h=lambda t, a, x: h_const + 0.0 * np.asarray(x, float),
-                        measure=LEBESGUE)
+    gen = GeneratorSpec(h=lambda t, a, x: h_const + 0.0 * np.asarray(x, float))
     return ScenarioParts(spec=spec, psf=psf, level=-5.0, gen=gen,
                          variants=("tanaka", "surfaces_strong", "jump_ltc",
                                    "smooth_fit", "general"))
@@ -256,14 +252,6 @@ REGISTRY = {
         params={"mu": 0.2, "sigma": 1.0, "x0": 0.0},
         build=_build_peskir_diffusion,
     ),
-    "surfaces_strong": Scenario(
-        name="surfaces_strong",
-        description="Brownian motion, F = |x|, averaged one-sided derivatives",
-        formula="strong-smoothness surfaces formula",
-        default_variant="surfaces_strong",
-        params={"level": 0.0, "mu": 0.0, "sigma": 1.0, "x0": 0.0},
-        build=_build_tanaka_bm,
-    ),
     "glued_quadratic_jump": Scenario(
         name="glued_quadratic_jump",
         description="jump diffusion over the Lipschitz surface b = 1 + a/2, "
@@ -283,15 +271,6 @@ REGISTRY = {
                 "rate_z": 1.0, "jump": 0.5, "z_jump_mean": 0.3,
                 "x0": 1.2, "a0": 1.0},
         build=_build_smooth_fit_sqrt,
-    ),
-    "generator_lambda": Scenario(
-        name="generator_lambda",
-        description="drifted Brownian motion, F = |x|, user-supplied (H, lambda) "
-                    "with H the diffusion generator and lambda Lebesgue",
-        formula="general semimartingale formula",
-        default_variant="general",
-        params={"mu": 0.2, "sigma": 1.0, "x0": 0.0},
-        build=_build_peskir_diffusion,
     ),
     "exact_drift": Scenario(
         name="exact_drift",
@@ -357,7 +336,7 @@ def evaluate_variant(parts, variant, bundle, eps=None, n=None, qv_mode="analytic
     if variant == "general":
         if parts.gen is None:
             raise IncompatibleScenarioError(
-                "scenario supplies no (H, lambda) pair for the general variant")
+                "scenario supplies no generator H for the general variant")
         return verify_general(parts.psf, parts.gen, bundle, n=n, qv_mode=qv_mode)
     raise ConfigError(f"unknown variant: {variant!r}")
 

@@ -151,7 +151,7 @@ def test_criterion_6_smooth_fit_scenario():
 def test_criterion_7_general_formula_coherence():
     kw = dict(t_end=1.0, dt=4e-5, n_paths=400, seed=5, bandwidth_rule=0.01,
               workers=WORKERS)
-    sg = run_scenario(ScenarioConfig(scenario="generator_lambda", **kw),
+    sg = run_scenario(ScenarioConfig(scenario="peskir_diffusion", variant="general", **kw),
                       keep_reports=True)
     sp = run_scenario(ScenarioConfig(scenario="peskir_diffusion", **kw),
                       keep_reports=True)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltsurf import (LEBESGUE, ConfigError, MeasureSpec, SdeSpec,
-                    continuous_qv_measure, measure_integral,
-                    simulate_jump_diffusion, stieltjes_integral, two_point)
+from ltsurf import (ConfigError, SdeSpec, continuous_qv_measure,
+                    measure_integral, simulate_jump_diffusion,
+                    stieltjes_integral, two_point)
 from ltsurf.calculus import iter_jumps, local_time_time_integral
 
 
@@ -64,19 +64,13 @@ class TestJumpSum:
 class TestMeasureIntegral:
     def test_lebesgue_of_one_is_t(self):
         b = _bundle()
-        val = measure_integral(np.ones_like(b.times), LEBESGUE, b.grid)
+        val = measure_integral(np.ones_like(b.times), b.grid)
         assert val == pytest.approx(1.0)
-
-    def test_constant_density_scales_each_step(self):
-        b = _bundle()
-        val = measure_integral(b.times, MeasureSpec(density=2.0), b.grid)
-        assert val == np.sum(b.times[:-1] * 2.0 * b.grid.dts)
-        assert val == pytest.approx(1.0, abs=0.01)  # 2 * int_0^1 t dt
 
     def test_misaligned_rejected(self):
         b = _bundle()
         with pytest.raises(ConfigError):
-            measure_integral(b.times[1:], LEBESGUE, b.grid)
+            measure_integral(b.times[1:], b.grid)
 
 
 def test_local_time_time_integral_matches_stieltjes():

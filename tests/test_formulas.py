@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltsurf import (Branch, ConfigError, GeneratorSpec,
-                    IncompatibleScenarioError, MeasureSpec,
+                    IncompatibleScenarioError,
                     PiecewiseSurfaceFunction, SdeSpec, constant_surface,
                     local_time_tanaka_residual, simulate_jump_diffusion,
                     smooth_psf, two_point,
@@ -178,8 +178,7 @@ class TestVerifyGeneral:
     def test_constant_density_measure_with_linear_f_is_exact(self):
         spec = SdeSpec(mu_x=1.0, x0=0.0)
         b = simulate_jump_diffusion(spec, 1.0, 100, 0)
-        gen = GeneratorSpec(h=lambda t, a, x: 0.5 + 0.0 * np.asarray(t, float),
-                            measure=MeasureSpec(density=2.0))
+        gen = GeneratorSpec(h=lambda t, a, x: 1.0 + 0.0 * np.asarray(t, float))
         rep = verify_general(_linear_psf(), gen, b)
         assert abs(rep.residual) < 1e-14
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ltsurf import (ConfigError, NumericalAbort, ScenarioConfig, compare_estimators,
                     convergence_study, emit_bundles, run_scenario)
 from ltsurf import harness, paths
-from ltsurf.cli import main, read_config_file
+from ltsurf.cli import COMMANDS, build_parser, main, read_config_file
 from ltsurf.harness import derive_path_seed
 from ltsurf.localtime import (local_time_mollifier, local_time_occupation,
                               local_time_tanaka_residual)
@@ -21,8 +21,7 @@ from ltsurf.paths import simulate_jump_diffusion
 from ltsurf.scenarios import REGISTRY, build_parts, evaluate_variant, list_scenarios
 
 REQUIRED_SCENARIOS = ["tanaka_bm", "peskir_diffusion", "glued_quadratic_jump",
-                      "smooth_fit_sqrt_surface", "generator_lambda",
-                      "surfaces_strong"]
+                      "smooth_fit_sqrt_surface"]
 
 
 class TestRegistry:
@@ -122,6 +121,8 @@ class TestRunScenario:
             ScenarioConfig(scenario="tanaka_bm", qv_mode="weird")
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="tanaka_bm", bandwidth_rule=-0.1)
+        with pytest.raises(ConfigError):
+            ScenarioConfig(scenario="tanaka_bm", bandwidth_rule="wide")
 
 
 class TestConvergence:
@@ -148,6 +149,9 @@ class TestCli:
         out = capsys.readouterr().out
         for name in REQUIRED_SCENARIOS:
             assert name in out
+        with pytest.raises(SystemExit) as exc:
+            main(["scenarios", "--config", "run.cfg"])
+        assert exc.value.code == 2
 
     def test_unknown_scenario_exit_2(self, capsys):
         assert main(["verify", "--scenario", "nope", "--paths", "1"]) == 2
@@ -287,12 +291,60 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert len(out["rows"]) == 2
 
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_reads_exactly_its_table_keys(self, tmp_path, capsys, command):
+        keys = COMMANDS[command][1]
+        assert sorted(keys) == sorted(_READS[command].split())
+        table_keys = {k for _, ks in COMMANDS.values() for k in ks}
+        parser = build_parser()
+        for key, kind in keys.items():
+            assert getattr(parser.parse_args([command, _flag(key), "1"]), key) == kind("1")
+        unread = sorted(table_keys - set(keys)) + ([] if "scenario" in keys else ["param"])
+        for key in unread:
+            with pytest.raises(SystemExit) as exc:
+                main([command, _flag(key), "1"])
+            assert exc.value.code == 2
+        # a file from which the command runs, then that file plus one unread key
+        cfg = tmp_path / "run.cfg"
+        base = "".join(f"{k} = {v}\n" for k, v in _RUNNABLE.items() if k in keys)
+        base += f"out = {tmp_path}\n" if "out" in keys else ""
+        cfg.write_text(base)
+        assert main([command, "--config", str(cfg)]) == 0
+        unread = ["level"] + [k if k != "param" else "param.mu" for k in unread]
+        for key in unread:
+            cfg.write_text(base + f"{key} = 1\n")
+            assert main([command, "--config", str(cfg)]) == 2
+            assert f"{command} reads no config key {key!r}" in capsys.readouterr().err
+
+    def test_converge_reads_dts_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = exact_drift\npaths = 1\ndts = 0.5, 0.25\n")
+        assert main(["converge", "--config", str(cfg)]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["dt"] for r in rows] == [0.5, 0.25]
+
     def test_simulate_subcommand(self, tmp_path, capsys):
         rc = main(["simulate", "--scenario", "exact_drift_jump",
                    "--dt", "1e-2", "--paths", "2", "--out", str(tmp_path)])
         assert rc == 0
         header = (tmp_path / "paths.csv").read_text().split("\n")[0]
         assert header.startswith("path_id,t,jump,brownian")
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+# the keys each command reads, as README.md lists them
+_READS = {"simulate": "scenario t_end dt paths seed out",
+          "verify": "scenario t_end dt paths seed variant qv bandwidth workers out",
+          "converge": "scenario t_end paths seed variant qv workers dts out",
+          "localtime": "scenario t_end dt paths seed qv bandwidth workers",
+          "envelope": "surface m grid_n out"}
+
+# the config values each key takes in a run short enough for a unit test
+_RUNNABLE = {"scenario": "exact_drift", "paths": "1", "dt": "0.5",
+             "dts": "0.5,0.25", "m": "1", "grid_n": "1"}
 
 
 def test_read_config_file_errors(tmp_path):
