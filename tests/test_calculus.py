@@ -67,6 +67,13 @@ class TestMeasureIntegral:
         val = measure_integral(np.ones_like(b.times), b.grid)
         assert val == pytest.approx(1.0)
 
+    def test_constant_density_scales_each_step(self):
+        # a constant density c is the integrand c * f against Lebesgue
+        b = _bundle()
+        val = measure_integral(2.0 * b.times, b.grid)
+        assert val == np.sum(b.times[:-1] * 2.0 * b.grid.dts)
+        assert val == pytest.approx(1.0, abs=0.01)  # 2 * int_0^1 t dt
+
     def test_misaligned_rejected(self):
         b = _bundle()
         with pytest.raises(ConfigError):
