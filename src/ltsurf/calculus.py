@@ -28,17 +28,22 @@ def stieltjes_integral(f_vals, g_vals):
     return np.sum(f[..., :-1] * np.diff(g, axis=-1), axis=-1)
 
 
-def continuous_qv_measure(bundle, qv_mode="analytic"):
-    """Per-step increments of the continuous quadratic variation of X.
+def continuous_qv_measure(bundle, qv_mode="analytic", at=None):
+    """Per-step increments of the continuous quadratic variation of X, or
+    only those of the steps at the flat indices `at` (row * steps + step).
 
     analytic: sigma^2 * dt per step.
     realized: squared continuous step increments of X; jump increments are
     excluded, they belong to the discontinuous part of [X, X].
     """
     if qv_mode == "analytic":
-        return np.square(float(bundle.spec.sigma)) * bundle.grid.dts
+        dts = bundle.grid.dts
+        # a grid shared by every row of a block has one row, so its index wraps
+        return np.square(float(bundle.spec.sigma)) * (dts if at is None else
+                                                      np.take(dts, at, mode="wrap"))
     if qv_mode == "realized":
-        return np.square(bundle.diffusion_increments)
+        increments = bundle.diffusion_increments
+        return np.square(increments if at is None else np.take(increments, at))
     raise ConfigError(f"unknown qv_mode: {qv_mode!r}")
 
 

@@ -176,7 +176,9 @@ def _dispatch(args):
             print(f"wrote {out}/envelope.csv")
         return 0
 
-    dts = given.pop("dts", None)
+    dts = _floats(given.pop("dts"), "dts") if "dts" in given else None
+    if dts:
+        given["dt"] = dts[0]  # converge runs each listed dt and no other
     cfg = _scenario_config(given)
 
     if args.command == "simulate":
@@ -191,7 +193,7 @@ def _dispatch(args):
         return 0
 
     if args.command == "converge":
-        table = convergence_study(cfg, _floats(dts, "dts"), out_dir=cfg.output)
+        table = convergence_study(cfg, dts, out_dir=cfg.output)
         print(json.dumps(table, indent=2, sort_keys=True))
         return 0
 

@@ -7,8 +7,10 @@ residual is nondecreasing in the limit; on a grid it may wiggle at the
 discretisation scale), with one row per path of a block.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,22 +35,52 @@ def _default_kernel(z):
 DEFAULT_MOLLIFIER = MollifierSpec("quadratic_bump", _default_kernel)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalTimeSeries:
-    """Cumulative local-time values aligned to the bundle's grid."""
+    """Cumulative local time on the bundle's grid, stored as its hits.
 
-    values: np.ndarray
+    `shape` is that of the values: (L+1,) for one path, (P, L+1) for a
+    block. `hits` are the steps whose increments are kept, as increasing
+    flat indices row * L + step, and `increments` those increments; every
+    other step adds +0.0. With `hits` None, `increments` holds every step,
+    shape (..., L). `values`, each row's running sums from 0, is built on
+    first read.
+    """
 
-    @property
+    shape: tuple
+    hits: Optional[np.ndarray]
+    increments: np.ndarray
+
+    @cached_property
+    def values(self):
+        values = np.zeros(self.shape)
+        if self.hits is None:
+            values[..., 1:] = self.increments
+        else:
+            # a hit's increment is entry step + 1 of its row
+            values.flat[self.hits + self.hits // (self.shape[-1] - 1) + 1] = self.increments
+        return np.cumsum(values, axis=-1, out=values)
+
+    @cached_property
     def final(self):
-        """The last value: a float for one path, one per row for a block."""
-        return self.values.T[-1]
+        """The last value: a float for one path, one per row for a block.
 
-
-def _running_sums(increments):
-    """Each row's running sums 0, inc[0], inc[0] + inc[1], ..."""
-    values = np.concatenate((np.zeros(increments.shape[:-1] + (1,)), increments), axis=-1)
-    return LocalTimeSeries(np.cumsum(values, axis=-1, out=values))
+        Each row's sequential sum 0.0 + h0 + h1 + ... over its hits is its
+        last value bit for bit: adding +0.0 leaves a running sum unchanged,
+        and a running sum that starts at +0.0 is never -0.0.
+        """
+        if self.hits is None:
+            return self.values.T[-1]
+        rows = self.shape[:-1]
+        if math.prod(rows) == 1:
+            padded = np.concatenate(([0.0], self.increments)).reshape(*rows, -1)
+        else:
+            # each row's hits, left-aligned after a 0.0 and padded with +0.0
+            row = self.hits // (self.shape[-1] - 1)
+            col = np.arange(row.size) - np.searchsorted(row, row) + 1
+            padded = np.zeros((rows[0], col.max(initial=0) + 1))
+            padded[row, col] = self.increments
+        return np.cumsum(padded, axis=-1).T[-1]
 
 
 def _distance_to_target(bundle, surface_or_level):
@@ -57,6 +89,15 @@ def _distance_to_target(bundle, surface_or_level):
         return bundle.x_pre - float(surface_or_level)
     return bundle.x_pre - np.asarray(surface_or_level.b(bundle.times, bundle.a_pre),
                                      dtype=float)
+
+
+def _window_series(bundle, window, weight, qv_mode):
+    """The series whose increment at each step inside the window is
+    weight(hits) times the continuous QV of that step, where hits are the
+    flat indices of those steps, in order."""
+    hits = np.flatnonzero(window)
+    increments = weight(hits) * continuous_qv_measure(bundle, qv_mode=qv_mode, at=hits)
+    return LocalTimeSeries(window.shape[:-1] + (window.shape[-1] + 1,), hits, increments)
 
 
 def local_time_occupation(bundle, surface_or_level, eps, side="right",
@@ -70,7 +111,6 @@ def local_time_occupation(bundle, surface_or_level, eps, side="right",
     if eps <= 0:
         raise ConfigError("eps must be positive")
     u = _distance_to_target(bundle, surface_or_level)[..., :-1]
-    qv = continuous_qv_measure(bundle, qv_mode=qv_mode)
     if side == "right":
         window = (u >= 0.0) & (u < eps)
         scale = 1.0 / eps
@@ -79,30 +119,26 @@ def local_time_occupation(bundle, surface_or_level, eps, side="right",
         scale = 1.0 / (2.0 * eps)
     else:
         raise ConfigError(f"unknown side: {side!r}")
-    return _running_sums(scale * np.where(window, qv, 0.0))
+    return _window_series(bundle, window, lambda hits: scale, qv_mode)
 
 
 def local_time_mollifier(bundle, surface_or_level, n, rho=DEFAULT_MOLLIFIER,
-                         qv_mode="analytic"):
+                         qv_mode="analytic", distance=None):
     """Kernel estimator: cumulative sum of n rho(n (X-b)) d[X-b, X-b]^c.
 
     Nondecreasing whenever the kernel is nonnegative; one-sided (right)
-    because the kernel is supported on [0, 1].  The kernel is evaluated only
-    at the steps inside that window; every other increment is exactly 0.
+    because the kernel is supported on [0, 1].  The kernel and the QV are
+    evaluated only at the steps inside that window; every other increment
+    is exactly 0.  distance, if given, is X - b at left limits on the whole
+    grid, as the caller already has it.
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
-    u = _distance_to_target(bundle, surface_or_level)[..., :-1]
-    qv = continuous_qv_measure(bundle, qv_mode=qv_mode)
-    z = n * u
-    steps = u.shape[-1]
-    hits = np.flatnonzero((z >= 0.0) & (z <= 1.0))  # row * steps + step
-    values = np.zeros(u.shape[:-1] + (steps + 1,))
-    # a hit's increment is entry step + 1 of its row; a qv shared by every
-    # row of a block has one row, so its index wraps
-    values.flat[hits + hits // steps + 1] = (n * rho.evaluate(z.flat[hits])
-                                             * qv.flat[hits % qv.size])
-    return LocalTimeSeries(np.cumsum(values, axis=-1, out=values))
+    if distance is None:
+        distance = _distance_to_target(bundle, surface_or_level)
+    z = n * distance[..., :-1]
+    return _window_series(bundle, (z >= 0.0) & (z <= 1.0),
+                          lambda hits: n * rho.evaluate(z.flat[hits]), qv_mode)
 
 
 def local_time_tanaka_residual(bundle, level):
@@ -129,7 +165,8 @@ def local_time_tanaka_residual(bundle, level):
         stoch += sgn_jump
         # at non-jump indices x == x_pre, so jump_corr vanishes there exactly
         jump_corr = (abs_u[..., 1:] - np.abs(u_pre)) - sgn_jump
-    return _running_sums((abs_u[..., 1:] - abs_u[..., :-1]) - stoch - jump_corr)
+    increments = (abs_u[..., 1:] - abs_u[..., :-1]) - stoch - jump_corr
+    return LocalTimeSeries(u.shape, None, increments)
 
 
 def occupation_formula_check(bundle, g, level_grid, eps, qv_mode="analytic",

@@ -232,6 +232,8 @@ class PathBundle:
 
     @cached_property
     def k_drift_increments(self):
+        if self.spec.mu_x == 0.0 and not np.signbit(self.spec.mu_x):  # +0.0 * dt is +0.0
+            return self.grid.zero_steps
         return _read_only(self.spec.mu_x * self.grid.dts)
 
     @cached_property
@@ -250,7 +252,13 @@ class PathBundle:
     @cached_property
     def diffusion_increments(self):
         """Per-step continuous increments of X (drift + Brownian part)."""
-        return _read_only(self.k_drift_increments + self.m_increments)
+        m = self.m_increments
+        # +0.0 + m is m unless m holds a -0.0. No step of B, a running sum
+        # from +0.0, is -0.0, and sigma > 0 keeps each step's sign, short of
+        # a product so small that it underflows to zero
+        if self.k_drift_increments is self.grid.zero_steps and self.spec.sigma > 0.0:
+            return m
+        return _read_only(self.k_drift_increments + m)
 
 
 def _take(values, idx):

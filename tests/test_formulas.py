@@ -89,6 +89,63 @@ class TestPiecewise:
             psf.validate_glue(np.linspace(0, 1, 3), np.linspace(-1, 1, 3))
 
 
+def _registry_parts():
+    """Every registry scenario's parts, at its defaults and with every
+    parameter moved by 0.25 (rates and sigma stay positive)."""
+    for name in sorted(REGISTRY):
+        yield f"{name}-defaults", build_parts(name)[1]
+        shifted = {k: v + 0.25 for k, v in REGISTRY[name].params.items()}
+        yield f"{name}-shifted", build_parts(name, shifted)[1]
+
+
+_PARTS = dict(_registry_parts())
+
+
+def _points_off_the_surface(psf, side, seed, size=50):
+    """Random (t, a, x) with x at distance 0.05-1 below (side -1) or above (+1)
+    the surface; a stays in [0.3, 2], away from the sqrt surface's kink."""
+    rng = np.random.default_rng(seed)
+    t, a = rng.uniform(0.1, 1.0, size), rng.uniform(0.3, 2.0, size)
+    return t, a, psf.b(t, a) + side * rng.uniform(0.05, 1.0, size)
+
+
+class TestRegistryDerivatives:
+    H = 1e-5
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["lower", "upper"])
+    @pytest.mark.parametrize("key", sorted(_PARTS))
+    def test_branch_derivatives_match_central_differences(self, key, side):
+        psf = _PARTS[key].psf
+        branch = psf.lower if side < 0 else psf.upper
+        t, a, x = _points_off_the_surface(psf, side, seed=len(key))
+        h, f = self.H, branch.f
+        central = {
+            "d_t": (f(t + h, a, x) - f(t - h, a, x)) / (2 * h),
+            "d_a": (f(t, a + h, x) - f(t, a - h, x)) / (2 * h),
+            "d_x": (f(t, a, x + h) - f(t, a, x - h)) / (2 * h),
+            "d_xx": (f(t, a, x + h) - 2.0 * f(t, a, x) + f(t, a, x - h)) / h ** 2,
+        }
+        for attr, fd in central.items():
+            tol = 1e-3 if attr == "d_xx" else 1e-4
+            declared = np.broadcast_to(getattr(branch, attr)(t, a, x), t.shape)
+            np.testing.assert_allclose(declared, fd, rtol=0, atol=tol, err_msg=attr)
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["lower", "upper"])
+    @pytest.mark.parametrize("key", sorted(k for k, p in _PARTS.items() if p.gen))
+    def test_generator_is_the_ito_drift_off_the_surface(self, key, side):
+        parts = _PARTS[key]
+        psf, spec = parts.psf, parts.spec
+        t, a, x = _points_off_the_surface(psf, side, seed=len(key))
+
+        def d(attr):
+            return psf.deriv(attr, t, a, x)
+
+        expected = (d("d_t") + spec.mu_x * d("d_x") + spec.mu_a * d("d_a")
+                    + 0.5 * spec.sigma ** 2 * d("d_xx"))
+        h = np.broadcast_to(parts.gen.h(t, a, x), t.shape)
+        np.testing.assert_allclose(h, expected, rtol=1e-12, atol=1e-12)
+
+
 class TestVerifyTanaka:
     def test_drift_with_one_jump_is_exact(self):
         spec = SdeSpec(mu_x=1.0, lambda_x=1.0, rate_y=1.0,

@@ -323,6 +323,15 @@ class TestCli:
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert [r["dt"] for r in rows] == [0.5, 0.25]
 
+    def test_converge_checks_only_its_listed_dts(self, capsys):
+        # the default dt 1e-3 does not divide t_end; converge never runs it
+        argv = ["converge", "--scenario", "exact_drift", "--paths", "1", "--t-end", "0.0125"]
+        assert main(argv + ["--dts", "0.0125,0.00625"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["dt"] for r in rows] == [0.0125, 0.00625]
+        assert main(argv + ["--dts", "0.0125,0.003"]) == 2
+        assert "dt = 0.003 does not divide" in capsys.readouterr().err
+
     def test_simulate_subcommand(self, tmp_path, capsys):
         rc = main(["simulate", "--scenario", "exact_drift_jump",
                    "--dt", "1e-2", "--paths", "2", "--out", str(tmp_path)])

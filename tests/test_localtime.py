@@ -13,6 +13,7 @@ from ltsurf import (ConfigError, MollifierSpec, SdeSpec, constant_surface,
                     occupation_formula_check, simulate_jump_diffusion,
                     two_point)
 from ltsurf.localtime import DEFAULT_MOLLIFIER
+from ltsurf.paths import draw_path
 
 
 def _brownian_bundle(seed=5, n_steps=4000):
@@ -131,6 +132,94 @@ class TestMollifier:
     def test_n_validation(self):
         with pytest.raises(ConfigError):
             local_time_mollifier(_brownian_bundle(n_steps=10), 0.0, n=0)
+
+
+_SPECS = {"brownian": SdeSpec(sigma=1.0),
+          "drift_jumps": SdeSpec(mu_x=0.3, sigma=0.7, lambda_x=1.0, rate_y=2.0,
+                                 jump_law_y=two_point(-0.3, 0.2))}
+_WIDTH = 0.05  # the window: 1/n of the mollifier, eps of the occupation estimator
+
+
+def _layout_bundle(spec, layout):
+    """One 1-D path, a one-row block, or a block of rows sharing a step and
+    a jump count."""
+    if layout == "path":
+        return simulate_jump_diffusion(spec, 1.0, 4000, 5)
+    if layout == "row":
+        return simulate_jump_diffusion(spec, 1.0, 4000, [draw_path(spec, 1.0, 4000, 5)])
+    groups = {}
+    for seed in range(60):
+        draw = draw_path(spec, 1.0, 400, seed)
+        groups.setdefault((draw.n_steps, draw.jump_times.size), []).append(draw)
+    return simulate_jump_diffusion(spec, 1.0, 400, max(groups.values(), key=len)[:5])
+
+
+def _target(bundle, layout, kind):
+    """A level or a surface that some rows of a block meet in the window
+    and one row never does."""
+    if layout != "block":
+        return (0.0 if kind == "level"
+                else SimpleNamespace(b=lambda t, a: 0.1 * t + 0.0 * a))
+    x = bundle.x_pre
+    if kind == "level":
+        # the row that climbs highest meets it at its top, the lowest never
+        top = x[:, :-1].max(axis=-1)
+        assert top.min() < top.max() - 1.5 * _WIDTH
+        return top.max() - 0.5 * _WIDTH
+    # X - b is a random multiple of the width, 0.5 at step 0 (so each row
+    # has a hit at a step below its row index), and -1 on the whole first row
+    target = x - _WIDTH * np.random.default_rng(3).uniform(-1.5, 2.5, x.shape)
+    target[:, 0] = x[:, 0] - 0.5 * _WIDTH
+    target[0] = x[0] + 1.0
+    return SimpleNamespace(b=lambda t, a: target)
+
+
+def _dense_series(bundle, target, estimator, qv_mode):
+    """The series as a dense construction builds it: an increment at every
+    step, +0.0 outside the window, then each row's running sum from 0."""
+    b = target if np.isscalar(target) else np.asarray(target.b(bundle.times, bundle.a_pre))
+    u = (bundle.x_pre - b)[..., :-1]
+    drift = bundle.spec.mu_x * bundle.grid.dts
+    qv = (np.square(bundle.spec.sigma) * bundle.grid.dts if qv_mode == "analytic"
+          else np.square(drift + bundle.m_increments))
+    if estimator == "mollifier":
+        n = 1.0 / _WIDTH
+        z = n * u
+        inc = np.where((z >= 0.0) & (z <= 1.0), n * DEFAULT_MOLLIFIER.evaluate(z) * qv, 0.0)
+    elif estimator == "right":
+        inc = (1.0 / _WIDTH) * np.where((u >= 0.0) & (u < _WIDTH), qv, 0.0)
+    else:
+        inc = (1.0 / (2.0 * _WIDTH)) * np.where((u > -_WIDTH) & (u < _WIDTH), qv, 0.0)
+    values = np.concatenate((np.zeros(u.shape[:-1] + (1,)), inc), axis=-1)
+    return np.cumsum(values, axis=-1)
+
+
+class TestHitsOnlySeries:
+    @pytest.mark.parametrize("estimator", ["mollifier", "right", "symmetric"])
+    @pytest.mark.parametrize("qv", ["analytic", "realized"])
+    @pytest.mark.parametrize("kind", ["level", "surface"])
+    @pytest.mark.parametrize("layout", ["path", "row", "block"])
+    @pytest.mark.parametrize("spec", sorted(_SPECS))
+    def test_matches_the_dense_series_bit_for_bit(self, spec, layout, kind, qv, estimator):
+        bundle = _layout_bundle(_SPECS[spec], layout)
+        target = _target(bundle, layout, kind)
+        if estimator == "mollifier":
+            lt = local_time_mollifier(bundle, target, round(1.0 / _WIDTH), qv_mode=qv)
+        else:
+            lt = local_time_occupation(bundle, target, _WIDTH, side=estimator, qv_mode=qv)
+        expected = _dense_series(bundle, target, estimator, qv)
+        last = expected[..., -1]
+        if layout == "block":
+            assert np.any(last == 0.0) and np.any(last > 0.0)
+        else:
+            # enough hits that a pairwise sum would round differently
+            assert lt.increments.size > 16
+        final = lt.final
+        assert "values" not in vars(lt)  # final reads the hits only
+        assert np.shape(final) == last.shape
+        assert np.asarray(final).tobytes() == last.tobytes()
+        assert lt.values.shape == expected.shape
+        assert lt.values.tobytes() == expected.tobytes()
 
 
 class TestTanakaResidual:
