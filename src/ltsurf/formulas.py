@@ -200,9 +200,7 @@ def verify_tanaka(bundle, level, n=None, qv_mode="analytic"):
         sgn_jump = np.where(u_pre > 0.0, 1.0, -1.0) * bundle.k_jump_increments
         stoch += np.sum(sgn_jump, axis=-1)
         jump_corr = np.sum((np.abs(u[..., 1:]) - np.abs(u_pre)) - sgn_jump, axis=-1)
-    # x_pre is x_path without jumps, so u is the mollifier's X - a there
-    lt = local_time_mollifier(bundle, a, n, qv_mode=qv_mode,
-                              distance=u if bundle.x_pre is bundle.x_path else None)
+    lt = local_time_mollifier(bundle, a, n, qv_mode=qv_mode)
 
     lhs = np.abs(u[..., -1]) - np.abs(u[..., 0])
     terms = {

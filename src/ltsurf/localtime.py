@@ -35,7 +35,7 @@ def _default_kernel(z):
 DEFAULT_MOLLIFIER = MollifierSpec("quadratic_bump", _default_kernel)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LocalTimeSeries:
     """Cumulative local time on the bundle's grid, stored as its hits.
 
@@ -65,22 +65,15 @@ class LocalTimeSeries:
     def final(self):
         """The last value: a float for one path, one per row for a block.
 
-        Each row's sequential sum 0.0 + h0 + h1 + ... over its hits is its
-        last value bit for bit: adding +0.0 leaves a running sum unchanged,
-        and a running sum that starts at +0.0 is never -0.0.
+        For one path or a one-row block it is the sequential sum 0.0 + h0 +
+        h1 + ... over the hits, the last value bit for bit: adding +0.0
+        leaves a running sum unchanged, and a running sum that starts at
+        +0.0 is never -0.0. A block of more rows reads `values`.
         """
-        if self.hits is None:
+        if self.hits is None or math.prod(self.shape[:-1]) > 1:
             return self.values.T[-1]
-        rows = self.shape[:-1]
-        if math.prod(rows) == 1:
-            padded = np.concatenate(([0.0], self.increments)).reshape(*rows, -1)
-        else:
-            # each row's hits, left-aligned after a 0.0 and padded with +0.0
-            row = self.hits // (self.shape[-1] - 1)
-            col = np.arange(row.size) - np.searchsorted(row, row) + 1
-            padded = np.zeros((rows[0], col.max(initial=0) + 1))
-            padded[row, col] = self.increments
-        return np.cumsum(padded, axis=-1).T[-1]
+        sums = np.cumsum(np.concatenate(([0.0], self.increments)))
+        return sums.reshape(*self.shape[:-1], -1).T[-1]
 
 
 def _distance_to_target(bundle, surface_or_level):
@@ -123,20 +116,17 @@ def local_time_occupation(bundle, surface_or_level, eps, side="right",
 
 
 def local_time_mollifier(bundle, surface_or_level, n, rho=DEFAULT_MOLLIFIER,
-                         qv_mode="analytic", distance=None):
+                         qv_mode="analytic"):
     """Kernel estimator: cumulative sum of n rho(n (X-b)) d[X-b, X-b]^c.
 
     Nondecreasing whenever the kernel is nonnegative; one-sided (right)
     because the kernel is supported on [0, 1].  The kernel and the QV are
     evaluated only at the steps inside that window; every other increment
-    is exactly 0.  distance, if given, is X - b at left limits on the whole
-    grid, as the caller already has it.
+    is exactly 0.
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
-    if distance is None:
-        distance = _distance_to_target(bundle, surface_or_level)
-    z = n * distance[..., :-1]
+    z = n * _distance_to_target(bundle, surface_or_level)[..., :-1]
     return _window_series(bundle, (z >= 0.0) & (z <= 1.0),
                           lambda hits: n * rho.evaluate(z.flat[hits]), qv_mode)
 
