@@ -8,6 +8,8 @@ order, and no wall-clock data enters the outputs.
 """
 
 import json
+import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -19,7 +21,7 @@ from .errors import ConfigError
 from .formulas import coupled_eps, coupled_mollifier_n
 from .localtime import (local_time_mollifier, local_time_occupation,
                         local_time_tanaka_residual)
-from .paths import draw_path, simulate_jump_diffusion
+from .paths import draw_paths, seed_hash, seed_words, simulate_jump_diffusion
 from .scenarios import SURFACES, build_parts, evaluate_variant, list_scenarios
 from .surfaces import moreau_envelope
 
@@ -46,13 +48,16 @@ class ScenarioConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if self.t_end <= 0:
-            raise ConfigError("t_end must be positive")
+        # nan and inf fail these too, before they can silently change a run
+        if not 0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
+        if not 0 < self.t_end < math.inf:
+            raise ConfigError(f"t_end must be positive and finite, got {self.t_end!r}")
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ConfigError(f"dt = {self.dt!r} does not divide t_end = {self.t_end!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be at least 1")
         if self.workers < 1:
@@ -65,8 +70,8 @@ class ScenarioConfig:
             except (TypeError, ValueError):
                 raise ConfigError("bandwidth must be 'coupled' or a number, "
                                   f"got {self.bandwidth_rule!r}") from None
-            if bw <= 0:
-                raise ConfigError("fixed bandwidth must be positive")
+            if not 0 < bw < math.inf:
+                raise ConfigError(f"fixed bandwidth must be positive and finite, got {bw!r}")
             self.bandwidth_rule = bw
 
     @property
@@ -110,9 +115,13 @@ class EnsembleSummary:
 
 
 def derive_path_seed(master_seed, path_index):
-    """Stable per-path seed: hash of (master seed, path index)."""
-    ss = np.random.SeedSequence([int(master_seed), int(path_index)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Stable per-path seed: SeedSequence([master seed, path index]) hashed to
+    one uint64.  An int for one index; a uint64 array, hashed in one pass, for
+    an array of them."""
+    index = np.asarray(path_index)
+    words, master = seed_words(index), seed_words([master_seed])
+    seeds = seed_hash(np.vstack((np.repeat(master, words.shape[1], 1), words)), 1)[0]
+    return int(seeds[0]) if index.ndim == 0 else seeds
 
 
 def _run_paths(parts, t_end, n_steps, seeds, evaluate, args):
@@ -130,8 +139,7 @@ def _run_paths(parts, t_end, n_steps, seeds, evaluate, args):
             results[i] = result
 
     pending = {}  # (grid steps, jumps) -> [(path index, draw)] of a block being filled
-    for i, seed in enumerate(seeds):
-        draw = draw_path(parts.spec, t_end, n_steps, seed)
+    for i, draw in enumerate(draw_paths(parts.spec, t_end, n_steps, seeds)):
         key = (draw.n_steps, draw.jump_times.size)
         pending.setdefault(key, []).append((i, draw))
         if len(pending[key]) == rows:
@@ -155,7 +163,7 @@ def _fan_out(config, parts, evaluate, *args):
     indices and rebuilds the scenario from its name, since the parts hold
     closures that do not pickle.
     """
-    seeds = [derive_path_seed(config.seed, i) for i in range(config.n_paths)]
+    seeds = derive_path_seed(config.seed, np.arange(config.n_paths))
     if config.workers == 1 or config.n_paths == 1:
         return _run_paths(parts, config.t_end, config.n_steps, seeds, evaluate, args)
     n_chunks = min(config.n_paths, 4 * config.workers)
@@ -329,9 +337,9 @@ def emit_bundles(config, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     cols = ["path_id", "t", "jump", "brownian", "y", "z", "a", "x", "a_pre", "x_pre"]
     lines = [",".join(cols)]
-    for i in range(config.n_paths):
-        seed = derive_path_seed(config.seed, i)
-        b = simulate_jump_diffusion(parts.spec, config.t_end, config.n_steps, seed)
+    seeds = derive_path_seed(config.seed, np.arange(config.n_paths))
+    for i, draw in enumerate(draw_paths(parts.spec, config.t_end, config.n_steps, seeds)):
+        b = simulate_jump_diffusion(parts.spec, config.t_end, config.n_steps, draw)
         y = np.cumsum(np.concatenate(([0.0], b.dy)))
         z = np.cumsum(np.concatenate(([0.0], b.dz)))
         for k in range(len(b.times)):

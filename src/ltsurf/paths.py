@@ -12,6 +12,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, NumericalAbort
 
@@ -333,9 +334,9 @@ def simulate_compound_poisson(rate, jump_law, t_end, seed):
 
 def simulate_brownian(grid, seed):
     """Standard Brownian motion sampled on the grid (B_0 = 0), read-only: one
-    path, or one row per entry of a list of SeedSequences, drawn from each."""
+    path, or one row per entry of a list of seed sequences, drawn from each."""
     rows = isinstance(seed, list) and bool(seed) and all(
-        isinstance(s, np.random.SeedSequence) for s in seed)
+        isinstance(s, ISeedSequence) for s in seed)
     seeds = seed if rows else [seed]
     path = np.empty((len(seeds), grid.n_steps + 1))
     path[:, 0] = 0.0
@@ -373,44 +374,100 @@ class PathDraw(NamedTuple):
     train_z: JumpTrain
     jump_times: np.ndarray  # both trains' times, merged
     n_steps: int  # steps of the grid with the jump times merged in
-    seed_b: object  # the SeedSequence of the Brownian increments
+    seed_b: object  # the seed sequence of the Brownian increments
+
+
+def seed_hash(entropy, n_words):
+    """SeedSequence(entropy).generate_state(n_words, np.uint64) for each column
+    of a (k, P) array of uint32 entropy words, as (n_words, P): numpy's seed_seq
+    hash (O'Neill 2015) over a pool of 4 words, in wrapping uint32 arithmetic."""
+    def hashmix(value, c):  # c: numpy's running hash constant, which this advances
+        value, c[0] = value ^ np.uint32(c[0]), c[0] * c[1] & 0xFFFFFFFF
+        value = value * np.uint32(c[0])
+        return value ^ value >> 16
+
+    words, c = np.asarray(entropy, np.uint32), [0x43B0D7E5, 0x931E8875]
+    pool = [hashmix(words[i] if i < len(words) else 0 * words[0], c) for i in range(4)]
+    # each pool word into every other, then each entropy word past the pool into all
+    for src, dst in [(s, d) for s in range(max(4, len(words))) for d in range(4) if s != d]:
+        r = (pool[dst] * np.uint32(0xCA01F9DD)
+             - hashmix(pool[src] if src < 4 else words[src], c) * np.uint32(0x4973F715))
+        pool[dst] = r ^ r >> 16
+    c = [0x8B51F9DD, 0x58F38DED]
+    half = np.array([hashmix(pool[i % 4], c) for i in range(2 * n_words)], np.uint64)
+    return half[0::2] | half[1::2] << np.uint64(32)
+
+
+def seed_words(values, width=1):
+    """Each nonnegative int's uint32 words, least significant first, as SeedSequence
+    reads it: the columns of a (k, P) array zero-padded to `width` rows.  Padding
+    past `width` would change a hash, so then every int must need all k words."""
+    v = np.asarray(values, dtype=object).reshape(-1)
+    rows = max(width, -(-int(v.max()).bit_length() // 32))
+    if v.min() < 0 or (rows > width and v.min() >> 32 * (rows - 1) == 0):
+        raise ConfigError(f"seeds must be nonnegative integers, and those of one batch "
+                          f"as long as each other when longer than {width} words")
+    return np.array([(v >> 32 * j) & 0xFFFFFFFF for j in range(rows)], np.uint32)
+
+
+class ChildSeed(ISeedSequence):
+    """Child k of SeedSequence(entropy) as the 4 uint64 words that seed a PCG64."""
+
+    def __init__(self, entropy, k, state):
+        self.entropy, self.spawn_key, self.state = entropy, (k,), state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, np.dtype(dtype)) != (4, np.uint64):
+            raise ValueError("a ChildSeed holds only its 4 uint64 words")
+        return self.state
+
+
+def draw_paths(spec, t_end, n_steps, seeds):
+    """Both jump trains of each path from its seed, one PathDraw per seed in turn.
+    Sub-streams for the Y jumps, Z jumps and Brownian increments are children 0,
+    1 and 2 of SeedSequence(seed), so the Brownian draw does not depend on how
+    many jumps occurred.  Those in use are hashed for up to 4096 seeds at once."""
+    if t_end <= 0:
+        raise ConfigError("t_end must be positive")
+    used = [k for k, rate in enumerate((spec.rate_y, spec.rate_z, 1.0)) if rate > 0]
+    for lo in range(0, len(seeds), 4096):
+        chunk = seeds[lo:lo + 4096]
+        # a child's entropy is the seed's words padded to the pool, then k
+        words = np.vstack((np.tile(seed_words(chunk, 4), len(used)),
+                           np.repeat(np.uint32(used), len(chunk))))
+        states = dict(zip(used, np.ascontiguousarray(seed_hash(words, 4).T).reshape(
+            len(used), -1, 4)))
+        for i, seed in enumerate(map(int, chunk)):
+            y, z, b = (ChildSeed(seed, k, states[k][i]) if k in states else None
+                       for k in range(3))
+            train_y = simulate_compound_poisson(spec.rate_y, spec.jump_law_y, t_end, y)
+            train_z = simulate_compound_poisson(spec.rate_z, spec.jump_law_z, t_end, z)
+            # each train's times are sorted and distinct already
+            yt, zt = train_y.times, train_z.times
+            jump_times = np.union1d(yt, zt) if yt.size and zt.size else yt if yt.size else zt
+            steps = (np.count_nonzero(_kept_uniform(t_end, n_steps, jump_times)[1])
+                     + jump_times.size - 1) if jump_times.size else n_steps
+            yield PathDraw(train_y, train_z, jump_times, steps, b)
 
 
 def draw_path(spec, t_end, n_steps, seed):
-    """Both jump trains of a path from its seed.  Sub-streams for the Y
-    jumps, Z jumps and Brownian increments are children 0, 1 and 2 of
-    SeedSequence(seed), so the Brownian draw does not depend on how many
-    jumps occurred.  Each child is built alone, and only if it is used."""
-    if t_end <= 0:
-        raise ConfigError("t_end must be positive")
-
-    def child(k, used=True):
-        return np.random.SeedSequence(seed, spawn_key=(k,)) if used else None
-
-    train_y = simulate_compound_poisson(spec.rate_y, spec.jump_law_y, t_end,
-                                        child(0, spec.rate_y > 0))
-    train_z = simulate_compound_poisson(spec.rate_z, spec.jump_law_z, t_end,
-                                        child(1, spec.rate_z > 0))
-    # each train's times are sorted and distinct already
-    y, z = train_y.times, train_z.times
-    jump_times = np.union1d(y, z) if y.size and z.size else y if y.size else z
-    steps = (np.count_nonzero(_kept_uniform(t_end, n_steps, jump_times)[1])
-             + jump_times.size - 1) if jump_times.size else n_steps
-    return PathDraw(train_y, train_z, jump_times, steps, child(2))
+    """draw_paths for one seed."""
+    return next(draw_paths(spec, t_end, n_steps, [seed]))
 
 
 def simulate_jump_diffusion(spec, t_end, n_steps, seed):
     """Euler left-point simulation of (A, X) driven by B, Y, Z.
 
-    `seed` is one path's seed, which gives a 1-D bundle, or a list of
-    draw_path results whose grids share a step count and a jump count, which
-    gives a block with one row per draw, in list order.  Either way a path's
-    values depend only on (spec, t_end, n_steps) and its seed.
+    `seed` is one path's seed or draw_path result, which gives a 1-D bundle,
+    or a list of draw_path results whose grids share a step count and a jump
+    count, which gives a block with one row per draw, in list order.  Either
+    way a path's values depend only on (spec, t_end, n_steps) and its seed.
     """
     block = isinstance(seed, list)
     if block and not (seed and all(isinstance(d, PathDraw) for d in seed)):
         raise ConfigError("a block of paths is a non-empty list of draw_path results")
-    draws = seed if block else [draw_path(spec, t_end, n_steps, seed)]
+    draws = seed if block else [
+        seed if isinstance(seed, PathDraw) else draw_path(spec, t_end, n_steps, seed)]
     jump_times = [d.jump_times for d in draws]
     grid = build_grid(t_end, n_steps, jump_times if block else jump_times[0])
     seeds_b = [d.seed_b for d in draws]

@@ -244,3 +244,33 @@ def test_criterion_11_determinism_parallel_invariance(tmp_path):
     ok = blobs[0] == blobs[1]
     _line("criterion 11", ok, "bit-identical CSV+JSON across worker counts")
     assert ok
+
+
+# Convergence rates: the slope of log10 median |residual| per decade of dt
+# over dt = 1e-2, 1e-3, 1e-4.  A missing O(1) term would flatten it to 0,
+# which the monotone checks above do not catch.  Smooth F converges like
+# dt^(1/2); a local-time identity like dt^(1/4), the error of the left-point
+# sgn sum (Jacod 1998).  At seed 7 the slopes are 0.50-0.52 and 0.24-0.33;
+# seeds 3 and 101, unseen while the bands were set, gave 0.50-0.52 and
+# 0.18-0.35.
+RATE_BANDS = {
+    **dict.fromkeys([("smooth_quadratic", "ltc_diffusion"),
+                     ("smooth_fit_sqrt_surface", "smooth_fit")], (0.4, 0.6)),
+    **dict.fromkeys([("tanaka_bm", "tanaka"), ("tanaka_bm", "ltc_diffusion"),
+                     ("peskir_diffusion", "ltc_diffusion"), ("peskir_diffusion", "general"),
+                     ("glued_quadratic_jump", "jump_ltc"),
+                     ("glued_quadratic_jump", "surfaces_strong")], (0.15, 0.4)),
+}
+
+
+@pytest.mark.parametrize("name, variant", list(RATE_BANDS))
+def test_convergence_rate(name, variant):
+    dts = [1e-2, 1e-3, 1e-4]
+    cfg = ScenarioConfig(scenario=name, variant=variant, n_paths=400, seed=7,
+                         workers=WORKERS)
+    meds = [r["median_abs_residual"] for r in convergence_study(cfg, dts)["rows"]]
+    slope = np.polyfit(np.log10(dts), np.log10(meds), 1)[0]
+    lo, hi = RATE_BANDS[name, variant]
+    ok = lo <= slope <= hi
+    _line(f"rate {name}/{variant}", ok, f"slope {slope:.3f} per decade, band [{lo}, {hi}]")
+    assert ok, f"medians {meds}"

@@ -527,3 +527,12 @@ def test_block_reports_sum_their_terms():
     assert list(reports.terms) == list(reports[0].terms)
     for name, total in reports.terms.items():
         assert total == sum(r.terms[name] for r in reports)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--dt", "nan"), ("--dt", "inf"), ("--t-end", "nan"), ("--t-end", "inf"),
+    ("--bandwidth", "nan"), ("--bandwidth", "inf"), ("--seed", "-1")])
+def test_nonfinite_or_negative_input_exit_2(flag, value, capsys):
+    """Each would silently change the run or fail with a traceback."""
+    assert main(["verify", "--scenario", "tanaka_bm", "--paths", "1", f"{flag}={value}"]) == 2
+    assert "config error" in capsys.readouterr().err

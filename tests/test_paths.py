@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from ltsurf import (ConfigError, NumericalAbort, SdeSpec, build_grid,
                     simulate_brownian, simulate_compound_poisson,
                     simulate_jump_diffusion, two_point)
-from ltsurf.paths import JumpLaw, draw_path
+from ltsurf.harness import derive_path_seed
+from ltsurf.paths import ChildSeed, JumpLaw, draw_path, draw_paths, seed_hash, seed_words
 
 
 class TestBuildGrid:
@@ -327,3 +328,62 @@ class TestBlocks:
         ref = np.cumsum(np.concatenate(
             ([0.0], np.random.default_rng([3, 4]).standard_normal(30) * grid.sqrt_dts)))
         assert path.shape == (31,) and path.tobytes() == ref.tobytes()
+
+
+class TestSeedHash:
+    """The batched hash is numpy's SeedSequence, bit for bit."""
+
+    @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100])
+    def test_path_seeds_match_seed_sequence(self, master):
+        index = np.array([0, 1, 2, 7, 999, 2**31, 2**32 - 1])
+        expected = [int(np.random.SeedSequence([master, int(i)]).generate_state(1, np.uint64)[0])
+                    for i in index]
+        words = np.vstack((np.repeat(seed_words([master]), index.size, 1), seed_words(index)))
+        assert seed_hash(words, 1)[0].tolist() == expected
+        assert derive_path_seed(master, index).tolist() == expected
+        assert [derive_path_seed(master, int(i)) for i in index] == expected
+        assert derive_path_seed(master, np.arange(50)).tolist() == [
+            derive_path_seed(master, i) for i in range(50)]
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_children_match_seed_sequence(self, k):
+        seeds = [0, 1, 5, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, 2**100]
+        words = np.vstack((seed_words(seeds, 4), np.full(len(seeds), k, np.uint32)))
+        for seed, state in zip(seeds, seed_hash(words, 4).T):
+            ref = np.random.SeedSequence(seed, spawn_key=(k,))
+            assert state.tolist() == ref.generate_state(4, np.uint64).tolist()
+            child = ChildSeed(seed, k, np.ascontiguousarray(state))
+            assert (np.random.default_rng(child).standard_normal(8).tobytes()
+                    == np.random.default_rng(ref).standard_normal(8).tobytes())
+
+    def test_batch_across_chunks_matches_single_paths(self):
+        """A batch longer than one 4096-seed chunk draws each path's own streams."""
+        spec = SdeSpec(sigma=1.0)
+        seeds = derive_path_seed(3, np.arange(4100))
+        draws = list(draw_paths(spec, 1.0, 10, seeds))
+        assert len(draws) == seeds.size
+        for i in (0, 4095, 4096, 4099):
+            assert draws[i].seed_b.state.tolist() == _child_state(int(seeds[i]), 2)
+            assert draws[i].seed_b.entropy == int(seeds[i])
+            assert draws[i].train_y.times.size == 0 and draws[i].train_z.times.size == 0
+
+    def test_words_of_long_seeds(self):
+        # beyond the pool, every seed of a batch must be as long as the longest
+        for seeds in ([2**130, 2**150 + 1], [2**160]):
+            words = np.vstack((seed_words(seeds, 4), np.full(len(seeds), 1, np.uint32)))
+            assert seed_hash(words, 4).T.tolist() == [_child_state(s, 1) for s in seeds]
+        with pytest.raises(ConfigError, match="as long as each other"):
+            seed_words([1, 2**130], 4)
+        with pytest.raises(ConfigError, match="nonnegative"):
+            seed_words([3, -1])
+        with pytest.raises(ConfigError, match="nonnegative"):
+            derive_path_seed(-1, 0)
+
+    def test_child_seed_gives_only_its_state(self):
+        child = ChildSeed(5, 2, np.zeros(4, np.uint64))
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            child.generate_state(8, np.uint32)
+
+
+def _child_state(seed, k):
+    return np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64).tolist()
