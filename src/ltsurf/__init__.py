@@ -2,6 +2,9 @@
 estimate local time three independent ways, and verify change-of-variables
 formulas term by term on each simulated path."""
 
+# first, so that modules imported below can read it
+__version__ = "0.1.0"
+
 from .calculus import (continuous_qv_measure, local_time_time_integral,
                        measure_integral, stieltjes_integral)
 from .errors import (ConfigError, IncompatibleScenarioError, LtsurfError,
@@ -17,12 +20,10 @@ from .harness import (EnsembleSummary, ScenarioConfig, compare_estimators,
                       run_scenario)
 from .localtime import (DEFAULT_MOLLIFIER, LocalTimeSeries, MollifierSpec,
                         local_time_mollifier, local_time_occupation,
-                        local_time_tanaka_residual, occupation_formula_check)
-from .paths import (JumpLaw, JumpTrain, PathBundle, SdeSpec, TimeGrid,
+                        local_time_tanaka_residual)
+from .paths import (JumpLaw, PathBundle, SdeSpec, TimeGrid,
                     build_grid, simulate_brownian, simulate_compound_poisson,
                     simulate_jump_diffusion, two_point)
 from .scenarios import (REGISTRY, SURFACES, build_parts, evaluate_variant,
                         list_scenarios)
 from .surfaces import Surface, constant_surface, moreau_envelope
-
-__version__ = "0.1.0"

@@ -12,11 +12,12 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError
 from .formulas import coupled_eps, coupled_mollifier_n
 from .localtime import (local_time_mollifier, local_time_occupation,
@@ -24,8 +25,6 @@ from .localtime import (local_time_mollifier, local_time_occupation,
 from .paths import draw_paths, seed_hash, seed_words, simulate_jump_diffusion
 from .scenarios import SURFACES, build_parts, evaluate_variant, list_scenarios
 from .surfaces import moreau_envelope
-
-CODE_VERSION = "0.1.0"
 
 # Grid points per block of paths; a path of 2048 steps or more is alone.
 BLOCK_POINTS = 4096
@@ -100,17 +99,7 @@ class EnsembleSummary:
     reports: Optional[list] = None
 
     def to_json(self):
-        payload = {
-            "config": self.config,
-            "variant": self.variant,
-            "n_paths": self.n_paths,
-            "term_names": self.term_names,
-            "term_stats": self.term_stats,
-            "lhs_stats": self.lhs_stats,
-            "rhs_stats": self.rhs_stats,
-            "residual_stats": self.residual_stats,
-            "provenance": self.provenance,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "reports"}
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -127,25 +116,14 @@ def derive_path_seed(master_seed, path_index):
 def _run_paths(parts, t_end, n_steps, seeds, evaluate, args):
     """Per-path results of evaluate(parts, block, *args), which gives one per
     row, in seed order. A block holds up to BLOCK_POINTS // (n_steps + 1)
-    paths whose grids share a step count and a jump count, and runs once full.
+    paths whose grids share a step count and a jump count.
     """
-    rows = max(1, BLOCK_POINTS // (n_steps + 1))
+    draws = draw_paths(parts.spec, t_end, n_steps, seeds)
     results = [None] * len(seeds)
-
-    def run(block):
-        indices, draws = zip(*block)
-        bundle = simulate_jump_diffusion(parts.spec, t_end, n_steps, list(draws))
-        for i, result in zip(indices, evaluate(parts, bundle, *args)):
+    for rows in draws.blocks(max(1, BLOCK_POINTS // (n_steps + 1))):
+        bundle = simulate_jump_diffusion(parts.spec, t_end, n_steps, draws, rows)
+        for i, result in zip(rows.tolist(), evaluate(parts, bundle, *args)):
             results[i] = result
-
-    pending = {}  # (grid steps, jumps) -> [(path index, draw)] of a block being filled
-    for i, draw in enumerate(draw_paths(parts.spec, t_end, n_steps, seeds)):
-        key = (draw.n_steps, draw.jump_times.size)
-        pending.setdefault(key, []).append((i, draw))
-        if len(pending[key]) == rows:
-            run(pending.pop(key))
-    for block in pending.values():
-        run(block)
     return results
 
 
@@ -236,7 +214,7 @@ def run_scenario(config, keep_reports=False):
         rhs_stats=_column_stats(rhs, n_paths),
         residual_stats=residual_stats,
         provenance={
-            "code_version": CODE_VERSION,
+            "code_version": __version__,
             "eps": eps,
             "mollifier_n": n,
             "seed_derivation": "SeedSequence([master_seed, path_index])",
@@ -338,8 +316,9 @@ def emit_bundles(config, out_dir):
     cols = ["path_id", "t", "jump", "brownian", "y", "z", "a", "x", "a_pre", "x_pre"]
     lines = [",".join(cols)]
     seeds = derive_path_seed(config.seed, np.arange(config.n_paths))
-    for i, draw in enumerate(draw_paths(parts.spec, config.t_end, config.n_steps, seeds)):
-        b = simulate_jump_diffusion(parts.spec, config.t_end, config.n_steps, draw)
+    draws = draw_paths(parts.spec, config.t_end, config.n_steps, seeds)
+    for i in range(config.n_paths):
+        b = simulate_jump_diffusion(parts.spec, config.t_end, config.n_steps, draws, i)
         y = np.cumsum(np.concatenate(([0.0], b.dy)))
         z = np.cumsum(np.concatenate(([0.0], b.dz)))
         for k in range(len(b.times)):

@@ -18,6 +18,9 @@ from .errors import ConfigError, NumericalAbort
 
 _COEFFICIENTS = ("mu_x", "sigma", "lambda_x", "mu_a", "lambda_a")
 
+# a jump time within _SNAP * max(1, t_end) of a uniform grid point replaces it
+_SNAP = 1e-12
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -71,22 +74,13 @@ def _read_only(array):
     return view
 
 
-@dataclass(frozen=True)
-class JumpTrain:
-    """Finitely many (time, size) events of a pure-jump path on (0, t_end]."""
+class Jumps(NamedTuple):
+    """Compound Poisson trains of a batch of paths, flat: path p's counts[p] events
+    follow those of the paths before it, at strictly increasing times."""
 
+    counts: np.ndarray
     times: np.ndarray
     sizes: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.sizes, dtype=float)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "sizes", s)
-        if t.shape != s.shape:
-            raise ConfigError("jump times and sizes must align")
-        if t.size and not np.all(np.diff(t) > 0):
-            raise ConfigError("jump times must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -94,20 +88,27 @@ class JumpLaw:
     """Jump-size sampler with finite mean absolute size.
 
     kinds: two_point (values a/b with prob p/1-p) and exponential (mean,
-    optionally negated via sign).
+    optionally negated via sign).  A sample is sizes(draw(rng, n)).
     """
 
     kind: str
     params: tuple
 
-    def sample(self, rng, size):
+    def __post_init__(self):
+        if self.kind not in ("two_point", "exponential"):
+            raise ConfigError(f"unknown jump law kind: {self.kind!r}")
+
+    def draw(self, rng, size):
+        """The generator's draws, which sizes() maps elementwise."""
+        if self.kind == "two_point":
+            return rng.random(size)
+        return rng.exponential(abs(self.params[0]), size)
+
+    def sizes(self, draws):
         if self.kind == "two_point":
             lo, hi, p = self.params
-            return np.where(rng.random(size) < p, lo, hi).astype(float)
-        if self.kind == "exponential":
-            (mean,) = self.params
-            return np.sign(mean) * rng.exponential(abs(mean), size)
-        raise ConfigError(f"unknown jump law kind: {self.kind!r}")
+            return np.where(draws < p, lo, hi).astype(float)
+        return np.sign(self.params[0]) * draws
 
 
 def two_point(lo, hi, p=0.5):
@@ -291,7 +292,8 @@ def build_grid(t_end, n_steps, jump_times=()):
         return _uniform_grid(t_end, n_steps)
     if jt.min() <= 0 or jt.max() > t_end:
         raise ConfigError("jump times must lie in (0, t_end]")
-    uniform, keep = _kept_uniform(t_end, n_steps, jt)
+    uniform = _uniform_grid(t_end, n_steps).times
+    keep = ~(np.abs(uniform - jt[..., None]) <= _SNAP * max(1.0, t_end)).any(axis=-2)
     kept = np.broadcast_to(uniform, keep.shape)[keep].reshape(*jt.shape[:-1], -1)
     times = np.concatenate((kept, jt), axis=-1)
     flags = np.concatenate((np.zeros(kept.shape, dtype=bool), np.ones(jt.shape, dtype=bool)),
@@ -300,36 +302,46 @@ def build_grid(t_end, n_steps, jump_times=()):
     return TimeGrid(_take(times, order), _take(flags, order))
 
 
-def _kept_uniform(t_end, n_steps, jump_times):
-    """The uniform grid points, and which of them no jump time replaces."""
-    uniform = _uniform_grid(t_end, n_steps).times
-    atol = 1e-12 * max(1.0, t_end)
-    return uniform, ~(np.abs(uniform - jump_times[..., None]) <= atol).any(axis=-2)
-
-
 @lru_cache(maxsize=8)
 def _uniform_grid(t_end, n_steps):
     return TimeGrid(np.linspace(0.0, t_end, n_steps + 1), np.zeros(n_steps + 1, dtype=bool))
 
 
-_NO_JUMPS = JumpTrain(_read_only(np.empty(0)), _read_only(np.empty(0)))
-
-
 def simulate_compound_poisson(rate, jump_law, t_end, seed):
-    """Compound Poisson event train on (0, t_end], deterministic per seed."""
+    """Compound Poisson event trains on (0, t_end], deterministic per seed: one
+    per entry of a list of seeds, or a batch of one for any other seed.  Each
+    generator draws its count, that many uniform times, then that many sizes;
+    the distinct times take the first sizes, which a fresh generator draws
+    alike whatever the count, so no path draws twice."""
+    seeds = seed if isinstance(seed, list) else [seed]
     if rate < 0:
         raise ConfigError("rate must be nonnegative")
     if rate == 0:
-        return _NO_JUMPS
-    rng = np.random.default_rng(seed)
-    count = rng.poisson(rate * t_end)
-    times = np.sort(rng.uniform(0.0, t_end, count))
-    # strictly increasing times almost surely; drop pathological duplicates
-    if count > 1:
-        distinct = np.concatenate(([True], np.diff(times) > 0))
-        times = times[distinct]
-    sizes = jump_law.sample(rng, times.size)
-    return JumpTrain(times, sizes)
+        return Jumps(np.zeros(len(seeds), np.intp), np.empty(0), np.empty(0))
+    counts, times, draws = [], [np.empty(0)], [np.empty(0)]
+    for s in seeds:
+        rng = np.random.default_rng(s)
+        counts.append(n := rng.poisson(rate * t_end))
+        if n:  # uniform(0, t_end) is 0.0 + t_end * random(), bit for bit
+            times.append(rng.random(n))
+            draws.append(jump_law.draw(rng, n))
+    path, counts = np.repeat(np.arange(len(seeds)), counts), np.array(counts, np.intp)
+    times, sizes = t_end * np.concatenate(times), jump_law.sizes(np.concatenate(draws))
+    order, first = _by_path(path, times)
+    if first.all():  # strictly increasing times almost surely
+        return Jumps(counts, times[order], sizes)
+    rank = np.arange(path.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    distinct = np.bincount(path[first], minlength=counts.size)
+    return Jumps(distinct, times[order][first], sizes[rank < distinct[path]])
+
+
+def _by_path(path, times):
+    """The order that sorts events by path, then time, and which of the sorted
+    events is the first at its time in its path."""
+    order = np.lexsort((times, path))
+    path, times, first = path[order], times[order], np.ones(times.size, bool)
+    first[1:] = (times[1:] != times[:-1]) | (path[1:] != path[:-1])
+    return order, first
 
 
 def simulate_brownian(grid, seed):
@@ -347,15 +359,13 @@ def simulate_brownian(grid, seed):
     return _read_only(path if rows else path[0])
 
 
-def _jump_increments(trains, grid):
-    """Per-step increments of one jump train per grid row, each placed at the
-    step that ends at its (on-grid) jump time; grid.zero_steps if none jumps."""
-    if not any(train.times.size for train in trains):
+def _jump_increments(train, sizes, rows, at, grid):
+    """Per-step increments of one jump train in the grid's rows: sizes[at], one per
+    jump of a row, at the step that ends there; grid.zero_steps if no row jumps."""
+    if not (at.size and train.counts[rows].any()):
         return grid.zero_steps
     inc = np.zeros(grid.dts.shape)
-    for row, times, train in zip(np.atleast_2d(inc), np.atleast_2d(grid.times), trains):
-        # a train's jump times are distinct grid points, one per step at most
-        row[np.searchsorted(times, train.times) - 1] += train.sizes
+    np.put_along_axis(inc, grid.jump_indices - 1, sizes[at], axis=-1)
     return _read_only(inc)
 
 
@@ -365,16 +375,6 @@ def _accumulate(x0, continuous, jumps, shape):
     path[..., 0] = x0
     np.add(continuous, jumps, out=path[..., 1:])
     return np.cumsum(path, axis=-1, out=path)
-
-
-class PathDraw(NamedTuple):
-    """A path's random inputs short of its normals."""
-
-    train_y: JumpTrain
-    train_z: JumpTrain
-    jump_times: np.ndarray  # both trains' times, merged
-    n_steps: int  # steps of the grid with the jump times merged in
-    seed_b: object  # the seed sequence of the Brownian increments
 
 
 def seed_hash(entropy, n_words):
@@ -402,9 +402,12 @@ def seed_words(values, width=1):
     """Each nonnegative int's uint32 words, least significant first, as SeedSequence
     reads it: the columns of a (k, P) array zero-padded to `width` rows.  Padding
     past `width` would change a hash, so then every int must need all k words."""
-    v = np.asarray(values, dtype=object).reshape(-1)
-    rows = max(width, -(-int(v.max()).bit_length() // 32))
-    if v.min() < 0 or (rows > width and v.min() >> 32 * (rows - 1) == 0):
+    v = np.asarray(values).reshape(-1)
+    if v.dtype.kind not in "iu":  # Python ints past 64 bits, or ones numpy made floats
+        v = np.asarray(values, dtype=object).reshape(-1)
+    low, top = (int(v.min()), int(v.max())) if v.size else (0, 0)
+    rows = max(width, -(-top.bit_length() // 32))
+    if low < 0 or (rows > width and low >> 32 * (rows - 1) == 0):
         raise ConfigError(f"seeds must be nonnegative integers, and those of one batch "
                           f"as long as each other when longer than {width} words")
     return np.array([(v >> 32 * j) & 0xFFFFFFFF for j in range(rows)], np.uint32)
@@ -422,55 +425,105 @@ class ChildSeed(ISeedSequence):
         return self.state
 
 
+class Draws(NamedTuple):
+    """A batch's random inputs short of its normals, flat.  Path p's jumps are
+    entries offsets[p]:offsets[p + 1] of times, dy and dz: both trains' times
+    in increasing order, a time of both once, and each train's size where it
+    jumps, +0.0 elsewhere.  steps[p] counts the steps of p's grid with its jump
+    times merged in; states_b[p] seeds its Brownian child of seeds[p]."""
+
+    seeds: list
+    train_y: Jumps
+    train_z: Jumps
+    offsets: np.ndarray
+    times: np.ndarray
+    dy: np.ndarray
+    dz: np.ndarray
+    steps: np.ndarray
+    states_b: np.ndarray
+
+    def blocks(self, size):
+        """Path indices in blocks of up to `size` paths that share a step count and
+        a jump count: each (steps, jumps) pair's paths in path order, `size` at a time."""
+        jumps = np.diff(self.offsets)
+        pair = self.steps * (jumps.max(initial=0) + 1) + jumps
+        order = np.argsort(pair, kind="stable")  # path order within a pair
+        cuts = np.flatnonzero(np.diff(pair[order])) + 1
+        for group in np.split(order, cuts) if order.size else ():
+            yield from np.split(group, range(size, group.size, size))
+
+
 def draw_paths(spec, t_end, n_steps, seeds):
-    """Both jump trains of each path from its seed, one PathDraw per seed in turn.
+    """Both jump trains of each path from its seed, for all seeds at once.
     Sub-streams for the Y jumps, Z jumps and Brownian increments are children 0,
     1 and 2 of SeedSequence(seed), so the Brownian draw does not depend on how
-    many jumps occurred.  Those in use are hashed for up to 4096 seeds at once."""
+    many jumps occurred.  Those in use are hashed for up to 4096 seeds at once,
+    by SeedSequence itself for a few."""
     if t_end <= 0:
         raise ConfigError("t_end must be positive")
+    entropy = seeds.tolist() if isinstance(seeds, np.ndarray) else list(map(int, seeds))
     used = [k for k, rate in enumerate((spec.rate_y, spec.rate_z, 1.0)) if rate > 0]
-    for lo in range(0, len(seeds), 4096):
-        chunk = seeds[lo:lo + 4096]
-        # a child's entropy is the seed's words padded to the pool, then k
-        words = np.vstack((np.tile(seed_words(chunk, 4), len(used)),
-                           np.repeat(np.uint32(used), len(chunk))))
-        states = dict(zip(used, np.ascontiguousarray(seed_hash(words, 4).T).reshape(
-            len(used), -1, 4)))
-        for i, seed in enumerate(map(int, chunk)):
-            y, z, b = (ChildSeed(seed, k, states[k][i]) if k in states else None
-                       for k in range(3))
-            train_y = simulate_compound_poisson(spec.rate_y, spec.jump_law_y, t_end, y)
-            train_z = simulate_compound_poisson(spec.rate_z, spec.jump_law_z, t_end, z)
-            # each train's times are sorted and distinct already
-            yt, zt = train_y.times, train_z.times
-            jump_times = np.union1d(yt, zt) if yt.size and zt.size else yt if yt.size else zt
-            steps = (np.count_nonzero(_kept_uniform(t_end, n_steps, jump_times)[1])
-                     + jump_times.size - 1) if jump_times.size else n_steps
-            yield PathDraw(train_y, train_z, jump_times, steps, b)
+    states = [np.empty((len(used), 0, 4), np.uint64)]
+    for lo in range(0, len(entropy), 4096):
+        chunk, words = entropy[lo:lo + 4096], seed_words(seeds[lo:lo + 4096], 4)
+        if len(chunk) * len(used) <= 16:  # numpy's own is faster; seed_words checked them
+            states.append(np.array([[np.random.SeedSequence(s, spawn_key=(k,)).generate_state(
+                4, np.uint64) for s in chunk] for k in used]).reshape(len(used), -1, 4))
+        else:  # a child's entropy is the seed's words padded to the pool, then k
+            words = np.vstack((np.tile(words, len(used)), np.repeat(np.uint32(used), len(chunk))))
+            states.append(seed_hash(words, 4).T.reshape(len(used), -1, 4))
+    states = dict(zip(used, np.concatenate(states, axis=1)))
+    y, z = (simulate_compound_poisson(
+        rate, law, t_end, [ChildSeed(s, k, row) for s, row in zip(entropy, states[k])]
+        if k in states else [None] * len(entropy))
+        for k, rate, law in ((0, spec.rate_y, spec.jump_law_y), (1, spec.rate_z, spec.jump_law_z)))
+    # merge each path's trains, a time of both once, with each train's sizes
+    path = np.repeat(np.tile(np.arange(len(entropy)), 2), np.concatenate((y.counts, z.counts)))
+    times = np.concatenate((y.times, z.times))
+    order, first = _by_path(path, times)
+    sizes = np.zeros((2, np.count_nonzero(first)))
+    sizes[(order >= y.times.size).astype(np.intp), np.cumsum(first) - 1] = 0.0 + np.concatenate(
+        (y.sizes, z.sizes))[order]  # as adding into a step's zero: -0.0 becomes +0.0
+    path, times = path[order][first], times[order][first]
+    counts = np.bincount(path, minlength=len(entropy))
+    # a jump replaces the uniform points it snaps to, which can only be its
+    # neighbours: the points are far more than two snaps apart
+    uniform = _uniform_grid(t_end, n_steps).times
+    near = np.searchsorted(uniform, times) - np.arange(2)[:, None]
+    snapped = np.abs(uniform[near] - times) <= _SNAP * max(1.0, t_end)
+    replaced = np.unique((path * (n_steps + 1) + near)[snapped])
+    steps = n_steps + counts - np.bincount(replaced // (n_steps + 1), minlength=len(entropy))
+    return Draws(entropy, y, z, np.concatenate(([0], np.cumsum(counts))), times, *sizes, steps,
+                 states[2])
 
 
 def draw_path(spec, t_end, n_steps, seed):
     """draw_paths for one seed."""
-    return next(draw_paths(spec, t_end, n_steps, [seed]))
+    return draw_paths(spec, t_end, n_steps, [seed])
 
 
-def simulate_jump_diffusion(spec, t_end, n_steps, seed):
+def simulate_jump_diffusion(spec, t_end, n_steps, seed, rows=None):
     """Euler left-point simulation of (A, X) driven by B, Y, Z.
 
-    `seed` is one path's seed or draw_path result, which gives a 1-D bundle,
-    or a list of draw_path results whose grids share a step count and a jump
-    count, which gives a block with one row per draw, in list order.  Either
-    way a path's values depend only on (spec, t_end, n_steps) and its seed.
+    `seed` is one path's seed, which gives a 1-D bundle, or a draw_paths
+    result.  Of that, `rows` is one path's index, which gives a 1-D bundle, or
+    an array of indices of paths whose grids share a step count and a jump
+    count, which gives a block with one row per index, in order.  Either way
+    a path's values depend only on (spec, t_end, n_steps) and its seed.
     """
-    block = isinstance(seed, list)
-    if block and not (seed and all(isinstance(d, PathDraw) for d in seed)):
-        raise ConfigError("a block of paths is a non-empty list of draw_path results")
-    draws = seed if block else [
-        seed if isinstance(seed, PathDraw) else draw_path(spec, t_end, n_steps, seed)]
-    jump_times = [d.jump_times for d in draws]
-    grid = build_grid(t_end, n_steps, jump_times if block else jump_times[0])
-    seeds_b = [d.seed_b for d in draws]
-    return PathBundle(grid, spec, simulate_brownian(grid, seeds_b if block else seeds_b[0]),
-                      _jump_increments([d.train_y for d in draws], grid),
-                      _jump_increments([d.train_z for d in draws], grid))
+    if not isinstance(seed, Draws):
+        if rows is not None or not isinstance(seed, numbers.Integral):
+            raise ConfigError("a path's seed is an int; a block, draw_paths' result and rows")
+        seed, rows = draw_path(spec, t_end, n_steps, seed), 0
+    rows, draws = np.asarray(rows), seed
+    first = rows.flat[0] if rows.size else 0
+    lo, k = draws.offsets[rows], draws.offsets[first + 1] - draws.offsets[first]
+    if rows.size != 1 and not (rows.size and (draws.offsets[rows + 1] - lo == k).all()
+                               and (draws.steps[rows] == draws.steps[first]).all()):
+        raise ConfigError("a block's paths must share a step count and a jump count")
+    at = lo[..., None] + np.arange(k)
+    grid = build_grid(t_end, n_steps, draws.times[at])
+    seeds_b = [ChildSeed(draws.seeds[i], 2, draws.states_b[i]) for i in rows.reshape(-1).tolist()]
+    return PathBundle(grid, spec, simulate_brownian(grid, seeds_b if rows.ndim else seeds_b[0]),
+                      _jump_increments(draws.train_y, draws.dy, rows, at, grid),
+                      _jump_increments(draws.train_z, draws.dz, rows, at, grid))

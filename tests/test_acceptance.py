@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 from ltsurf import (ScenarioConfig, compare_estimators, convergence_study,
-                    moreau_envelope, occupation_formula_check, run_scenario,
-                    simulate_jump_diffusion)
+                    moreau_envelope, run_scenario, simulate_jump_diffusion)
 from ltsurf.harness import derive_path_seed
 from ltsurf.scenarios import SURFACES, build_parts
+from occupation import occupation_formula_check
 
 WORKERS = min(4, os.cpu_count() or 1)
 ORACLE_LT = np.sqrt(2.0 / np.pi)  # E|B_1|, folded standard normal

@@ -419,6 +419,22 @@ def test_traced_names_stay_importable(module, names):
     assert all(callable(getattr(mod, name, None)) for name in names.split())
 
 
+@pytest.mark.parametrize("scenario", ["tanaka_bm", "glued_quadratic_jump"])
+def test_every_traced_path_function_is_reached(scenario, monkeypatch):
+    """The benchmark's layer tracer times these through the names it wraps: one
+    the program no longer calls would leave its per-layer metric empty."""
+    reached = set()
+    for module, name in ((paths, "simulate_compound_poisson"), (paths, "simulate_brownian"),
+                         (paths, "build_grid"), (harness, "simulate_jump_diffusion")):
+        def recording(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            reached.add(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, recording)
+    run_scenario(ScenarioConfig(scenario=scenario, dt=1e-2, n_paths=5, seed=1))
+    assert reached == {"simulate_compound_poisson", "simulate_brownian", "build_grid",
+                       "simulate_jump_diffusion"}
+
+
 def _pairs():
     return [(name, variant) for name in REGISTRY
             for variant in (*build_parts(name)[1].variants, "localtime")]
@@ -474,11 +490,19 @@ def test_jump_on_a_uniform_grid_point_inside_a_block(monkeypatch):
     on_grid = np.linspace(0.0, 1.0, 51)[17]
 
     def patched(rate, law, t_end, seed):
-        train = draw(rate, law, t_end, seed)
-        if rate > 0 and seed.entropy % 2:  # Y, the only train, of every odd path seed
-            times = np.union1d(train.times, [on_grid])
-            return paths.JumpTrain(times, np.full(times.size, 0.25))
-        return train
+        jumps = draw(rate, law, t_end, seed)
+        if rate == 0:
+            return jumps
+        # Y, the only train, of every odd path seed: on_grid joins its times,
+        # and every size of the path is 0.25
+        trains = np.split(jumps.times, np.cumsum(jumps.counts)[:-1])
+        sizes = np.split(jumps.sizes, np.cumsum(jumps.counts)[:-1])
+        for i, child in enumerate(seed):
+            if child.entropy % 2:
+                trains[i] = np.union1d(trains[i], [on_grid])
+                sizes[i] = np.full(trains[i].size, 0.25)
+        return paths.Jumps(np.array([t.size for t in trains]), np.concatenate(trains),
+                           np.concatenate(sizes))
 
     monkeypatch.setattr(paths, "simulate_compound_poisson", patched)
     _, parts = build_parts("glued_quadratic_jump")
@@ -505,8 +529,8 @@ def test_nonfinite_term_in_a_block_aborts():
 def test_block_needs_given_bandwidths():
     """Without given bandwidths only one path couples them to its median step."""
     _, parts = build_parts("glued_quadratic_jump")
-    draws = [paths.draw_path(parts.spec, 1.0, 50, seed) for seed in range(3)]
-    block = simulate_jump_diffusion(parts.spec, 1.0, 50, draws[:1])
+    draws = paths.draw_paths(parts.spec, 1.0, 50, range(3))
+    block = simulate_jump_diffusion(parts.spec, 1.0, 50, draws, np.arange(1))
     for variant in ("jump_ltc", "surfaces_strong"):
         with pytest.raises(ConfigError, match="given bandwidths"):
             evaluate_variant(parts, variant, block)
@@ -519,10 +543,10 @@ def test_block_reports_sum_their_terms():
     """A block's reports are each path's; their `terms` sum each term over
     the rows, which is what reading one report's terms gives on a block."""
     _, parts = build_parts("glued_quadratic_jump")
-    draws = [paths.draw_path(parts.spec, 1.0, 50, seed) for seed in range(40)]
-    group = [d for d in draws if (d.n_steps, d.jump_times.size) == (51, 1)]
+    draws = paths.draw_paths(parts.spec, 1.0, 50, range(40))
+    group = np.flatnonzero((draws.steps == 51) & (np.diff(draws.offsets) == 1))
     reports = evaluate_variant(parts, "jump_ltc", simulate_jump_diffusion(
-        parts.spec, 1.0, 50, group), n=7)
+        parts.spec, 1.0, 50, draws, group), n=7)
     assert len(group) > 2 and len(reports) == len(group)
     assert list(reports.terms) == list(reports[0].terms)
     for name, total in reports.terms.items():

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from ltsurf import (ConfigError, MollifierSpec, SdeSpec, constant_surface,
                     continuous_qv_measure, local_time_mollifier,
                     local_time_occupation, local_time_tanaka_residual,
-                    occupation_formula_check, simulate_jump_diffusion,
-                    two_point)
+                    simulate_jump_diffusion, two_point)
 from ltsurf.localtime import DEFAULT_MOLLIFIER
-from ltsurf.paths import draw_path
+from ltsurf.paths import draw_path, draw_paths
+from occupation import occupation_formula_check
 
 
 def _brownian_bundle(seed=5, n_steps=4000):
@@ -146,12 +146,12 @@ def _layout_bundle(spec, layout):
     if layout == "path":
         return simulate_jump_diffusion(spec, 1.0, 4000, 5)
     if layout == "row":
-        return simulate_jump_diffusion(spec, 1.0, 4000, [draw_path(spec, 1.0, 4000, 5)])
-    groups = {}
-    for seed in range(60):
-        draw = draw_path(spec, 1.0, 400, seed)
-        groups.setdefault((draw.n_steps, draw.jump_times.size), []).append(draw)
-    return simulate_jump_diffusion(spec, 1.0, 400, max(groups.values(), key=len)[:5])
+        return simulate_jump_diffusion(spec, 1.0, 4000, draw_path(spec, 1.0, 4000, 5),
+                                       np.arange(1))
+    draws = draw_paths(spec, 1.0, 400, range(60))
+    # the largest group, the one of the lowest seed among equals
+    rows = max(draws.blocks(60), key=lambda rows: (rows.size, -rows[0]))
+    return simulate_jump_diffusion(spec, 1.0, 400, draws, rows[:5])
 
 
 def _target(bundle, layout, kind):

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ltsurf import (ConfigError, NumericalAbort, SdeSpec, build_grid,
+from ltsurf import (ConfigError, NumericalAbort, PathBundle, SdeSpec, build_grid,
                     simulate_brownian, simulate_compound_poisson,
                     simulate_jump_diffusion, two_point)
 from ltsurf.harness import derive_path_seed
@@ -281,19 +281,16 @@ class TestBlocks:
         spec = SdeSpec(mu_x=0.1, sigma=0.7, lambda_x=lam, mu_a=0.3, lambda_a=0.5,
                        rate_y=2.0, jump_law_y=two_point(-0.4, 0.6), rate_z=1.0,
                        jump_law_z=JumpLaw("exponential", (0.3,)), x0=0.2, a0=-0.1)
-        groups = {}
-        for seed in seeds:
-            draw = draw_path(spec, 1.0, 40, seed)
-            groups.setdefault((draw.n_steps, draw.jump_times.size), []).append((seed, draw))
-        for group in groups.values():
-            block = simulate_jump_diffusion(spec, 1.0, 40, [draw for _, draw in group])
-            assert block.grid.n_steps == group[0][1].n_steps
-            for row, (seed, _) in enumerate(group):
-                path = simulate_jump_diffusion(spec, 1.0, 40, seed)
+        draws = draw_paths(spec, 1.0, 40, seeds)
+        for rows in draws.blocks(len(seeds)):
+            block = simulate_jump_diffusion(spec, 1.0, 40, draws, rows)
+            assert block.grid.n_steps == draws.steps[rows[0]]
+            for row, i in enumerate(rows):
+                path = simulate_jump_diffusion(spec, 1.0, 40, seeds[i])
                 for name in ("times", *_ARRAYS):
                     # a jump-free block keeps one shared grid row
                     values = np.broadcast_to(getattr(block, name),
-                                             (len(group), *getattr(path, name).shape))
+                                             (len(rows), *getattr(path, name).shape))
                     assert values[row].tobytes() == getattr(path, name).tobytes(), name
 
     @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
@@ -311,12 +308,12 @@ class TestBlocks:
         assert b.b_path.tobytes() == simulate_brownian(b.grid, seed_b).tobytes()
 
     def test_jump_free_block_shares_the_uniform_grid(self):
-        draws = [draw_path(SdeSpec(sigma=1.0), 1.0, 30, seed) for seed in range(5)]
-        block = simulate_jump_diffusion(SdeSpec(sigma=1.0), 1.0, 30, draws)
+        draws = draw_paths(SdeSpec(sigma=1.0), 1.0, 30, range(5))
+        block = simulate_jump_diffusion(SdeSpec(sigma=1.0), 1.0, 30, draws, np.arange(5))
         assert block.grid is build_grid(1.0, 30)
         assert block.x_path.shape == (5, 31) and block.jump_free
         assert block.x_pre is block.x_path and block.dy is block.grid.zero_steps
-        one = simulate_jump_diffusion(SdeSpec(sigma=1.0), 1.0, 30, draws[:1])
+        one = simulate_jump_diffusion(SdeSpec(sigma=1.0), 1.0, 30, draws, np.arange(1))
         assert one.x_path.shape == (1, 31) and one.x_path.tobytes() == block.x_path[0].tobytes()
 
     def test_a_list_of_seeds_is_not_a_block(self):
@@ -328,6 +325,115 @@ class TestBlocks:
         ref = np.cumsum(np.concatenate(
             ([0.0], np.random.default_rng([3, 4]).standard_normal(30) * grid.sqrt_dts)))
         assert path.shape == (31,) and path.tobytes() == ref.tobytes()
+
+    def test_a_block_shares_its_step_and_jump_counts(self):
+        spec = _jump_spec()
+        draws = draw_paths(spec, 1.0, 30, range(40))
+        jumps = np.diff(draws.offsets)
+        for rows in ([], [int(np.argmin(jumps)), int(np.argmax(jumps))],
+                     [int(np.argmin(draws.steps)), int(np.argmax(draws.steps))]):
+            with pytest.raises(ConfigError, match="share a step count and a jump count"):
+                simulate_jump_diffusion(spec, 1.0, 30, draws, np.array(rows, int))
+
+
+class _Coarse:
+    """A generator whose random() draws are rounded up to multiples of 1/q, so
+    that a path's uniform times repeat and fall on grid points."""
+
+    def __init__(self, rng, q):
+        self.rng, self.q = rng, q
+
+    def random(self, size):
+        return np.ceil(self.rng.random(size) * self.q) / self.q
+
+    def uniform(self, low, high, size):
+        return low + (high - low) * self.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def _alone(spec, t_end, n_steps, seed):
+    """One path drawn and simulated by itself, one train at a time: sorted and
+    de-duplicated times, then sizes for the distinct ones, the trains' times
+    merged by union1d into a grid for this path only, and each train's sizes
+    added into zeros at the steps that end at its jumps."""
+    child_y, child_z, child_b = np.random.SeedSequence(seed).spawn(3)
+    trains = []
+    for rate, law, child in ((spec.rate_y, spec.jump_law_y, child_y),
+                             (spec.rate_z, spec.jump_law_z, child_z)):
+        times = sizes = np.empty(0)
+        if rate > 0:
+            rng = np.random.default_rng(child)
+            count = rng.poisson(rate * t_end)
+            times = np.sort(rng.uniform(0.0, t_end, count))
+            if count > 1:
+                times = times[np.concatenate(([True], np.diff(times) > 0))]
+            sizes = law.sizes(law.draw(rng, times.size))
+        trains.append((times, sizes))
+    grid = build_grid(t_end, n_steps, np.union1d(trains[0][0], trains[1][0]))
+    increments = []
+    for times, sizes in trains:
+        inc = np.zeros(grid.n_steps)
+        inc[np.searchsorted(grid.times, times) - 1] += sizes
+        increments.append(inc)
+    return trains, PathBundle(grid, spec, simulate_brownian(grid, child_b), *increments)
+
+
+class TestFlatDraw:
+    """A batch's flat draw and its blocks against each path on its own."""
+
+    @given(master=st.integers(0, 2**64 - 1), n=st.integers(1, 30),
+           rates=st.sampled_from([(0.3, 0.0), (2.0, 1.0), (25.0, 6.0), (0.0, 3.0)]),
+           t_end=st.sampled_from([1.0, 0.7, 2.5]), coarse=st.sampled_from([None, 4, 10]),
+           driver=st.sampled_from(["y", "z"]))
+    @settings(max_examples=25, deadline=None)
+    @example(master=3, n=4100, rates=(2.0, 1.0), t_end=0.7, coarse=None, driver="y")
+    @example(master=5, n=8, rates=(25.0, 6.0), t_end=1.0, coarse=4, driver="z")
+    @example(master=7, n=8, rates=(2.0, 1.0), t_end=2.5, coarse=10, driver="y")
+    def test_blocks_match_paths_alone(self, master, n, rates, t_end, coarse, driver):
+        """Zero, few and many jumps a path; with coarse draws, repeated times
+        (the de-duplication), times of both trains and jumps on grid points;
+        and past 4096 seeds, a chunk boundary of the seed hash."""
+        spec = SdeSpec(mu_x=0.1, sigma=0.7, lambda_x=1.0, mu_a=0.2, lambda_a=-0.5,
+                       rate_y=rates[0], jump_law_y=two_point(-0.4, 0.6), rate_z=rates[1],
+                       jump_law_z=JumpLaw("exponential", (-0.3,)), a_jump_driver=driver)
+        seeds = derive_path_seed(master, np.arange(n))
+        checked = range(n) if n <= 30 else (0, 1, 4095, 4096, n - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            if coarse:
+                rng = np.random.default_rng
+                mp.setattr(np.random, "default_rng", lambda seed: _Coarse(rng(seed), coarse))
+            draws = draw_paths(spec, t_end, 40, seeds)
+            where = {}
+            for rows in draws.blocks(7):
+                block = simulate_jump_diffusion(spec, t_end, 40, draws, rows)
+                where.update((i, (block, row)) for row, i in enumerate(rows.tolist()))
+            for i in checked:
+                trains, alone = _alone(spec, t_end, 40, int(seeds[i]))
+                for flat, (times, sizes) in zip((draws.train_y, draws.train_z), trains):
+                    lo = flat.counts[:i].sum()
+                    assert flat.counts[i] == times.size
+                    assert flat.times[lo:lo + times.size].tobytes() == times.tobytes()
+                    assert flat.sizes[lo:lo + times.size].tobytes() == sizes.tobytes()
+                assert draws.steps[i] == alone.grid.n_steps
+                block, row = where[i]
+                for name in ("times", "dy", "dz", *_ARRAYS):
+                    values = np.broadcast_to(getattr(block, name),
+                                             (block.b_path.shape[0], *getattr(alone, name).shape))
+                    assert values[row].tobytes() == getattr(alone, name).tobytes(), name
+
+    @pytest.mark.parametrize("law", [two_point(-0.4, 0.6), JumpLaw("exponential", (-0.3,))],
+                             ids=["two_point", "exponential"])
+    def test_sizes_of_a_count_start_with_those_of_a_smaller_count(self, law):
+        """The flat draw keeps the first d of a path's n sizes when only d of
+        its times are distinct: a fresh generator draws those d alike."""
+        for seed in range(300):
+            for n in (*range(8), 40):
+                sizes = law.sizes(law.draw(np.random.default_rng(seed), n))
+                for d in {0, n // 2, max(n - 1, 0)}:
+                    prefix = law.sizes(law.draw(np.random.default_rng(seed), d))
+                    assert sizes[:d].tobytes() == prefix.tobytes()
 
 
 class TestSeedHash:
@@ -360,12 +466,12 @@ class TestSeedHash:
         """A batch longer than one 4096-seed chunk draws each path's own streams."""
         spec = SdeSpec(sigma=1.0)
         seeds = derive_path_seed(3, np.arange(4100))
-        draws = list(draw_paths(spec, 1.0, 10, seeds))
-        assert len(draws) == seeds.size
+        draws = draw_paths(spec, 1.0, 10, seeds)
+        assert len(draws.seeds) == draws.steps.size == seeds.size
         for i in (0, 4095, 4096, 4099):
-            assert draws[i].seed_b.state.tolist() == _child_state(int(seeds[i]), 2)
-            assert draws[i].seed_b.entropy == int(seeds[i])
-            assert draws[i].train_y.times.size == 0 and draws[i].train_z.times.size == 0
+            assert draws.states_b[i].tolist() == _child_state(int(seeds[i]), 2)
+            assert draws.seeds[i] == int(seeds[i])
+            assert draws.train_y.counts[i] == 0 and draws.train_z.counts[i] == 0
 
     def test_words_of_long_seeds(self):
         # beyond the pool, every seed of a batch must be as long as the longest
