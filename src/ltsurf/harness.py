@@ -26,8 +26,9 @@ from .paths import draw_paths, seed_hash, seed_words, simulate_jump_diffusion
 from .scenarios import SURFACES, build_parts, evaluate_variant, list_scenarios
 from .surfaces import moreau_envelope
 
-# Grid points per block of paths; a path of 2048 steps or more is alone.
-BLOCK_POINTS = 4096
+# Grid points per block of paths: each of a block's (P, L+1) arrays is then
+# 128 KB, and a path of 8192 steps or more, such as a 1e4-step one, is alone.
+BLOCK_POINTS = 16384
 
 
 @dataclass
@@ -109,8 +110,9 @@ def derive_path_seed(master_seed, path_index):
     an array of them."""
     index = np.asarray(path_index)
     words, master = seed_words(index), seed_words([master_seed])
-    seeds = seed_hash(np.vstack((np.repeat(master, words.shape[1], 1), words)), 1)[0]
-    return int(seeds[0]) if index.ndim == 0 else seeds
+    if index.ndim == 0:  # numpy's own is faster for one; seed_words checked both
+        return np.random.SeedSequence([master_seed, int(index)]).generate_state(1, np.uint64).item()
+    return seed_hash(np.vstack((np.repeat(master, words.shape[1], 1), words)), 1)[0]
 
 
 def _run_paths(parts, t_end, n_steps, seeds, evaluate, args):
@@ -226,21 +228,13 @@ def run_scenario(config, keep_reports=False):
     return summary
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def write_outputs(summary, results, term_names, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "verify.csv")
     header = ["path_id", "lhs"] + [f"term_{t}" for t in term_names] + ["rhs", "residual"]
-    lines = [",".join(header)]
-    for i, (lhs, terms, rhs, residual) in enumerate(results):
-        row = [str(i), _fmt(lhs)]
-        row += [_fmt(terms[t]) for t in term_names]
-        row += [_fmt(rhs), _fmt(residual)]
-        lines.append(",".join(row))
-    with open(csv_path, "w") as fh:
+    row = "%d" + ",%.17g" * (len(header) - 1)  # "%.17g" % x is format(float(x), ".17g")
+    lines = [",".join(header)] + [row % (i, lhs, *map(terms.get, term_names), rhs, residual)
+                                  for i, (lhs, terms, rhs, residual) in enumerate(results)]
+    with open(os.path.join(out_dir, "verify.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         fh.write(summary.to_json() + "\n")
@@ -274,10 +268,8 @@ def convergence_study(config, dt_list, out_dir=None):
         os.makedirs(out_dir, exist_ok=True)
         cols = ["dt", "eps", "mollifier_n", "median_abs_residual",
                 "mean_abs_residual", "median_residual"]
-        lines = [",".join(cols)]
-        for r in rows:
-            lines.append(",".join(
-                _fmt(r[c]) if c != "mollifier_n" else str(r[c]) for c in cols))
+        lines = [",".join(cols)] + ["%.17g,%.17g,%d,%.17g,%.17g,%.17g" % tuple(map(r.get, cols))
+                                    for r in rows]
         with open(os.path.join(out_dir, "converge.csv"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
         with open(os.path.join(out_dir, "converge.json"), "w") as fh:
@@ -314,20 +306,15 @@ def emit_bundles(config, out_dir):
     _, parts = build_parts(config.scenario, config.params)
     os.makedirs(out_dir, exist_ok=True)
     cols = ["path_id", "t", "jump", "brownian", "y", "z", "a", "x", "a_pre", "x_pre"]
-    lines = [",".join(cols)]
+    lines, row = [",".join(cols)], "%d,%.17g,%d" + ",%.17g" * 7
     seeds = derive_path_seed(config.seed, np.arange(config.n_paths))
     draws = draw_paths(parts.spec, config.t_end, config.n_steps, seeds)
     for i in range(config.n_paths):
         b = simulate_jump_diffusion(parts.spec, config.t_end, config.n_steps, draws, i)
         y = np.cumsum(np.concatenate(([0.0], b.dy)))
         z = np.cumsum(np.concatenate(([0.0], b.dz)))
-        for k in range(len(b.times)):
-            lines.append(",".join([
-                str(i), _fmt(b.times[k]), str(int(b.grid.jump_flags[k])),
-                _fmt(b.b_path[k]), _fmt(y[k]), _fmt(z[k]),
-                _fmt(b.a_path[k]), _fmt(b.x_path[k]),
-                _fmt(b.a_pre[k]), _fmt(b.x_pre[k]),
-            ]))
+        lines += [row % (i, *r) for r in zip(b.times, b.grid.jump_flags, b.b_path, y, z,
+                                             b.a_path, b.x_path, b.a_pre, b.x_pre)]
     path = os.path.join(out_dir, "paths.csv")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -354,9 +341,7 @@ def envelope_table(surface_name, m_values, t_range=(0.0, 1.0), a_range=(-1.0, 1.
         rows += [(m, *r) for r in zip(tt.tolist(), aa.tolist(), env.tolist(), b)]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        lines = ["m,t,a,envelope,b"]
-        for r in rows:
-            lines.append(",".join(_fmt(v) for v in r))
+        lines = ["m,t,a,envelope,b"] + [("%.17g," * 4 + "%.17g") % r for r in rows]
         with open(os.path.join(out_dir, "envelope.csv"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
     return rows

@@ -290,16 +290,30 @@ def build_grid(t_end, n_steps, jump_times=()):
     jt = np.sort(np.asarray(jump_times, dtype=float), axis=-1)
     if jt.size == 0:
         return _uniform_grid(t_end, n_steps)
-    if jt.min() <= 0 or jt.max() > t_end:
+    if not (jt.min() > 0 and jt.max() <= t_end):
         raise ConfigError("jump times must lie in (0, t_end]")
-    uniform = _uniform_grid(t_end, n_steps).times
-    keep = ~(np.abs(uniform - jt[..., None]) <= _SNAP * max(1.0, t_end)).any(axis=-2)
-    kept = np.broadcast_to(uniform, keep.shape)[keep].reshape(*jt.shape[:-1], -1)
-    times = np.concatenate((kept, jt), axis=-1)
-    flags = np.concatenate((np.zeros(kept.shape, dtype=bool), np.ones(jt.shape, dtype=bool)),
-                           axis=-1)
-    order = np.argsort(times, axis=-1, kind="stable")
-    return TimeGrid(_take(times, order), _take(flags, order))
+    uniform, (rows, k) = _uniform_grid(t_end, n_steps).times, jt.reshape(-1, jt.shape[-1]).shape
+    near, snapped = _snaps(uniform, jt.reshape(-1), t_end)
+    row, keep = np.arange(rows).repeat(k), np.ones((rows, n_steps + 1), bool)
+    # a jump's slot: the uniform points before it that are kept, plus its rank
+    slot, width = near[0] + np.tile(np.arange(k), rows), n_steps + 1 + k
+    if snapped.any():
+        keep[np.broadcast_to(row, near.shape)[snapped], near[snapped]] = False
+        replaced = np.cumsum(~keep, axis=-1)
+        if (replaced[:, -1] != replaced[0, -1]).any():
+            raise ConfigError("the rows of a block must replace equally many uniform points")
+        slot, width = slot - replaced[row, near[1]], width - replaced[0, -1]
+    flags, times = np.zeros((rows, width), bool), np.empty((rows, width))
+    flags[row, slot] = True
+    times[flags], times[~flags] = jt.reshape(-1), np.broadcast_to(uniform, keep.shape)[keep]
+    return TimeGrid(times.reshape(*jt.shape[:-1], -1), flags.reshape(*jt.shape[:-1], -1))
+
+
+def _snaps(uniform, times, t_end):
+    """The two uniform points each time falls between, as rows (its searchsorted
+    index, then the one before), and which it snaps to: no farther point can."""
+    near = np.searchsorted(uniform, times) - np.arange(2)[:, None]
+    return near, np.abs(uniform[near] - times) <= _SNAP * max(1.0, t_end)
 
 
 @lru_cache(maxsize=8)
@@ -309,11 +323,11 @@ def _uniform_grid(t_end, n_steps):
 
 def simulate_compound_poisson(rate, jump_law, t_end, seed):
     """Compound Poisson event trains on (0, t_end], deterministic per seed: one
-    per entry of a list of seeds, or a batch of one for any other seed.  Each
-    generator draws its count, that many uniform times, then that many sizes;
-    the distinct times take the first sizes, which a fresh generator draws
+    per entry of a list of seeds or ChildSeeds, or a batch of one for any other
+    seed.  Each generator draws its count, that many uniform times, then that many
+    sizes; the distinct times take the first sizes, which a fresh generator draws
     alike whatever the count, so no path draws twice."""
-    seeds = seed if isinstance(seed, list) else [seed]
+    seeds = seed if isinstance(seed, (list, ChildSeeds)) else [seed]
     if rate < 0:
         raise ConfigError("rate must be nonnegative")
     if rate == 0:
@@ -425,6 +439,20 @@ class ChildSeed(ISeedSequence):
         return self.state
 
 
+class ChildSeeds:
+    """Child k of SeedSequence(s) for each s in entropy, each a ChildSeed made
+    from its row of states only when iterated to, so no list of them is held."""
+
+    def __init__(self, entropy, k, states):
+        self.entropy, self.k, self.states = entropy, k, states
+
+    def __len__(self):
+        return len(self.entropy)
+
+    def __iter__(self):
+        return (ChildSeed(s, self.k, row) for s, row in zip(self.entropy, self.states))
+
+
 class Draws(NamedTuple):
     """A batch's random inputs short of its normals, flat.  Path p's jumps are
     entries offsets[p]:offsets[p + 1] of times, dy and dz: both trains' times
@@ -473,10 +501,9 @@ def draw_paths(spec, t_end, n_steps, seeds):
             words = np.vstack((np.tile(words, len(used)), np.repeat(np.uint32(used), len(chunk))))
             states.append(seed_hash(words, 4).T.reshape(len(used), -1, 4))
     states = dict(zip(used, np.concatenate(states, axis=1)))
-    y, z = (simulate_compound_poisson(
-        rate, law, t_end, [ChildSeed(s, k, row) for s, row in zip(entropy, states[k])]
-        if k in states else [None] * len(entropy))
-        for k, rate, law in ((0, spec.rate_y, spec.jump_law_y), (1, spec.rate_z, spec.jump_law_z)))
+    trains = ((0, spec.rate_y, spec.jump_law_y), (1, spec.rate_z, spec.jump_law_z))
+    y, z = (simulate_compound_poisson(rate, law, t_end, ChildSeeds(entropy, k, states.get(k)))
+            for k, rate, law in trains)  # a train of rate 0 builds no ChildSeed
     # merge each path's trains, a time of both once, with each train's sizes
     path = np.repeat(np.tile(np.arange(len(entropy)), 2), np.concatenate((y.counts, z.counts)))
     times = np.concatenate((y.times, z.times))
@@ -486,11 +513,7 @@ def draw_paths(spec, t_end, n_steps, seeds):
         (y.sizes, z.sizes))[order]  # as adding into a step's zero: -0.0 becomes +0.0
     path, times = path[order][first], times[order][first]
     counts = np.bincount(path, minlength=len(entropy))
-    # a jump replaces the uniform points it snaps to, which can only be its
-    # neighbours: the points are far more than two snaps apart
-    uniform = _uniform_grid(t_end, n_steps).times
-    near = np.searchsorted(uniform, times) - np.arange(2)[:, None]
-    snapped = np.abs(uniform[near] - times) <= _SNAP * max(1.0, t_end)
+    near, snapped = _snaps(_uniform_grid(t_end, n_steps).times, times, t_end)
     replaced = np.unique((path * (n_steps + 1) + near)[snapped])
     steps = n_steps + counts - np.bincount(replaced // (n_steps + 1), minlength=len(entropy))
     return Draws(entropy, y, z, np.concatenate(([0], np.cumsum(counts))), times, *sizes, steps,

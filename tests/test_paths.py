@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from ltsurf import (ConfigError, NumericalAbort, PathBundle, SdeSpec, build_grid,
                     simulate_brownian, simulate_compound_poisson,
                     simulate_jump_diffusion, two_point)
+from ltsurf import paths
 from ltsurf.harness import derive_path_seed
-from ltsurf.paths import ChildSeed, JumpLaw, draw_path, draw_paths, seed_hash, seed_words
+from ltsurf.paths import (_SNAP, ChildSeed, ChildSeeds, JumpLaw, TimeGrid, _uniform_grid,
+                          draw_path, draw_paths, seed_hash, seed_words)
 
 
 class TestBuildGrid:
@@ -51,6 +53,88 @@ class TestBuildGrid:
             assert np.any(g.times == t)
         assert np.all(np.diff(g.times) > 0)
         assert g.times[0] == 0.0 and g.times[-1] == 1.0
+
+    def test_rows_replacing_unequally_many_points_are_rejected(self):
+        # 0.25 replaces a uniform point of 4 steps, 0.3 does not
+        with pytest.raises(ConfigError, match="equally many uniform points"):
+            build_grid(1.0, 4, [[0.25], [0.3]])
+        with pytest.raises(ConfigError, match="equally many uniform points"):
+            build_grid(1.0, 4, [[0.25, 0.5], [0.25, 0.25 + 0.5e-12]])
+
+
+def _sorted_grid(t_end, n_steps, jump_times=()):
+    """build_grid as it was before it placed jumps by searchsorted: every jump
+    tested against every uniform point, the kept points and the jumps merged,
+    then each row sorted."""
+    jt = np.sort(np.asarray(jump_times, dtype=float), axis=-1)
+    if jt.size == 0:
+        return _uniform_grid(t_end, n_steps)
+    if jt.min() <= 0 or jt.max() > t_end:
+        raise ConfigError("jump times must lie in (0, t_end]")
+    uniform = _uniform_grid(t_end, n_steps).times
+    keep = ~(np.abs(uniform - jt[..., None]) <= _SNAP * max(1.0, t_end)).any(axis=-2)
+    kept = np.broadcast_to(uniform, keep.shape)[keep].reshape(*jt.shape[:-1], -1)
+    times = np.concatenate((kept, jt), axis=-1)
+    flags = np.concatenate((np.zeros(kept.shape, dtype=bool), np.ones(jt.shape, dtype=bool)),
+                           axis=-1)
+    order = np.argsort(times, axis=-1, kind="stable")
+    return TimeGrid(np.take_along_axis(times, order, -1), np.take_along_axis(flags, order, -1))
+
+
+@st.composite
+def _jump_blocks(draw):
+    """(t_end, n_steps, jump times) with jump times of shape (k,) or (P, k). Each
+    row has the same columns: free times strictly between uniform points, up to
+    four uniform points of the row's own choosing each moved by its column's
+    offset, which keeps it within a snap of the point or takes it just past, on
+    either side, and perhaps t_end itself."""
+    t_end = draw(st.sampled_from([0.7, 1.0, 2.5]))
+    n_steps, k = draw(st.integers(1, 40)), draw(st.integers(0, 30))
+    rows = draw(st.sampled_from([None, 1, 2, 3, 6]))
+    at_end = k > 0 and draw(st.booleans())
+    offsets = draw(st.lists(st.one_of(st.floats(-0.5e-12, 0.5e-12),
+                                      st.sampled_from([-3e-12, -2e-12, 2e-12, 3e-12])),
+                            max_size=min(k - at_end, 4)))
+    uniform = _uniform_grid(t_end, n_steps).times
+    step = st.integers(0, n_steps - 1)
+
+    def row():
+        free = [uniform[draw(step)] + draw(st.floats(0.01, 0.99)) * t_end / n_steps
+                for _ in range(k - at_end - len(offsets))]
+        return free + [uniform[draw(step) + 1] + o for o in offsets] + [t_end] * at_end
+
+    block = [row() for _ in range(rows or 1)]
+    return t_end, n_steps, np.array(block[0] if rows is None else block, dtype=float)
+
+
+class TestGridBySearchsorted:
+    """The grid placed by searchsorted is the sorted merge, byte for byte."""
+
+    @given(_jump_blocks())
+    @settings(max_examples=300, deadline=None)
+    # two jumps replacing one uniform point in each row; two more and t_end; rows
+    # that replace unequally many points
+    @example((1.0, 4, np.array([[0.25 - 0.4e-12, 0.25 + 0.4e-12], [0.5, 0.5 + 0.3e-12]])))
+    @example((2.5, 10, np.array([0.5 - 1e-12, 0.5 + 1e-12, 2.5])))
+    @example((0.7, 7, np.array([[0.7, 0.1 + 0.2e-12], [0.35, 0.7]])))
+    def test_matches_the_sorted_grid(self, block):
+        t_end, n_steps, jt = block
+        uniform = _uniform_grid(t_end, n_steps).times
+        replaced = {np.count_nonzero((np.abs(uniform - row[:, None])
+                                      <= _SNAP * max(1.0, t_end)).any(axis=0))
+                    for row in np.atleast_2d(jt)}
+        try:
+            expected = None if len(replaced) > 1 else _sorted_grid(t_end, n_steps, jt)
+        except ConfigError:
+            expected = None
+        if expected is None:  # outside (0, t_end], repeated times or unequal rows
+            with pytest.raises(ConfigError):
+                build_grid(t_end, n_steps, jt)
+            return
+        grid = build_grid(t_end, n_steps, jt)
+        for name in ("times", "jump_flags", "dts", "jump_indices"):
+            new, old = getattr(grid, name), getattr(expected, name)
+            assert new.shape == old.shape and new.tobytes() == old.tobytes(), name
 
 
 class TestSharedGrid:
@@ -484,6 +568,19 @@ class TestSeedHash:
             seed_words([3, -1])
         with pytest.raises(ConfigError, match="nonnegative"):
             derive_path_seed(-1, 0)
+
+    def test_draw_gives_each_train_lazy_child_seeds(self, monkeypatch):
+        """Each train's generators are seeded from a ChildSeeds, in path order."""
+        passed, draw = [], paths.simulate_compound_poisson
+        monkeypatch.setattr(paths, "simulate_compound_poisson",
+                            lambda *args: passed.append(args[-1]) or draw(*args))
+        seeds = [0, 5, 2**40 + 3]
+        draw_paths(_jump_spec(), 1.0, 10, seeds)
+        assert len(passed) == 2
+        for k, children in enumerate(passed):
+            assert isinstance(children, ChildSeeds) and len(children) == len(seeds)
+            assert ([child.generate_state(4, np.uint64).tolist() for child in children]
+                    == [_child_state(s, k) for s in seeds])
 
     def test_child_seed_gives_only_its_state(self):
         child = ChildSeed(5, 2, np.zeros(4, np.uint64))
