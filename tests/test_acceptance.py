@@ -11,6 +11,7 @@ estimator of L can meet 0.05 there except by copying T's error.  At dt = 1e-5
 an honest estimator can, and the bound is kept unchanged.
 """
 
+import functools
 import os
 
 import numpy as np
@@ -274,3 +275,47 @@ def test_convergence_rate(name, variant):
     ok = lo <= slope <= hi
     _line(f"rate {name}/{variant}", ok, f"slope {slope:.3f} per decade, band [{lo}, {hi}]")
     assert ok, f"medians {meds}"
+
+
+# Mean-zero martingale terms.  Each summand of a left-point Ito sum is an
+# adapted integrand times sigma dB_k, or times a jump of Y, and dB_k (a
+# symmetric jump of Y, independent of the state) is independent of
+# everything before step k.  Under the Euler scheme such a term therefore has
+# mean exactly zero at every dt, and its ensemble mean over its standard error
+# is a z-score with no discretisation bias.  A look-ahead bug (an integrand
+# read at the step end, or at X rather than its left limit at a jump) gives
+# the term a nonzero mean that neither the medians nor the rates can see at a
+# fixed dt: with a right-point integrand, smooth_quadratic's Brownian term has
+# mean 2 sigma^2 T = 2 against a standard error of about 0.014.  |z| < 4.5
+# bounds all seven cases at once.  Every scenario draws its Brownian
+# increments from the same child seeds, so the z-scores of one seed are
+# correlated.
+MEAN_ZERO_TERMS = [
+    ("tanaka_bm", "tanaka", "sgn_stochastic_integral"),
+    ("smooth_quadratic", "ltc_diffusion", "sigma_fx_brownian"),
+    ("peskir_diffusion", "ltc_diffusion", "sigma_fx_brownian"),
+    ("glued_quadratic_jump", "jump_ltc", "sigma_fx_brownian"),
+    ("smooth_fit_sqrt_surface", "smooth_fit", "sigma_fx_brownian"),
+    ("peskir_diffusion", "general", "fx_dM"),
+    ("smooth_fit_sqrt_surface", "smooth_fit", "lambda_fx_dY"),
+]
+MEAN_ZERO_SEED = 17
+MEAN_ZERO_BOUND = 4.5
+
+
+@functools.lru_cache(maxsize=None)
+def _mean_zero_stats(name, variant):
+    cfg = ScenarioConfig(scenario=name, variant=variant, dt=1e-2, n_paths=10000,
+                         seed=MEAN_ZERO_SEED, workers=WORKERS)
+    return run_scenario(cfg).term_stats
+
+
+@pytest.mark.parametrize("name, variant, term", MEAN_ZERO_TERMS,
+                         ids=["/".join(c) for c in MEAN_ZERO_TERMS])
+def test_martingale_term_has_mean_zero(name, variant, term):
+    stats = _mean_zero_stats(name, variant)[term]
+    z = stats["mean"] / stats["se"]
+    ok = abs(z) < MEAN_ZERO_BOUND
+    _line(f"mean zero {name}/{variant}/{term}", ok,
+          f"z {z:+.2f} (mean {stats['mean']:.3e}, se {stats['se']:.3e}), bound {MEAN_ZERO_BOUND}")
+    assert ok
