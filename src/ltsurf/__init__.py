@@ -5,8 +5,8 @@ formulas term by term on each simulated path."""
 # first, so that modules imported below can read it
 __version__ = "0.1.0"
 
-from .calculus import (continuous_qv_measure, local_time_time_integral,
-                       measure_integral, stieltjes_integral)
+from .calculus import (continuous_qv_measure, left_point_sum,
+                       local_time_time_integral, measure_integral)
 from .errors import (ConfigError, IncompatibleScenarioError, LtsurfError,
                      NumericalAbort)
 from .formulas import (Branch, FormulaReport, GeneratorSpec,
@@ -18,9 +18,8 @@ from .formulas import (Branch, FormulaReport, GeneratorSpec,
 from .harness import (EnsembleSummary, ScenarioConfig, compare_estimators,
                       convergence_study, emit_bundles, envelope_table,
                       run_scenario)
-from .localtime import (DEFAULT_MOLLIFIER, LocalTimeSeries, MollifierSpec,
-                        local_time_mollifier, local_time_occupation,
-                        local_time_tanaka_residual)
+from .localtime import (LocalTimeSeries, local_time_mollifier,
+                        local_time_occupation, local_time_tanaka_residual)
 from .paths import (JumpLaw, PathBundle, SdeSpec, TimeGrid,
                     build_grid, simulate_brownian, simulate_compound_poisson,
                     simulate_jump_diffusion, two_point)

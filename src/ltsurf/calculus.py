@@ -1,6 +1,9 @@
-"""Pathwise integral evaluators: left-point Stieltjes sums, continuous
-quadratic variation, local-time time integrals, the jump iteration and
-dt integrals.
+"""Pathwise integral evaluators: the left-point sum, continuous quadratic
+variation, local-time time integrals, the jump iteration and dt integrals.
+
+Every integral is a left-point sum of an integrand on the grid against
+stored per-step increments (dt, dB, dM, d[X]^c), or, against a local time,
+a sum over its window hits; no path is differenced again.
 
 Each reduces along the last axis, so a block of paths reduces row by row,
 exactly as each path alone. Every reduction runs in fixed index order on
@@ -8,6 +11,7 @@ immutable arrays, so results are bit-reproducible regardless of how paths
 are distributed to blocks or workers.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -15,17 +19,17 @@ import numpy as np
 from .errors import ConfigError
 
 
-def _check_aligned(f_vals, g_vals):
-    if np.shape(f_vals)[-1:] != np.shape(g_vals)[-1:]:
+def _check_aligned(f, n_points):
+    if f.shape[-1:] != (n_points,):
         raise ConfigError("integrand and integrator must be aligned")
 
 
-def stieltjes_integral(f_vals, g_vals):
-    """Left-point Riemann-Stieltjes sum of each row: sum f[k] * (g[k+1] - g[k])."""
+def left_point_sum(f_vals, increments):
+    """Left-point sum of each row: sum over the steps k of f[k] * increments[k],
+    with f on the grid's points (..., L+1) and increments per step (..., L)."""
     f = np.asarray(f_vals, dtype=float)
-    g = np.asarray(g_vals, dtype=float)
-    _check_aligned(f, g)
-    return np.sum(f[..., :-1] * np.diff(g, axis=-1), axis=-1)
+    _check_aligned(f, np.shape(increments)[-1] + 1)
+    return np.sum(f[..., :-1] * increments, axis=-1)
 
 
 def continuous_qv_measure(bundle, qv_mode="analytic", at=None):
@@ -48,8 +52,18 @@ def continuous_qv_measure(bundle, qv_mode="analytic", at=None):
 
 
 def local_time_time_integral(f_vals, lt):
-    """Left-point Stieltjes sum against local-time increments."""
-    return stieltjes_integral(f_vals, getattr(lt, "values", lt))
+    """Left-point sum of each row against a LocalTimeSeries: f at each hit
+    times its increment, added in hit order from 0.0, one row at a time.
+    Steps outside the window add nothing, not even a +0.0 term.  A series
+    without hits is summed over every step the same way."""
+    *head, n_points = lt.shape
+    f = np.asarray(f_vals, dtype=float)
+    _check_aligned(f, n_points)
+    rows, steps = math.prod(head), n_points - 1
+    row, step = np.divmod(np.arange(rows * steps) if lt.hits is None else lt.hits, steps)
+    weights = np.broadcast_to(f, (rows, n_points))[row, step] * lt.increments.reshape(-1)
+    # bincount adds in input order; of no hits it gives integer zeros
+    return np.bincount(row, weights, minlength=rows).astype(float).reshape(head)[()]
 
 
 class JumpContext(NamedTuple):
@@ -83,6 +97,4 @@ def iter_jumps(bundle):
 
 def measure_integral(f_vals, grid):
     """Left-point dt sum of each row of an integrand."""
-    f = np.asarray(f_vals, dtype=float)
-    _check_aligned(f, grid.times)
-    return np.sum(f[..., :-1] * grid.dts, axis=-1)
+    return left_point_sum(f_vals, grid.dts)

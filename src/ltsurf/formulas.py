@@ -25,9 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import (continuous_qv_measure, iter_jumps,
-                       local_time_time_integral, measure_integral,
-                       stieltjes_integral)
+from .calculus import (continuous_qv_measure, iter_jumps, left_point_sum,
+                       local_time_time_integral, measure_integral)
 from .errors import ConfigError, IncompatibleScenarioError, NumericalAbort
 from .localtime import local_time_mollifier, local_time_occupation
 
@@ -253,11 +252,6 @@ class _PathView:
                 for j in iter_jumps(self.bundle)]
 
 
-def _against(f, increments):
-    """Left-point sum of a whole-grid integrand against per-step increments."""
-    return np.sum(f[..., :-1] * increments, axis=-1)
-
-
 def _generator(v):
     """(F_t + mu_x F_x + mu_a F_a + 1/2 sigma^2 F_xx) 1{X != b} dt."""
     gen = (v.deriv("d_t")
@@ -270,14 +264,13 @@ def _generator(v):
 def _brownian(v):
     """sigma F_x 1{X != b} dB."""
     f = np.where(v.off, v.coeff("sigma") * v.deriv("d_x"), 0.0)
-    return stieltjes_integral(f, v.bundle.b_path)
+    return left_point_sum(f, v.bundle.db)
 
 
 def _local_time(estimate):
     """1/2 (F_x(b+) - F_x(b-)) dl, with l = estimate(view)."""
     def term(v):
-        gap = np.broadcast_to(0.5 * fx_jump(v.psf, v.t, v.a), v.x.shape)
-        return local_time_time_integral(gap, estimate(v))
+        return local_time_time_integral(0.5 * fx_jump(v.psf, v.t, v.a), estimate(v))
     return term
 
 
@@ -306,15 +299,15 @@ _VARIANTS = {
     "surfaces_strong": (
         ("avg_ft_time_integral", lambda v: measure_integral(
             v.deriv("d_t", True), v.bundle.grid)),
-        ("avg_fa_da_continuous", lambda v: _against(
+        ("avg_fa_da_continuous", lambda v: left_point_sum(
             v.deriv("d_a", True), v.bundle.a_drift_increments)),
         ("avg_fa_da_jumps", lambda v: _ordered_sum(
             v.deriv("d_a", True, j) * j.da for j, _ in v.jumps)),
-        ("avg_fx_dx_continuous", lambda v: _against(
+        ("avg_fx_dx_continuous", lambda v: left_point_sum(
             v.deriv("d_x", True), v.bundle.diffusion_increments)),
         ("avg_fx_dx_jumps", lambda v: _ordered_sum(
             v.deriv("d_x", True, j) * j.dx for j, _ in v.jumps)),
-        ("half_fxx_qv", lambda v: _against(
+        ("half_fxx_qv", lambda v: left_point_sum(
             np.where(v.off, 0.5 * v.deriv("d_xx"), 0.0),
             continuous_qv_measure(v.bundle, qv_mode=v.qv_mode))),
         ("local_time", _SYMMETRIC_LOCAL_TIME),
@@ -340,7 +333,7 @@ _VARIANTS = {
         ("h_dlambda", lambda v: measure_integral(
             np.broadcast_to(v.gen.h(v.t, v.bundle.a_pre, v.bundle.x_pre), v.x.shape),
             v.bundle.grid)),
-        ("fx_dM", lambda v: _against(v.deriv("d_x"), v.bundle.m_increments)),
+        ("fx_dM", lambda v: left_point_sum(v.deriv("d_x"), v.bundle.m_increments)),
         ("local_time", _RIGHT_LOCAL_TIME),
         ("jump_compensation", _jump_sum),
     ),
@@ -375,7 +368,7 @@ def verify_jump_ltc(psf, bundle, n=None, qv_mode="analytic"):
     Requires a Lipschitz-declared surface so the composed boundary process
     has bounded variation.
     """
-    if not psf.surface.is_lipschitz:
+    if not psf.surface.lipschitz:
         raise IncompatibleScenarioError(
             "this variant requires a Lipschitz-declared surface")
     return _assemble("jump_ltc", psf, bundle, qv_mode, n=n)

@@ -7,32 +7,14 @@ residual is nondecreasing in the limit; on a grid it may wiggle at the
 discretisation scale), with one row per path of a block.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .calculus import continuous_qv_measure
+from .calculus import continuous_qv_measure, local_time_time_integral
 from .errors import ConfigError
-
-
-@dataclass(frozen=True)
-class MollifierSpec:
-    """Kernel supported on [0, 1] with unit mass."""
-
-    name: str
-    evaluate: Callable[[np.ndarray], np.ndarray]
-
-
-def _default_kernel(z):
-    z = np.asarray(z, dtype=float)
-    return np.where((z >= 0.0) & (z <= 1.0), 6.0 * z * (1.0 - z), 0.0)
-
-
-# integral of 6 z (1 - z) over [0, 1] is exactly 1
-DEFAULT_MOLLIFIER = MollifierSpec("quadratic_bump", _default_kernel)
 
 
 @dataclass(frozen=True)
@@ -43,8 +25,8 @@ class LocalTimeSeries:
     block. `hits` are the steps whose increments are kept, as increasing
     flat indices row * L + step, and `increments` those increments; every
     other step adds +0.0. With `hits` None, `increments` holds every step,
-    shape (..., L). `values`, each row's running sums from 0, is built on
-    first read.
+    shape (..., L). The library reads only the hits; `values`, each row's
+    running sums from 0, is built on first read, for inspection.
     """
 
     shape: tuple
@@ -65,15 +47,12 @@ class LocalTimeSeries:
     def final(self):
         """The last value: a float for one path, one per row for a block.
 
-        For one path or a one-row block it is the sequential sum 0.0 + h0 +
-        h1 + ... over the hits, the last value bit for bit: adding +0.0
-        leaves a running sum unchanged, and a running sum that starts at
-        +0.0 is never -0.0. A block of more rows reads `values`.
+        It is each row's sequential sum 0.0 + h0 + h1 + ... over its hits,
+        the time integral of 1: the last value bit for bit, since 1.0 * h is
+        h, adding +0.0 leaves a running sum unchanged, and a running sum
+        that starts at +0.0 is never -0.0.
         """
-        if self.hits is None or math.prod(self.shape[:-1]) > 1:
-            return self.values.T[-1]
-        sums = np.cumsum(np.concatenate(([0.0], self.increments)))
-        return sums.reshape(*self.shape[:-1], -1).T[-1]
+        return local_time_time_integral(np.broadcast_to(1.0, self.shape), self)
 
 
 def _distance_to_target(bundle, surface_or_level):
@@ -115,20 +94,23 @@ def local_time_occupation(bundle, surface_or_level, eps, side="right",
     return _window_series(bundle, window, lambda hits: scale, qv_mode)
 
 
-def local_time_mollifier(bundle, surface_or_level, n, rho=DEFAULT_MOLLIFIER,
-                         qv_mode="analytic"):
-    """Kernel estimator: cumulative sum of n rho(n (X-b)) d[X-b, X-b]^c.
+def local_time_mollifier(bundle, surface_or_level, n, qv_mode="analytic"):
+    """Kernel estimator: cumulative sum of n rho(n (X-b)) d[X-b, X-b]^c with
+    the bump rho(z) = 6 z (1 - z) on [0, 1], of unit mass.
 
-    Nondecreasing whenever the kernel is nonnegative; one-sided (right)
-    because the kernel is supported on [0, 1].  The kernel and the QV are
-    evaluated only at the steps inside that window; every other increment
-    is exactly 0.
+    Nondecreasing, and one-sided (right) because the kernel is supported
+    on [0, 1].  The kernel and the QV are evaluated only at the steps
+    inside that window; every other increment is exactly 0.
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
     z = n * _distance_to_target(bundle, surface_or_level)[..., :-1]
-    return _window_series(bundle, (z >= 0.0) & (z <= 1.0),
-                          lambda hits: n * rho.evaluate(z.flat[hits]), qv_mode)
+
+    def weight(hits):
+        z_hit = z.flat[hits]
+        return n * (6.0 * z_hit * (1.0 - z_hit))
+
+    return _window_series(bundle, (z >= 0.0) & (z <= 1.0), weight, qv_mode)
 
 
 def local_time_tanaka_residual(bundle, level):

@@ -159,13 +159,14 @@ class SdeSpec:
 
 @dataclass
 class PathBundle:
-    """Aligned realisation of (t, B, A, X) with left limits at jumps, for
+    """Aligned realisation of (t, A, X) with left limits at jumps, for
     one path (L+1,) or a block of P paths (P, L+1) on a grid of either shape.
 
-    Only the drivers are given: the Brownian path B and the per-step
-    jump-train increments dY, dZ (placed at the step that ends at the jump).
-    The increments split X into a martingale part M (Brownian integral)
-    and a finite-variation part K (drift + jumps), derived from the spec's
+    Only the drivers are given, as per-step increments (..., L): the
+    Brownian increments dB and the jump-train increments dY, dZ (placed at
+    the step that ends at the jump); B, Y and Z are their running sums from
+    0.  The increments split X into a martingale part M = sigma B and a
+    finite-variation part K (drift + jumps), derived from the spec's
     constant coefficients:
 
         x[k+1] = x[k] + ((k_drift[k] + m[k]) + k_jump[k])
@@ -179,7 +180,7 @@ class PathBundle:
 
     grid: TimeGrid
     spec: SdeSpec
-    b_path: np.ndarray
+    db: np.ndarray
     dy: np.ndarray
     dz: np.ndarray
     a_path: np.ndarray = field(init=False)
@@ -188,7 +189,7 @@ class PathBundle:
     x_pre: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        cont, shape = self.diffusion_increments, self.b_path.shape
+        cont, shape = self.diffusion_increments, (*self.db.shape[:-1], self.db.shape[-1] + 1)
         x = _accumulate(self.spec.x0, cont, self.k_jump_increments, shape)
         if self.spec.mu_a == 0.0 and self.a_jump_increments is self.grid.zero_steps:
             # every A increment is +0.0, so the running sum is a0 + 0.0 from step 1
@@ -228,9 +229,7 @@ class PathBundle:
 
     @cached_property
     def m_increments(self):
-        m = np.diff(self.b_path, axis=-1)
-        m *= self.spec.sigma
-        return _read_only(m)
+        return _read_only(self.spec.sigma * self.db)
 
     @cached_property
     def k_drift_increments(self):
@@ -255,10 +254,10 @@ class PathBundle:
     def diffusion_increments(self):
         """Per-step continuous increments of X (drift + Brownian part)."""
         m = self.m_increments
-        # +0.0 + m is m unless m holds a -0.0. No step of B, a running sum
-        # from +0.0, is -0.0, and sigma > 0 keeps each step's sign, short of
-        # a product so small that it underflows to zero
-        if self.k_drift_increments is self.grid.zero_steps and self.spec.sigma > 0.0:
+        # +0.0 + m is m unless m holds a -0.0, which sigma * dB can: a drawn
+        # -0.0, a sigma of +0.0 or -0.0, or a product that underflows. A
+        # Gaussian draw is almost never 0, so m holding no zero decides it
+        if self.k_drift_increments is self.grid.zero_steps and not (m == 0.0).any():
             return m
         return _read_only(self.k_drift_increments + m)
 
@@ -359,18 +358,18 @@ def _by_path(path, times):
 
 
 def simulate_brownian(grid, seed):
-    """Standard Brownian motion sampled on the grid (B_0 = 0), read-only: one
-    path, or one row per entry of a list of seed sequences, drawn from each."""
+    """Standard Brownian increments dB on the grid's steps, read-only: each
+    step's standard normal times the square root of its length.  One path
+    (L,), or one row per entry of a list of seed sequences, drawn from each.
+    B itself is the running sum from 0."""
     rows = isinstance(seed, list) and bool(seed) and all(
         isinstance(s, ISeedSequence) for s in seed)
     seeds = seed if rows else [seed]
-    path = np.empty((len(seeds), grid.n_steps + 1))
-    path[:, 0] = 0.0
-    for row, row_seed in zip(path, seeds):
-        np.random.default_rng(row_seed).standard_normal(out=row[1:])
-    path[:, 1:] *= grid.sqrt_dts
-    np.cumsum(path, axis=-1, out=path)
-    return _read_only(path if rows else path[0])
+    db = np.empty((len(seeds), grid.n_steps))
+    for row, row_seed in zip(db, seeds):
+        np.random.default_rng(row_seed).standard_normal(out=row)
+    db *= grid.sqrt_dts
+    return _read_only(db if rows else db[0])
 
 
 def _jump_increments(train, sizes, rows, at, grid):
@@ -526,7 +525,7 @@ def draw_path(spec, t_end, n_steps, seed):
 
 
 def simulate_jump_diffusion(spec, t_end, n_steps, seed, rows=None):
-    """Euler left-point simulation of (A, X) driven by B, Y, Z.
+    """Euler left-point simulation of (A, X) driven by dB, dY, dZ.
 
     `seed` is one path's seed, which gives a 1-D bundle, or a draw_paths
     result.  Of that, `rows` is one path's index, which gives a 1-D bundle, or

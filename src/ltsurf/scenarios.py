@@ -118,8 +118,7 @@ def _build_glued_quadratic_jump(p):
         a_jump_driver="y",
         x0=p["x0"], a0=0.0,
     )
-    surface = Surface(lambda t, a: 1.0 + 0.5 * np.asarray(a, float),
-                      lipschitz_const=0.5, name="1 + a/2")
+    surface = Surface(lambda t, a: 1.0 + 0.5 * np.asarray(a, float), lipschitz=True)
     b = surface.b
     lower = Branch(
         f=lambda t, a, x: (x - b(t, a)) ** 2 + (x - b(t, a)),
@@ -162,7 +161,7 @@ def _build_smooth_fit_sqrt(p):
         a = np.asarray(a, float)
         return 0.5 / np.sqrt(np.maximum(np.abs(a), 1e-300))
 
-    surface = Surface(b, lipschitz_const=None, name="sign(a) sqrt|a|")
+    surface = Surface(b)  # not Lipschitz at a = 0
     lower = Branch(
         f=lambda t, a, x: 0.0 * x,
         d_t=lambda t, a, x: 0.0 * x,
@@ -292,11 +291,10 @@ REGISTRY = {
 
 
 SURFACES = {
-    "abs": Surface(lambda t, a: np.abs(np.asarray(a, float)), None, "abs(a)"),
-    "quad": Surface(lambda t, a: np.asarray(a, float) ** 2, None, "a^2"),
+    "abs": Surface(lambda t, a: np.abs(np.asarray(a, float))),
+    "quad": Surface(lambda t, a: np.asarray(a, float) ** 2),
     "sqrt": Surface(
-        lambda t, a: np.sign(np.asarray(a, float)) * np.sqrt(np.abs(np.asarray(a, float))),
-        None, "sign(a) sqrt|a|"),
+        lambda t, a: np.sign(np.asarray(a, float)) * np.sqrt(np.abs(np.asarray(a, float)))),
 }
 
 

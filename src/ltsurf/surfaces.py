@@ -1,7 +1,7 @@
 """Moving surfaces b(t, a) and their Moreau envelopes."""
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -12,25 +12,19 @@ from .errors import ConfigError
 class Surface:
     """Continuous surface b(t, a).
 
-    lipschitz_const is declared by the scenario author, not inferred; a
-    declared constant marks the composed process t -> b(t, A_t) as having
-    bounded variation whenever A does.
+    lipschitz is declared by the scenario author, not inferred; it marks
+    the composed process t -> b(t, A_t) as having bounded variation
+    whenever A does.
     """
 
     b: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    lipschitz_const: Optional[float] = None
-    name: str = ""
-
-    @property
-    def is_lipschitz(self):
-        return self.lipschitz_const is not None
+    lipschitz: bool = False
 
 
-def constant_surface(level, name=None):
+def constant_surface(level):
     c = float(level)
     return Surface(lambda t, a: np.broadcast_arrays(np.asarray(t, float) * 0.0 + c, a)[0],
-                   lipschitz_const=0.0,
-                   name=name or f"const({c})")
+                   lipschitz=True)
 
 
 # Chunk size of the batched grid search: each chunk's (queries, grid_n, grid_n)

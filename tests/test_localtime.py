@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltsurf import (ConfigError, MollifierSpec, SdeSpec, constant_surface,
+from ltsurf import (ConfigError, SdeSpec, constant_surface,
                     continuous_qv_measure, local_time_mollifier,
                     local_time_occupation, local_time_tanaka_residual,
                     simulate_jump_diffusion, two_point)
-from ltsurf.localtime import DEFAULT_MOLLIFIER
 from ltsurf.paths import draw_path, draw_paths
 from occupation import occupation_formula_check
 
@@ -24,18 +23,42 @@ def _drift_bundle(mu=1.0, x0=-0.5, n_steps=1000):
     return simulate_jump_diffusion(SdeSpec(mu_x=mu, x0=x0), 1.0, n_steps, 0)
 
 
+def _reference_kernel(z):
+    """The bump 6 z (1 - z) on [0, 1], 0 elsewhere."""
+    return np.where((z >= 0.0) & (z <= 1.0), 6.0 * z * (1.0 - z), 0.0)
+
+
+def _estimator_kernel(z):
+    """The mollifier's kernel at each z, read off the estimator itself: with
+    n = 1, X - b = z exactly (X = 0, b = -z) and a unit analytic QV per step,
+    a step's increment is its kernel value.  Also the hits it evaluated."""
+    z = np.asarray(z, dtype=float)
+    points = z.size + 1
+    bundle = SimpleNamespace(x_pre=np.zeros(points), times=np.arange(float(points)),
+                             a_pre=np.zeros(points), spec=SimpleNamespace(sigma=1.0),
+                             grid=SimpleNamespace(dts=np.ones(z.size)))
+    surface = SimpleNamespace(b=lambda t, a: -np.append(z, 0.0))
+    lt = local_time_mollifier(bundle, surface, 1)
+    kernel = np.zeros(z.size)
+    kernel[lt.hits] = lt.increments
+    return kernel, lt.hits
+
+
 class TestKernel:
     def test_unit_mass_closed_form(self):
         z = np.linspace(0, 1, 100001)
-        mass = np.trapezoid(DEFAULT_MOLLIFIER.evaluate(z), z) if hasattr(
-            np, "trapezoid") else np.trapz(DEFAULT_MOLLIFIER.evaluate(z), z)
-        assert mass == pytest.approx(1.0, abs=1e-8)
+        trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
+        kernel, hits = _estimator_kernel(z)
+        assert hits.size == z.size
+        assert trapezoid(kernel, z) == pytest.approx(1.0, abs=1e-8)
 
     def test_support_and_sign(self):
         z = np.linspace(-1, 2, 301)
-        vals = DEFAULT_MOLLIFIER.evaluate(z)
-        assert np.all(vals >= 0)
-        assert np.all(vals[(z < 0) | (z > 1)] == 0)
+        kernel, hits = _estimator_kernel(z)
+        assert np.all(kernel >= 0)
+        assert np.all(kernel[(z < 0) | (z > 1)] == 0)
+        assert hits.tolist() == np.flatnonzero((z >= 0) & (z <= 1)).tolist()
+        assert kernel.tobytes() == _reference_kernel(z).tobytes()
 
 
 class TestOccupation:
@@ -115,19 +138,12 @@ class TestMollifier:
         surface = SimpleNamespace(b=lambda t, a: target)
         u = b.x_pre[:-1] - target[:-1]
         assert u[0] == 1.0 / n and u[1] == 0.0
-        seen = []
-
-        def recording(z):
-            seen.append(np.array(z))
-            return DEFAULT_MOLLIFIER.evaluate(z)
-
-        lt = local_time_mollifier(b, surface, n, rho=MollifierSpec("recording", recording),
-                                  qv_mode=qv)
-        inc = n * DEFAULT_MOLLIFIER.evaluate(n * u) * continuous_qv_measure(b, qv)
+        lt = local_time_mollifier(b, surface, n, qv_mode=qv)
+        # the kernel is evaluated at the window steps only, the edges included
+        z = n * u
+        assert lt.hits.tolist() == np.flatnonzero((z >= 0.0) & (z <= 1.0)).tolist()
+        inc = n * _reference_kernel(z) * continuous_qv_measure(b, qv)
         assert lt.values.tobytes() == np.cumsum(np.concatenate(([0.0], inc))).tobytes()
-        z = np.concatenate(seen)
-        assert np.all((z >= 0.0) & (z <= 1.0))
-        assert z.size == np.count_nonzero((n * u >= 0.0) & (n * u <= 1.0))
 
     def test_n_validation(self):
         with pytest.raises(ConfigError):
@@ -185,7 +201,7 @@ def _dense_series(bundle, target, estimator, qv_mode):
     if estimator == "mollifier":
         n = 1.0 / _WIDTH
         z = n * u
-        inc = np.where((z >= 0.0) & (z <= 1.0), n * DEFAULT_MOLLIFIER.evaluate(z) * qv, 0.0)
+        inc = np.where((z >= 0.0) & (z <= 1.0), n * _reference_kernel(z) * qv, 0.0)
     elif estimator == "right":
         inc = (1.0 / _WIDTH) * np.where((u >= 0.0) & (u < _WIDTH), qv, 0.0)
     else:
@@ -215,8 +231,7 @@ class TestHitsOnlySeries:
             # enough hits that a pairwise sum would round differently
             assert lt.increments.size > 16
         final = lt.final
-        if layout != "block":
-            assert "values" not in vars(lt)  # final reads the hits only
+        assert "values" not in vars(lt)  # final reads the hits only
         assert np.shape(final) == last.shape
         assert np.asarray(final).tobytes() == last.tobytes()
         assert lt.values.shape == expected.shape

@@ -193,23 +193,23 @@ class TestCompoundPoisson:
 
 
 class TestBrownian:
-    def test_starts_at_zero_and_deterministic(self):
+    def test_one_increment_per_step_and_deterministic(self):
         g = build_grid(1.0, 100)
         b1 = simulate_brownian(g, seed=3)
         b2 = simulate_brownian(g, seed=3)
-        assert b1[0] == 0.0
+        assert b1.shape == (100,)
         np.testing.assert_array_equal(b1, b2)
 
     def test_matches_scaled_normals_bit_for_bit(self):
         g = build_grid(1.0, 100, jump_times=[0.305])
         normals = np.random.default_rng(3).standard_normal(g.n_steps)
-        expected = np.cumsum(np.concatenate(([0.0], normals * np.sqrt(np.diff(g.times)))))
-        np.testing.assert_array_equal(simulate_brownian(g, seed=3), expected)
+        expected = normals * np.sqrt(np.diff(g.times))
+        assert simulate_brownian(g, seed=3).tobytes() == expected.tobytes()
 
     def test_increment_variance(self):
         # oracle: Var(B_1) = 1, sample variance over ensembles
         g = build_grid(1.0, 50)
-        finals = [simulate_brownian(g, s)[-1] for s in range(10000)]
+        finals = [np.sum(simulate_brownian(g, s)) for s in range(10000)]
         se = np.sqrt(2.0 / 10000)  # var of sample variance of N(0,1)
         assert abs(np.var(finals) - 1.0) < 3 * se
 
@@ -241,9 +241,12 @@ class TestJumpDiffusion:
         b = simulate_jump_diffusion(_jump_spec(), 1.0, 100, seed=13)
         jidx = b.jump_indices
         assert jidx.size > 0
-        # pre-jump value excludes the jump increment, exactly
-        np.testing.assert_array_equal(
-            b.x_path[jidx], b.x_pre[jidx] + b.k_jump_increments[jidx - 1])
+        # pre-jump value excludes the jump increment, exactly, in the scheme's
+        # association: x_pre = x + cont and x_after = x + (cont + jump)
+        before, cont = b.x_path[jidx - 1], b.diffusion_increments[jidx - 1]
+        assert b.x_pre[jidx].tobytes() == (before + cont).tobytes()
+        assert b.x_path[jidx].tobytes() == (
+            before + (cont + b.k_jump_increments[jidx - 1])).tobytes()
         nonjump = ~b.grid.jump_flags
         np.testing.assert_array_equal(b.x_pre[nonjump], b.x_path[nonjump])
         np.testing.assert_array_equal(b.a_pre[nonjump], b.a_path[nonjump])
@@ -267,12 +270,12 @@ class TestJumpDiffusion:
         b = simulate_jump_diffusion(spec, 1.0, 100, seed=23)
         dts = np.diff(b.times)
         fresh = {
-            "m_increments": spec.sigma * np.diff(b.b_path),
+            "m_increments": spec.sigma * b.db,
             "k_drift_increments": spec.mu_x * dts,
             "k_jump_increments": spec.lambda_x * b.dy,
             "a_drift_increments": spec.mu_a * dts,
             "a_jump_increments": spec.lambda_a * b.dz,
-            "diffusion_increments": spec.mu_x * dts + spec.sigma * np.diff(b.b_path),
+            "diffusion_increments": spec.mu_x * dts + spec.sigma * b.db,
         }
         for name, expected in fresh.items():
             value = getattr(b, name)
@@ -284,7 +287,7 @@ class TestJumpDiffusion:
                              ids=["jumps", "jump_free"])
     def test_every_array_is_read_only(self, spec):
         b = simulate_jump_diffusion(spec, 1.0, 100, seed=41)
-        for name in ("b_path", "dy", "dz", "a_path", "x_path", "a_pre", "x_pre",
+        for name in ("db", "dy", "dz", "a_path", "x_path", "a_pre", "x_pre",
                      "m_increments", "k_drift_increments", "k_jump_increments",
                      "a_drift_increments", "a_jump_increments", "diffusion_increments"):
             with pytest.raises(ValueError):
@@ -319,7 +322,7 @@ def _euler_reference(spec, b):
     """The Euler scheme written out with every increment as its own array:
     the reference for the bundle's shared and constant arrays."""
     dts, zeros = np.diff(b.times), np.zeros(b.times.size - 1)
-    x_inc = (spec.mu_x * dts + spec.sigma * np.diff(b.b_path)) + spec.lambda_x * zeros
+    x_inc = (spec.mu_x * dts + spec.sigma * b.db) + spec.lambda_x * zeros
     a_inc = spec.mu_a * dts + spec.lambda_a * zeros
     return (np.cumsum(np.concatenate(([spec.x0], x_inc))),
             np.cumsum(np.concatenate(([spec.a0], a_inc))))
@@ -348,13 +351,32 @@ class TestJumpFreeBundle:
         assert b.jump_free
         assert zeros.tobytes() == np.zeros(100).tobytes()
 
+    @pytest.mark.parametrize("mu", [0.0, -0.0, 0.7])
+    @pytest.mark.parametrize("sigma", [0.0, -0.0, 0.7])
+    def test_diffusion_increments_keep_signed_zeros(self, mu, sigma):
+        # a drawn dB of -0.0 (and of +0.0): sigma * dB is -0.0 there, or
+        # everywhere dB < 0 when sigma is +0.0, and +0.0 + -0.0 is +0.0
+        grid = build_grid(1.0, 20)
+        db = simulate_brownian(grid, 3).copy()
+        db[[4, 9]] = -0.0, 0.0
+        b = PathBundle(grid, SdeSpec(mu_x=mu, sigma=sigma), db, grid.zero_steps,
+                       grid.zero_steps)
+        expected = b.k_drift_increments + b.m_increments
+        assert b.diffusion_increments.tobytes() == expected.tobytes()
+        x_ref, _ = _euler_reference(b.spec, b)
+        assert b.x_path.tobytes() == x_ref.tobytes()
+
+    def test_diffusion_increments_share_m_without_zeros(self):
+        b = simulate_jump_diffusion(SdeSpec(sigma=0.7), 1.0, 100, seed=37)
+        assert b.diffusion_increments is b.m_increments
+
     def test_negative_jump_coefficient_gets_its_own_signed_zeros(self):
         b = simulate_jump_diffusion(SdeSpec(sigma=1.0, lambda_x=-1.0), 1.0, 100, seed=37)
         assert b.k_jump_increments is not b.grid.zero_steps
         assert np.all(np.signbit(b.k_jump_increments)) and not b.jump_free
 
 
-_ARRAYS = ("b_path", "dy", "dz", "x_path", "a_path", "x_pre", "a_pre", "diffusion_increments")
+_ARRAYS = ("db", "dy", "dz", "x_path", "a_path", "x_pre", "a_pre", "diffusion_increments")
 
 
 class TestBlocks:
@@ -389,7 +411,7 @@ class TestBlocks:
             assert train.times.tobytes() == ref.times.tobytes()
             assert train.sizes.tobytes() == ref.sizes.tobytes()
         b = simulate_jump_diffusion(spec, 1.0, 40, seed)
-        assert b.b_path.tobytes() == simulate_brownian(b.grid, seed_b).tobytes()
+        assert b.db.tobytes() == simulate_brownian(b.grid, seed_b).tobytes()
 
     def test_jump_free_block_shares_the_uniform_grid(self):
         draws = draw_paths(SdeSpec(sigma=1.0), 1.0, 30, range(5))
@@ -405,10 +427,9 @@ class TestBlocks:
             simulate_jump_diffusion(SdeSpec(sigma=1.0), 1.0, 30, [3, 4])
         # a list of ints is one SeedSequence's entropy, as for numpy
         grid = build_grid(1.0, 30)
-        path = simulate_brownian(grid, [3, 4])
-        ref = np.cumsum(np.concatenate(
-            ([0.0], np.random.default_rng([3, 4]).standard_normal(30) * grid.sqrt_dts)))
-        assert path.shape == (31,) and path.tobytes() == ref.tobytes()
+        db = simulate_brownian(grid, [3, 4])
+        ref = np.random.default_rng([3, 4]).standard_normal(30) * grid.sqrt_dts
+        assert db.shape == (30,) and db.tobytes() == ref.tobytes()
 
     def test_a_block_shares_its_step_and_jump_counts(self):
         spec = _jump_spec()
@@ -504,7 +525,7 @@ class TestFlatDraw:
                 block, row = where[i]
                 for name in ("times", "dy", "dz", *_ARRAYS):
                     values = np.broadcast_to(getattr(block, name),
-                                             (block.b_path.shape[0], *getattr(alone, name).shape))
+                                             (block.x_path.shape[0], *getattr(alone, name).shape))
                     assert values[row].tobytes() == getattr(alone, name).tobytes(), name
 
     @pytest.mark.parametrize("law", [two_point(-0.4, 0.6), JumpLaw("exponential", (-0.3,))],

@@ -9,7 +9,7 @@ from ltsurf import SURFACES, ConfigError, Surface, constant_surface, moreau_enve
 from ltsurf import surfaces
 
 BOX = ((-2.0, 2.0), (-2.0, 2.0))
-ABS = Surface(lambda t, a: np.abs(np.asarray(a, float)), None, "abs")
+ABS = Surface(lambda t, a: np.abs(np.asarray(a, float)))
 # queries per chunk of the batched search at the default grid_n
 CHUNK = surfaces._CHUNK_FLOATS // 33 ** 2
 in_box = st.tuples(st.floats(*BOX[0]), st.floats(*BOX[1]))
