@@ -60,10 +60,14 @@ def local_time_time_integral(f_vals, lt):
     f = np.asarray(f_vals, dtype=float)
     _check_aligned(f, n_points)
     rows, steps = math.prod(head), n_points - 1
-    row, step = np.divmod(np.arange(rows * steps) if lt.hits is None else lt.hits, steps)
-    weights = np.broadcast_to(f, (rows, n_points))[row, step] * lt.increments.reshape(-1)
+    if lt.hits is None:  # every step is a hit
+        row, weights = np.repeat(np.arange(rows), steps), f[..., :-1] * lt.increments
+    else:
+        row, step = np.divmod(lt.hits, steps)
+        weights = np.broadcast_to(f, (rows, n_points))[row, step] * lt.increments
     # bincount adds in input order; of no hits it gives integer zeros
-    return np.bincount(row, weights, minlength=rows).astype(float).reshape(head)[()]
+    sums = np.bincount(row, weights.reshape(-1), minlength=rows)
+    return sums.astype(float).reshape(head)[()]
 
 
 class JumpContext(NamedTuple):

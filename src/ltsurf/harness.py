@@ -311,7 +311,6 @@ def emit_bundles(config, out_dir):
     draws = draw_paths(parts.spec, config.t_end, config.n_steps, seeds)
     for i in range(config.n_paths):
         b = simulate_jump_diffusion(parts.spec, config.t_end, config.n_steps, draws, i)
-        # each driver's path is the running sum of its increments from 0
         brownian, y, z = (np.cumsum(np.concatenate(([0.0], d))) for d in (b.db, b.dy, b.dz))
         lines += [row % (i, *r) for r in zip(b.times, b.grid.jump_flags, brownian, y, z,
                                              b.a_path, b.x_path, b.a_pre, b.x_pre)]
