@@ -5,6 +5,10 @@ the byte-exact stdout of `localtime` for every registry scenario under
 both qv modes, and the byte-exact envelope.csv that `envelope` writes for
 every registry surface.
 
+Three bench-sized cases (1000 paths at dt 1e-2) pin the same two files where
+row blocks fill up: the Y/Z-jump scenarios' variants form blocks of up to 162
+rows with up to 6 jump ranks, which the 6-path cases never reach.
+
 Refactors must leave these digests unchanged. A change that alters the
 outputs on purpose regenerates the file and says why:
 
@@ -32,6 +36,9 @@ OUTPUTS = ("verify.csv", "summary.json")
 # removed alias scenarios and the base scenario each one ran under another
 # default variant
 FORMER_ALIASES = {"surfaces_strong": "tanaka_bm", "generator_lambda": "peskir_diffusion"}
+BENCH_CONFIG = ["--dt", "1e-2", "--paths", "1000", "--seed", "13"]
+BENCH_CASES = [("glued_quadratic_jump", "jump_ltc"), ("glued_quadratic_jump", "surfaces_strong"),
+               ("smooth_fit_sqrt_surface", "smooth_fit")]
 # one penalty per decade, none of them a round number
 ENVELOPE_CONFIG = ["--m", "3.1622776601683795,31.622776601683793,"
                           "316.22776601683796,3162.2776601683795", "--grid-n", "7"]
@@ -60,9 +67,13 @@ def _envelope_key(surface):
     return f"{surface}/envelope"
 
 
-def _digests(name, variant, qv, out_dir):
+def _bench_key(name, variant):
+    return f"{name}/{variant}/bench"
+
+
+def _digests(name, variant, qv, out_dir, config=CONFIG):
     argv = ["verify", "--scenario", name, "--variant", variant, "--qv", qv,
-            *CONFIG, "--out", str(out_dir)]
+            *config, "--out", str(out_dir)]
     with open(os.devnull, "w") as sink, redirect_stdout(sink), redirect_stderr(sink):
         code = main(argv)
     assert code == 0, f"{_key(name, variant, qv)}: exit code {code}"
@@ -109,7 +120,8 @@ def test_golden_covers_every_pair(golden):
                                     + [_simulate_key(name) for name in REGISTRY]
                                     + [_localtime_key(name, qv) for name in REGISTRY
                                        for qv in QV_MODES]
-                                    + [_envelope_key(s) for s in SURFACES])
+                                    + [_envelope_key(s) for s in SURFACES]
+                                    + [_bench_key(*c) for c in BENCH_CASES])
 
 
 @pytest.mark.parametrize("name,variant,qv", _cases(),
@@ -117,6 +129,13 @@ def test_golden_covers_every_pair(golden):
 def test_outputs_match_golden(golden, tmp_path, name, variant, qv):
     key = _key(name, variant, qv)
     assert _digests(name, variant, qv, tmp_path) == golden[key], (
+        f"{key}: verify.csv or summary.json changed")
+
+
+@pytest.mark.parametrize("name,variant", BENCH_CASES, ids=[_bench_key(*c) for c in BENCH_CASES])
+def test_bench_sized_outputs_match_golden(golden, tmp_path, name, variant):
+    key = _bench_key(name, variant)
+    assert _digests(name, variant, "analytic", tmp_path, BENCH_CONFIG) == golden[key], (
         f"{key}: verify.csv or summary.json changed")
 
 
@@ -157,5 +176,7 @@ if __name__ == "__main__":
                 table[_localtime_key(name, qv)] = _localtime_digests(name, qv)
         for surface in SURFACES:
             table[_envelope_key(surface)] = _envelope_digests(surface, tmp)
+        for case in BENCH_CASES:
+            table[_bench_key(*case)] = _digests(*case, "analytic", tmp, BENCH_CONFIG)
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} entries to {GOLDEN}", file=sys.stderr)
