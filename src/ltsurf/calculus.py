@@ -1,5 +1,5 @@
 """Pathwise integral evaluators: the left-point sum, continuous quadratic
-variation, local-time time integrals, the jump iteration and dt integrals.
+variation, local-time time integrals, the values at the jumps and dt integrals.
 
 Every integral is a left-point sum of an integrand on the grid against
 stored per-step increments (dt, dB, dM, d[X]^c), or, against a local time,
@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
+from .paths import row_index
 
 
 def _check_aligned(f, n_points):
@@ -71,32 +72,31 @@ def local_time_time_integral(f_vals, lt):
 
 
 class JumpContext(NamedTuple):
-    """The values at one jump: floats for one path; for a block, one value
-    per row, each row's jump of the same rank."""
+    """The values at a path's k jumps, as (k,) arrays in time order; for a
+    block, (P, k) arrays, row p holding path p's jumps."""
 
-    t: float
-    a: float
-    x: float
-    a_pre: float
-    x_pre: float
-    dx: float
-    da: float
-    dy: float  # the jump of the train Y
+    t: np.ndarray
+    a: np.ndarray
+    x: np.ndarray
+    a_pre: np.ndarray
+    x_pre: np.ndarray
+    dx: np.ndarray
+    da: np.ndarray
+    dy: np.ndarray  # the jumps of the train Y
 
 
 def iter_jumps(bundle):
-    """The jumps in time order (in column order for a block)."""
+    """The bundle's jumps as one JumpContext; its arrays are empty, (..., 0),
+    when no path jumps."""
     jidx = bundle.jump_indices
-    if not jidx.size:
-        return
+    if not jidx.size:  # a jump-free block may share one 1-D grid
+        return JumpContext(*[np.empty(bundle.x_path.shape[:-1] + (0,))] * 8)
 
-    def at(values, shift=0):
-        return np.take_along_axis(values, jidx - shift, axis=-1).T
-
-    yield from map(JumpContext._make, zip(
-        at(bundle.times), at(bundle.a_path), at(bundle.x_path), at(bundle.a_pre),
-        at(bundle.x_pre), at(bundle.k_jump_increments, 1),
-        at(bundle.a_jump_increments, 1), at(bundle.dy, 1)))
+    at, before = row_index(jidx), row_index(jidx - 1)
+    return JumpContext(
+        bundle.times[at], bundle.a_path[at], bundle.x_path[at], bundle.a_pre[at],
+        bundle.x_pre[at], bundle.k_jump_increments[before],
+        bundle.a_jump_increments[before], bundle.dy[before])
 
 
 def measure_integral(f_vals, grid):

@@ -2,7 +2,7 @@
 
 Each verify_* function returns a FormulaReport: the left-hand side, every
 right-hand-side term by name, their left-to-right sum and the residual
-lhs - rhs; on a block of paths, FormulaReports of each path's own report.
+lhs - rhs; on a block of paths, FormulaReports of these as one table.
 A non-finite term aborts the run. verify_tanaka writes Tanaka's formula
 out; every other variant is a row of _VARIANTS, an ordered tuple of
 (column name, term builder) over one _PathView of the bundle.
@@ -14,8 +14,8 @@ Conventions shared by all variants:
     the surface is its limit from below; averaged derivatives are the mean
     of the limits from below and from above;
   * indicators on {X != b} are strict inequalities on left limits;
-  * jump terms accumulate one jump at a time, in time order; on a block,
-    one column of same-rank jumps at a time.
+  * jump terms are evaluated on the (..., k) arrays of the jumps, then
+    accumulated one jump rank at a time, in time order.
 """
 
 import math
@@ -72,21 +72,6 @@ class PiecewiseSurfaceFunction:
     def b(self, t, a):
         return np.asarray(self.surface.b(t, a), dtype=float)
 
-    def deriv(self, attr, t, a, x, from_above=False):
-        """Branch value of attr ("f" or a derivative) at (t, a, x). The
-        lower branch owns x = b; from_above hands it to the upper branch."""
-        lower = np.asarray(getattr(self.lower, attr)(t, a, x), dtype=float)
-        if self.lower is self.upper:  # smooth F
-            return np.broadcast_arrays(lower, x)[0]
-        upper = np.asarray(getattr(self.upper, attr)(t, a, x), dtype=float)
-        if from_above:
-            return np.where(x >= self.b(t, a), upper, lower)
-        return np.where(x <= self.b(t, a), lower, upper)
-
-    def deriv_averaged(self, attr, t, a, x):
-        above = self.deriv(attr, t, a, x, from_above=True)
-        return 0.5 * (above + self.deriv(attr, t, a, x))
-
     def validate_glue(self, t_grid, a_grid, cont_tol=1e-9, fd_tol=1e-4, fd_h=1e-6):
         """Check continuity across the surface and agreement of the declared
         one-sided x-derivatives with finite differences toward the surface."""
@@ -117,12 +102,41 @@ def smooth_psf(f, d_t, d_a, d_x, d_xx, surface):
     )
 
 
+class _Points:
+    """A glued F at points (t, a, x) of one shape, its values memoised. The
+    surface b(t, a), and the side of it each point lies on, are evaluated once."""
+
+    def __init__(self, psf, t, a, x):
+        self.psf, self.t, self.a, self.x, self._values = psf, t, a, x, {}
+
+    @cached_property
+    def sides(self):
+        """b, then x <= b (the lower branch owns x = b), then x >= b."""
+        b = self.psf.b(self.t, self.a)
+        return b, self.x <= b, self.x >= b
+
+    def value(self, attr, averaged=False):
+        """F ("f") or a derivative; averaged, the mean of the limits from
+        above and from below."""
+        if (attr, averaged) not in self._values:
+            psf, args = self.psf, (self.t, self.a, self.x)
+            lower = np.asarray(getattr(psf.lower, attr)(*args), dtype=float)
+            if psf.lower is psf.upper:  # smooth F
+                below = above = np.broadcast_arrays(lower, self.x)[0]
+            else:
+                upper = np.asarray(getattr(psf.upper, attr)(*args), dtype=float)
+                below = np.where(self.sides[1], lower, upper)
+                above = np.where(self.sides[2], upper, lower) if averaged else None
+            self._values[attr, averaged] = 0.5 * (above + below) if averaged else below
+        return self._values[attr, averaged]
+
+
 def eval_F(psf, t, a, x):
     """Evaluate the glued function on at-least-1-D arrays; the lower branch
     owns x = b. A point is an array of one, because numpy squares a scalar
     with `pow` and an array with `square`, which can round differently."""
-    return psf.deriv("f", *np.atleast_1d(np.asarray(t, float), np.asarray(a, float),
-                                         np.asarray(x, float)))
+    return _Points(psf, *np.atleast_1d(np.asarray(t, float), np.asarray(a, float),
+                                       np.asarray(x, float))).value("f")
 
 
 def fx_jump(psf, t, a):
@@ -141,39 +155,38 @@ class FormulaReport:
     residual: float
 
 
-def _ordered_sum(values):
-    """Left-to-right float sum, one value at a time."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+@dataclass
+class FormulaReports:
+    """A block's reports as one (P, 3 + terms) table: row p is path p's lhs,
+    terms in summation order, rhs and residual. `terms` sums each term over
+    the rows, for code that reads a report's terms (bench/layertrace.py)."""
 
-
-class FormulaReports(tuple):
-    """A block's reports in row order. `terms` sums each term over the rows,
-    so code that reads a report's terms (bench/layertrace.py) reads a block."""
+    names: list
+    table: np.ndarray
 
     @property
     def terms(self):
-        return {name: _ordered_sum(r.terms[name] for r in self) for name in self[0].terms}
+        return {name: sum(self.table[:, j].tolist()) for j, name in enumerate(self.names, 1)}
 
 
 def _make_report(variant, lhs, terms, rows):
-    """A path's report if rows == (), else FormulaReports of rows[0] paths;
-    lhs and each term hold one value per row, or one for all rows."""
-    size, columns = (rows[0] if rows else 1), {}
-    for name, value in {"lhs": lhs, **terms}.items():
-        columns[name] = column = ([float(value)] * size if getattr(value, "ndim", 0) == 0
-                                  else value.reshape(size).tolist())
-        if not all(map(math.isfinite, column)):
-            bad = next(v for v in column if not math.isfinite(v))
-            raise NumericalAbort(f"{variant}: non-finite {name} ({bad})")
-    reports = []
-    for lhs_k, *terms_k in zip(*columns.values()):
-        rhs_k = _ordered_sum(terms_k)
-        reports.append(FormulaReport(variant, lhs_k, dict(zip(terms, terms_k)), rhs_k,
-                                     lhs_k - rhs_k))
-    return FormulaReports(reports) if rows else reports[0]
+    """A path's report if rows == (), else a block's FormulaReports; lhs and
+    each term hold one value per row, or one for all rows."""
+    names, table = ["lhs", *terms], np.empty((math.prod(rows), len(terms) + 3))
+    for j, value in enumerate((lhs, *terms.values())):
+        table[:, j] = value
+    finite = np.isfinite(table[:, :-2])
+    if not finite.all():  # the first column with a non-finite value, and that value
+        j = int(np.argmin(finite.all(axis=0)))
+        raise NumericalAbort(f"{variant}: non-finite {names[j]} ({table[~finite[:, j], j][0]})")
+    rhs = 0.0
+    for j in range(1, len(names)):
+        rhs = rhs + table[:, j]
+    table[:, -2], table[:, -1] = rhs, table[:, 0] - rhs
+    if rows:
+        return FormulaReports(names[1:], table)
+    lhs, *values, rhs, residual = table[0].tolist()
+    return FormulaReport(variant, lhs, dict(zip(terms, values)), rhs, residual)
 
 
 def _bandwidth(bundle, given, coupled):
@@ -210,8 +223,8 @@ def verify_tanaka(bundle, level, n=None, qv_mode="analytic"):
     return _make_report("tanaka", lhs, terms, u.shape[:-1])
 
 
-class _PathView:
-    """One bundle as the term builders read it.
+class _PathView(_Points):
+    """One bundle as the term builders read it: F on its grid, and at its jumps.
 
     t, a, x span the whole grid, one row per path of a block. The calculus
     primitives take entries 0..n-1 of each row as the left points of the n
@@ -219,10 +232,12 @@ class _PathView:
     """
 
     def __init__(self, psf, bundle, qv_mode, eps=None, n=None, gen=None):
-        self.psf, self.bundle, self.qv_mode = psf, bundle, qv_mode
+        super().__init__(psf, bundle.times, bundle.a_path, bundle.x_path)
+        self.bundle, self.qv_mode = bundle, qv_mode
         self.eps, self.n, self.gen = eps, n, gen
-        self.t, self.a, self.x = bundle.times, bundle.a_path, bundle.x_path
-        self._derivs = {}
+        # the jumps' JumpContext of (..., k) arrays, and F at their left limits
+        self.jump = j = iter_jumps(bundle)
+        self.pre = _Points(psf, j.t, j.a_pre, j.x_pre)
 
     @cached_property
     def off(self):
@@ -230,40 +245,38 @@ class _PathView:
         Ito formula makes no exception on the surface."""
         if self.psf.lower is self.psf.upper:
             return np.ones(self.x.shape, dtype=bool)
-        return self.x != self.psf.b(self.t, self.a)
-
-    def deriv(self, attr, averaged=False, jump=None):
-        """A derivative of F on the grid or at a jump's left limit, memoised."""
-        # self.jumps keeps every context alive, so its id stays its own
-        key = (attr, averaged, None if jump is None else id(jump))
-        if key not in self._derivs:
-            select = self.psf.deriv_averaged if averaged else self.psf.deriv
-            self._derivs[key] = (select(attr, self.t, self.a, self.x) if jump is None else
-                                 select(attr, *np.atleast_1d(jump.t, jump.a_pre, jump.x_pre)))
-        return self._derivs[key]
+        return self.x != self.sides[0]
 
     def coeff(self, name):
         return float(getattr(self.bundle.spec, name))
 
     @cached_property
-    def jumps(self):
-        """(jump, F after minus F before) for each jump, in time order."""
-        return [(j, eval_F(self.psf, j.t, j.a, j.x) - eval_F(self.psf, j.t, j.a_pre, j.x_pre))
-                for j in iter_jumps(self.bundle)]
+    def df(self):
+        """F after minus F before, at each jump."""
+        j = self.jump
+        return _Points(self.psf, j.t, j.a, j.x).value("f") - self.pre.value("f")
+
+
+def _rank_sum(values):
+    """0.0 plus each rank column of (..., k) values at the jumps, in time order."""
+    total = 0.0
+    for rank in range(values.shape[-1]):
+        total = total + values[..., rank]
+    return total
 
 
 def _generator(v):
     """(F_t + mu_x F_x + mu_a F_a + 1/2 sigma^2 F_xx) 1{X != b} dt."""
-    gen = (v.deriv("d_t")
-           + v.coeff("mu_x") * v.deriv("d_x")
-           + v.coeff("mu_a") * v.deriv("d_a")
-           + 0.5 * np.square(v.coeff("sigma")) * v.deriv("d_xx"))
+    gen = (v.value("d_t")
+           + v.coeff("mu_x") * v.value("d_x")
+           + v.coeff("mu_a") * v.value("d_a")
+           + 0.5 * np.square(v.coeff("sigma")) * v.value("d_xx"))
     return measure_integral(np.where(v.off, gen, 0.0), v.bundle.grid)
 
 
 def _brownian(v):
     """sigma F_x 1{X != b} dB."""
-    f = np.where(v.off, v.coeff("sigma") * v.deriv("d_x"), 0.0)
+    f = np.where(v.off, v.coeff("sigma") * v.value("d_x"), 0.0)
     return left_point_sum(f, v.bundle.db)
 
 
@@ -284,7 +297,7 @@ _RIGHT_LOCAL_TIME = _local_time(lambda v: local_time_mollifier(
 
 def _jump_sum(v):
     """Sum over the jumps of F after minus F before."""
-    return _ordered_sum(df for _, df in v.jumps)
+    return _rank_sum(v.df)
 
 
 # Each variant is its right-hand side: (column, builder) in summation order.
@@ -298,22 +311,20 @@ _VARIANTS = {
     ),
     "surfaces_strong": (
         ("avg_ft_time_integral", lambda v: measure_integral(
-            v.deriv("d_t", True), v.bundle.grid)),
+            v.value("d_t", True), v.bundle.grid)),
         ("avg_fa_da_continuous", lambda v: left_point_sum(
-            v.deriv("d_a", True), v.bundle.a_drift_increments)),
-        ("avg_fa_da_jumps", lambda v: _ordered_sum(
-            v.deriv("d_a", True, j) * j.da for j, _ in v.jumps)),
+            v.value("d_a", True), v.bundle.a_drift_increments)),
+        ("avg_fa_da_jumps", lambda v: _rank_sum(v.pre.value("d_a", True) * v.jump.da)),
         ("avg_fx_dx_continuous", lambda v: left_point_sum(
-            v.deriv("d_x", True), v.bundle.diffusion_increments)),
-        ("avg_fx_dx_jumps", lambda v: _ordered_sum(
-            v.deriv("d_x", True, j) * j.dx for j, _ in v.jumps)),
+            v.value("d_x", True), v.bundle.diffusion_increments)),
+        ("avg_fx_dx_jumps", lambda v: _rank_sum(v.pre.value("d_x", True) * v.jump.dx)),
         ("half_fxx_qv", lambda v: left_point_sum(
-            np.where(v.off, 0.5 * v.deriv("d_xx"), 0.0),
+            np.where(v.off, 0.5 * v.value("d_xx"), 0.0),
             continuous_qv_measure(v.bundle, qv_mode=v.qv_mode))),
         ("local_time", _SYMMETRIC_LOCAL_TIME),
-        ("jump_compensation", lambda v: _ordered_sum(
-            (df - v.deriv("d_a", True, j) * j.da) - v.deriv("d_x", True, j) * j.dx
-            for j, df in v.jumps)),
+        ("jump_compensation", lambda v: _rank_sum(
+            (v.df - v.pre.value("d_a", True) * v.jump.da)
+            - v.pre.value("d_x", True) * v.jump.dx)),
     ),
     "jump_ltc": (
         ("sigma_fx_brownian", _brownian),
@@ -323,17 +334,16 @@ _VARIANTS = {
     ),
     "smooth_fit": (
         ("sigma_fx_brownian", _brownian),
-        ("lambda_fx_dY", lambda v: _ordered_sum(
-            v.coeff("lambda_x") * v.deriv("d_x", jump=j) * j.dy for j, _ in v.jumps)),
+        ("lambda_fx_dY", lambda v: _rank_sum(
+            v.coeff("lambda_x") * v.pre.value("d_x") * v.jump.dy)),
         ("generator_time_integral", _generator),
-        ("jump_compensation", lambda v: _ordered_sum(
-            df - v.deriv("d_x", jump=j) * j.dx for j, df in v.jumps)),
+        ("jump_compensation", lambda v: _rank_sum(v.df - v.pre.value("d_x") * v.jump.dx)),
     ),
     "general": (
         ("h_dlambda", lambda v: measure_integral(
             np.broadcast_to(v.gen.h(v.t, v.bundle.a_pre, v.bundle.x_pre), v.x.shape),
             v.bundle.grid)),
-        ("fx_dM", lambda v: left_point_sum(v.deriv("d_x"), v.bundle.m_increments)),
+        ("fx_dM", lambda v: left_point_sum(v.value("d_x"), v.bundle.m_increments)),
         ("local_time", _RIGHT_LOCAL_TIME),
         ("jump_compensation", _jump_sum),
     ),

@@ -116,17 +116,20 @@ def derive_path_seed(master_seed, path_index):
 
 
 def _run_paths(parts, t_end, n_steps, seeds, evaluate, args):
-    """Per-path results of evaluate(parts, block, *args), which gives one per
-    row, in seed order. A block holds up to BLOCK_POINTS // (n_steps + 1)
-    paths whose grids share a step count and a jump count.
+    """Column names and a (len(seeds), columns) table of evaluate(parts, block,
+    *args), which gives both for a block, one table row per path; rows in seed
+    order. A block holds up to BLOCK_POINTS // (n_steps + 1) paths whose grids
+    share a step count and a jump count.
     """
     draws = draw_paths(parts.spec, t_end, n_steps, seeds)
-    results = [None] * len(seeds)
+    names, table = [], np.empty((len(seeds), 0))
     for rows in draws.blocks(max(1, BLOCK_POINTS // (n_steps + 1))):
         bundle = simulate_jump_diffusion(parts.spec, t_end, n_steps, draws, rows)
-        for i, result in zip(rows.tolist(), evaluate(parts, bundle, *args)):
-            results[i] = result
-    return results
+        names, block = evaluate(parts, bundle, *args)
+        if not table.shape[1]:  # the first block sets the width
+            table = np.empty((len(seeds), block.shape[1]))
+        table[rows] = block
+    return names, table
 
 
 def _run_chunk(task):
@@ -137,7 +140,7 @@ def _run_chunk(task):
 
 
 def _fan_out(config, parts, evaluate, *args):
-    """Per-path results of evaluate over the ensemble, in path order.
+    """Column names and the table of evaluate over the ensemble, in path order.
 
     With several workers, each pool task takes a contiguous chunk of path
     indices and rebuilds the scenario from its name, since the parts hold
@@ -151,17 +154,18 @@ def _fan_out(config, parts, evaluate, *args):
     tasks = [(config.scenario, config.params, config.t_end, config.n_steps,
               seeds[lo:hi], evaluate, args) for lo, hi in zip(bounds, bounds[1:])]
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        return [r for chunk in pool.map(_run_chunk, tasks) for r in chunk]
+        chunks = list(pool.map(_run_chunk, tasks))
+    return chunks[0][0], np.concatenate([table for _, table in chunks])
 
 
 def _verify_rows(parts, block, variant, eps, n, qv_mode):
-    return [(r.lhs, dict(r.terms), r.rhs, r.residual)
-            for r in evaluate_variant(parts, variant, block, eps=eps, n=n, qv_mode=qv_mode)]
+    """The block's term names and its (lhs, terms..., rhs, residual) rows."""
+    r = evaluate_variant(parts, variant, block, eps=eps, n=n, qv_mode=qv_mode)
+    return r.names, r.table
 
 
-def _column_stats(values, n):
-    arr = np.asarray(values, dtype=float)
-    se = float(np.std(arr, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+def _column_stats(arr):
+    se = float(np.std(arr, ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
     return {"mean": float(np.mean(arr)), "median": float(np.median(arr)), "se": se}
 
 
@@ -174,20 +178,13 @@ def run_scenario(config, keep_reports=False):
         # raise the dedicated incompatibility error with context
         evaluate_variant(parts, variant, None)
     eps, n = config.bandwidths()
-    results = _fan_out(config, parts, _verify_rows, variant, eps, n, config.qv_mode)
+    term_names, table = _fan_out(config, parts, _verify_rows, variant, eps, n,
+                                 config.qv_mode)
+    lhs, *terms, rhs, residual = np.ascontiguousarray(table.T)
 
-    term_names = list(results[0][1].keys())
-    lhs = [r[0] for r in results]
-    rhs = [r[2] for r in results]
-    residual = np.array([r[3] for r in results])
-    n_paths = config.n_paths
-
-    term_stats = {
-        name: _column_stats([r[1][name] for r in results], n_paths)
-        for name in term_names
-    }
+    term_stats = {name: _column_stats(column) for name, column in zip(term_names, terms)}
     qs = [0.05, 0.25, 0.5, 0.75, 0.95]
-    residual_stats = _column_stats(residual, n_paths)
+    residual_stats = _column_stats(residual)
     residual_stats["quantiles"] = {
         str(q): float(np.quantile(residual, q)) for q in qs
     }
@@ -209,11 +206,11 @@ def run_scenario(config, keep_reports=False):
     summary = EnsembleSummary(
         config=config_echo,
         variant=variant,
-        n_paths=n_paths,
+        n_paths=config.n_paths,
         term_names=term_names,
         term_stats=term_stats,
-        lhs_stats=_column_stats(lhs, n_paths),
-        rhs_stats=_column_stats(rhs, n_paths),
+        lhs_stats=_column_stats(lhs),
+        rhs_stats=_column_stats(rhs),
         residual_stats=residual_stats,
         provenance={
             "code_version": __version__,
@@ -221,19 +218,19 @@ def run_scenario(config, keep_reports=False):
             "mollifier_n": n,
             "seed_derivation": "SeedSequence([master_seed, path_index])",
         },
-        reports=results if keep_reports else None,
+        reports=[(row[0], dict(zip(term_names, row[1:-2])), row[-2], row[-1])
+                 for row in table.tolist()] if keep_reports else None,
     )
     if config.output is not None:
-        write_outputs(summary, results, term_names, config.output)
+        write_outputs(summary, table, term_names, config.output)
     return summary
 
 
-def write_outputs(summary, results, term_names, out_dir):
+def write_outputs(summary, table, term_names, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     header = ["path_id", "lhs"] + [f"term_{t}" for t in term_names] + ["rhs", "residual"]
     row = "%d" + ",%.17g" * (len(header) - 1)  # "%.17g" % x is format(float(x), ".17g")
-    lines = [",".join(header)] + [row % (i, lhs, *map(terms.get, term_names), rhs, residual)
-                                  for i, (lhs, terms, rhs, residual) in enumerate(results)]
+    lines = [",".join(header)] + [row % (i, *r) for i, r in enumerate(table.tolist())]
     with open(os.path.join(out_dir, "verify.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
@@ -282,7 +279,8 @@ def _localtime_rows(parts, block, eps, n, qv_mode):
     occ = local_time_occupation(block, level, eps, side="right", qv_mode=qv_mode)
     mol = local_time_mollifier(block, level, n, qv_mode=qv_mode)
     tan = local_time_tanaka_residual(block, level)
-    return list(zip(*(lt.final.tolist() for lt in (occ, mol, tan))))
+    return ["occupation", "mollifier", "tanaka"], np.column_stack([
+        lt.final for lt in (occ, mol, tan)])
 
 
 def compare_estimators(config):
@@ -290,13 +288,8 @@ def compare_estimators(config):
     estimators, aggregated over the ensemble."""
     _, parts = build_parts(config.scenario, config.params)
     eps, n = config.bandwidths()
-    results = _fan_out(config, parts, _localtime_rows, eps, n, config.qv_mode)
-    arr = np.asarray(results, dtype=float)
-    names = ["occupation", "mollifier", "tanaka"]
-    out = {
-        name: _column_stats(arr[:, k], config.n_paths)
-        for k, name in enumerate(names)
-    }
+    names, arr = _fan_out(config, parts, _localtime_rows, eps, n, config.qv_mode)
+    out = {name: _column_stats(arr[:, k]) for k, name in enumerate(names)}
     out["meta"] = {"level": parts.level, "eps": eps, "mollifier_n": n}
     return out
 

@@ -29,7 +29,7 @@ class TimeGrid:
 
     The arrays are read-only views, so one grid can be shared by every
     path simulated on it.  The step lengths and jump indices are computed
-    once, at construction.
+    once, at construction, which checks the grid (build_grid checks its own).
     """
 
     times: np.ndarray
@@ -49,10 +49,7 @@ class TimeGrid:
             raise ConfigError("grid times must be strictly increasing")
         if f.shape != t.shape:
             raise ConfigError("jump_flags must align with times")
-        jump_indices = np.nonzero(f)[-1].reshape(*f.shape[:-1], -1)
-        for name, value in (("times", t), ("jump_flags", f), ("dts", dts),
-                            ("jump_indices", jump_indices)):
-            object.__setattr__(self, name, _read_only(value))
+        _store_grid(self, t, f, np.nonzero(f)[-1].reshape(*f.shape[:-1], -1), dts)
 
     @property
     def n_steps(self):
@@ -66,6 +63,14 @@ class TimeGrid:
     def zero_steps(self):
         """+0.0 at every step: the increments of a train without jumps."""
         return _read_only(np.zeros(self.dts.shape))
+
+
+def _store_grid(grid, times, flags, jump_indices, dts):
+    """Set the grid's arrays, read-only, with no check."""
+    for name, value in (("times", times), ("jump_flags", flags), ("dts", dts),
+                        ("jump_indices", jump_indices)):
+        object.__setattr__(grid, name, _read_only(value))
+    return grid
 
 
 def _read_only(array):
@@ -204,11 +209,10 @@ class PathBundle:
         self.x_path, self.a_path = self.x_pre, self.a_pre = _read_only(x), _read_only(a)
         jidx = self.grid.jump_indices
         if jidx.size:
-            before = jidx - 1
+            at, before = row_index(jidx), row_index(jidx - 1)
             x_pre, a_pre = x.copy(), a.copy()
-            np.put_along_axis(x_pre, jidx, _take(x, before) + _take(cont, before), axis=-1)
-            np.put_along_axis(a_pre, jidx, _take(a, before)
-                              + _take(self.a_drift_increments, before), axis=-1)
+            x_pre[at] = x[before] + cont[before]
+            a_pre[at] = a[before] + self.a_drift_increments[before]
             self.x_pre, self.a_pre = _read_only(x_pre), _read_only(a_pre)
 
     @property
@@ -229,7 +233,7 @@ class PathBundle:
 
     @cached_property
     def m_increments(self):
-        return _read_only(self.spec.sigma * self.db)
+        return _scaled(self.spec.sigma, self.db, self.grid.zero_steps)
 
     @cached_property
     def k_drift_increments(self):
@@ -262,16 +266,18 @@ class PathBundle:
         return _read_only(self.k_drift_increments + m)
 
 
-def _take(values, idx):
-    """values[..., idx] row by row: idx has one row of indices per row."""
-    return np.take_along_axis(values, idx, axis=-1)
+def row_index(idx):
+    """The index of entry idx[p] of each row p of a block's (P, k) indices, as
+    values[row_index(idx)] reads it; one path's (k,) indices are their own."""
+    return (np.arange(len(idx))[:, None], idx) if idx.ndim == 2 else idx
 
 
 def _scaled(coeff, driver, zeros):
-    """coeff * driver, read-only; the shared zeros when that is +0.0 throughout."""
+    """coeff * driver, read-only; the shared zeros when that is +0.0 throughout,
+    and the driver itself for a coefficient of 1.0, since 1.0 * x is x."""
     if driver is zeros and np.isfinite(coeff) and not np.signbit(coeff):
         return zeros
-    return _read_only(coeff * driver)
+    return _read_only(driver if coeff == 1.0 else coeff * driver)
 
 
 def build_grid(t_end, n_steps, jump_times=()):
@@ -302,10 +308,16 @@ def build_grid(t_end, n_steps, jump_times=()):
         if (replaced[:, -1] != replaced[0, -1]).any():
             raise ConfigError("the rows of a block must replace equally many uniform points")
         slot, width = slot - replaced[row, near[1]], width - replaced[0, -1]
+    # sorted distinct jumps that leave 0 in place make a valid grid: no re-check
+    if not keep[:, 0].all():  # a jump within the snap distance of 0
+        raise ConfigError("grid must start at 0")
+    if (np.diff(jt, axis=-1) == 0).any():
+        raise ConfigError("grid times must be strictly increasing")
     flags, times = np.zeros((rows, width), bool), np.empty((rows, width))
     flags[row, slot] = True
     times[flags], times[~flags] = jt.reshape(-1), np.broadcast_to(uniform, keep.shape)[keep]
-    return TimeGrid(times.reshape(*jt.shape[:-1], -1), flags.reshape(*jt.shape[:-1], -1))
+    times, flags, slot = (v.reshape(*jt.shape[:-1], -1) for v in (times, flags, slot))
+    return _store_grid(object.__new__(TimeGrid), times, flags, slot, np.diff(times, axis=-1))
 
 
 def _snaps(uniform, times, t_end):
@@ -360,10 +372,9 @@ def _by_path(path, times):
 def simulate_brownian(grid, seed):
     """Standard Brownian increments dB on the grid's steps, read-only: each
     step's standard normal times the square root of its length.  One path
-    (L,), or one row per entry of a list of seed sequences, drawn from each.
-    B itself is the running sum from 0."""
-    rows = isinstance(seed, list) and bool(seed) and all(
-        isinstance(s, ISeedSequence) for s in seed)
+    (L,), or, for a list of seed sequences (the first entry tells), one row
+    per entry, drawn from each.  B itself is the running sum from 0."""
+    rows = isinstance(seed, list) and bool(seed) and isinstance(seed[0], ISeedSequence)
     seeds = seed if rows else [seed]
     db = np.empty((len(seeds), grid.n_steps))
     for row, row_seed in zip(db, seeds):
@@ -378,7 +389,7 @@ def _jump_increments(train, sizes, rows, at, grid):
     if not (at.size and train.counts[rows].any()):
         return grid.zero_steps
     inc = np.zeros(grid.dts.shape)
-    np.put_along_axis(inc, grid.jump_indices - 1, sizes[at], axis=-1)
+    inc[row_index(grid.jump_indices - 1)] = sizes[at]
     return _read_only(inc)
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from ltsurf import (ConfigError, LocalTimeSeries, SdeSpec, continuous_qv_measure,
                     left_point_sum, measure_integral, simulate_jump_diffusion,
                     two_point)
-from ltsurf.calculus import iter_jumps, local_time_time_integral
+from ltsurf.calculus import JumpContext, iter_jumps, local_time_time_integral
+from ltsurf.paths import draw_paths
 
 
 def _bundle(seed=3, sigma=0.5, rate=2.0):
@@ -60,11 +61,28 @@ class TestQvMeasure:
             continuous_qv_measure(_bundle(), qv_mode="exotic")
 
 
+def _ranks(ctx):
+    """A JumpContext's (..., k) columns as one context per jump rank."""
+    return [JumpContext(*(v[..., r] for v in ctx)) for r in range(ctx.t.shape[-1])]
+
+
 class TestJumpSum:
     def test_contexts_expose_left_limits(self):
         b = _bundle()
-        for ctx in iter_jumps(b):
+        ranks = _ranks(iter_jumps(b))
+        assert len(ranks) == b.jump_indices.size > 0
+        for ctx in ranks:
             assert ctx.x == pytest.approx(ctx.x_pre + ctx.dx)
+
+    def test_block_columns_are_each_paths_jumps(self):
+        spec = _bundle().spec
+        draws = draw_paths(spec, 1.0, 200, range(40))
+        for rows in draws.blocks(8):
+            ctx = iter_jumps(simulate_jump_diffusion(spec, 1.0, 200, draws, rows))
+            assert ctx.t.shape == (rows.size, draws.offsets[rows[0] + 1] - draws.offsets[rows[0]])
+            for row, i in enumerate(rows):
+                alone = iter_jumps(simulate_jump_diffusion(spec, 1.0, 200, draws, i))
+                assert all(v[row].tobytes() == w.tobytes() for v, w in zip(ctx, alone))
 
 
 class TestMeasureIntegral:

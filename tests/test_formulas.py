@@ -14,7 +14,9 @@ from ltsurf import (Branch, ConfigError, GeneratorSpec,
                     smooth_psf, two_point,
                     verify_general, verify_jump_ltc, verify_ltc_diffusion,
                     verify_smooth_fit, verify_surfaces_strong, verify_tanaka)
-from ltsurf.formulas import eval_F, fx_jump
+from ltsurf.calculus import JumpContext, iter_jumps
+from ltsurf.formulas import _VARIANTS, _PathView, _Points, eval_F, fx_jump
+from ltsurf.paths import PathBundle, build_grid
 from ltsurf.scenarios import REGISTRY, build_parts, evaluate_variant
 
 
@@ -138,7 +140,7 @@ class TestRegistryDerivatives:
         t, a, x = _points_off_the_surface(psf, side, seed=len(key))
 
         def d(attr):
-            return psf.deriv(attr, t, a, x)
+            return _Points(psf, t, a, x).value(attr)
 
         expected = (d("d_t") + spec.mu_x * d("d_x") + spec.mu_a * d("d_a")
                     + 0.5 * spec.sigma ** 2 * d("d_xx"))
@@ -299,3 +301,92 @@ def test_variant_dispatch_rejects_unsupported_pairs():
     _, parts = build_parts("glued_quadratic_jump")
     with pytest.raises(IncompatibleScenarioError):
         evaluate_variant(parts, "ltc_diffusion", None)
+
+
+# Each jump term's summand at one rank: d(attr, averaged) is the derivative
+# at the jumps' left limits, df is F after minus F before.
+_SUMMANDS = {
+    ("surfaces_strong", "avg_fa_da_jumps"): lambda d, j, df, spec: d("d_a", True) * j.da,
+    ("surfaces_strong", "avg_fx_dx_jumps"): lambda d, j, df, spec: d("d_x", True) * j.dx,
+    ("surfaces_strong", "jump_compensation"):
+        lambda d, j, df, spec: (df - d("d_a", True) * j.da) - d("d_x", True) * j.dx,
+    ("jump_ltc", "jump_sum"): lambda d, j, df, spec: df,
+    ("smooth_fit", "lambda_fx_dY"): lambda d, j, df, spec: spec.lambda_x * d("d_x") * j.dy,
+    ("smooth_fit", "jump_compensation"): lambda d, j, df, spec: df - d("d_x") * j.dx,
+    ("general", "jump_compensation"): lambda d, j, df, spec: df,
+}
+
+
+def _branch_value(psf, attr, averaged, t, a, x):
+    """attr of the branch that owns each point, written out with np.where:
+    the lower one on x <= b; averaged, the mean with the limit from above."""
+    lower, upper = (np.asarray(getattr(br, attr)(t, a, x), float) for br in (psf.lower, psf.upper))
+    below = np.where(x <= psf.b(t, a), lower, upper)
+    return 0.5 * (np.where(x >= psf.b(t, a), upper, lower) + below) if averaged else below
+
+
+def _ordered_sum(values):
+    """Left-to-right float sum from 0.0, one value at a time."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _rank_by_rank(psf, spec, ctx, summand):
+    """A jump term summed with _ordered_sum over one rank column at a time."""
+    def at_rank(rank):
+        j = JumpContext(*(v[..., rank] for v in ctx))
+        pre = np.atleast_1d(j.t, j.a_pre, j.x_pre)
+        df = eval_F(psf, j.t, j.a, j.x) - eval_F(psf, j.t, j.a_pre, j.x_pre)
+        return summand(lambda attr, averaged=False: _branch_value(psf, attr, averaged, *pre),
+                       j, df, spec)
+    return _ordered_sum(at_rank(rank) for rank in range(ctx.t.shape[-1]))
+
+
+def _jump_bundle(spec, n_steps, rows, k, seed):
+    """A bundle of `rows` paths (one 1-D path for rows 0) with k jumps each at
+    random times; Y and Z sizes, and the normals, drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    head = (rows,) if rows else ()
+    grid = build_grid(1.0, n_steps, rng.uniform(0.01, 1.0, head + (k,)))
+    db = rng.standard_normal(head + (grid.dts.shape[-1],)) * grid.sqrt_dts
+
+    def train(sizes):
+        if not k:
+            return grid.zero_steps
+        steps = np.zeros(grid.dts.shape)
+        np.put_along_axis(steps, grid.jump_indices - 1, rng.choice(sizes, head + (k,)), axis=-1)
+        return steps
+
+    return PathBundle(grid, spec, db, train([-0.5, 0.0, 0.5]), train([0.0, 0.3, 0.7]))
+
+
+@pytest.mark.parametrize("name", ["glued_quadratic_jump", "smooth_fit_sqrt_surface",
+                                  "exact_drift_jump"])
+@given(k=st.integers(0, 6), rows=st.integers(0, 4), n_steps=st.sampled_from([5, 20]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+# a row whose only jump has a Y size of 0.0 under a negative F_a: its summand
+# is -0.0, which 0.0 + -0.0 turns into +0.0
+@example(k=1, rows=3, n_steps=5, seed=1)
+def test_jump_terms_equal_their_rank_by_rank_sums(name, k, rows, n_steps, seed):
+    """Each jump term over a (P, k) or (k,) context adds its rank columns
+    exactly as summing one column of same-rank jumps at a time does, and is
+    the float 0.0 without jumps."""
+    parts = build_parts(name)[1]
+    bundle = _jump_bundle(parts.spec, n_steps, rows, k, seed)
+    ctx = iter_jumps(bundle)
+    assert ctx.t.shape == ((rows,) if rows else ()) + (k,)
+    view = _PathView(parts.psf, bundle, "analytic", eps=0.3, n=7)
+    for variant in parts.variants:
+        for term, build in _VARIANTS.get(variant, ()):
+            if (variant, term) not in _SUMMANDS:
+                continue
+            got = build(view)
+            expected = _rank_by_rank(parts.psf, parts.spec, ctx, _SUMMANDS[variant, term])
+            if not k:
+                assert type(got) is float and repr(got) == repr(expected) == "0.0"
+                continue
+            expected = np.asarray(expected, float).reshape(np.shape(got))
+            assert np.asarray(got, float).tobytes() == expected.tobytes(), (variant, term)

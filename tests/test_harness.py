@@ -3,6 +3,7 @@
 import inspect
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -452,13 +453,21 @@ def _one_path(parts, variant, bundle, eps, n, qv):
     return r.lhs, r.terms, r.rhs, r.residual
 
 
+def _as_rows(variant, names, table):
+    """A runner's table as per-path results, each shaped as _one_path's."""
+    if variant == "localtime":
+        return [tuple(r) for r in table.tolist()]
+    return [(lhs, dict(zip(names, terms)), rhs, residual)
+            for lhs, *terms, rhs, residual in table.tolist()]
+
+
 def _blocked(parts, variant, seeds, n_steps, eps, n, qv, rows):
     """Per-path results of the blocked runner, in blocks of at most `rows`."""
     evaluate, args = ((harness._localtime_rows, (eps, n, qv)) if variant == "localtime"
                       else (harness._verify_rows, (variant, eps, n, qv)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "BLOCK_POINTS", rows * (n_steps + 1))
-        return harness._run_paths(parts, 1.0, n_steps, seeds, evaluate, args)
+        return _as_rows(variant, *harness._run_paths(parts, 1.0, n_steps, seeds, evaluate, args))
 
 
 @pytest.mark.parametrize("name, variant", _pairs())
@@ -516,14 +525,27 @@ def test_jump_on_a_uniform_grid_point_inside_a_block(monkeypatch):
         assert [repr(r) for r in blocked] == single
 
 
-def test_nonfinite_term_in_a_block_aborts():
-    scen = REGISTRY["glued_quadratic_jump"]
-    _, parts = build_parts(scen.name)
+@pytest.mark.parametrize("attr, message", [
     # F_xx is NaN above the surface, which some paths of the block reach
-    parts.psf = replace(parts.psf, upper=replace(parts.psf.upper,
-                                                 d_xx=lambda t, a, x: np.nan * x))
-    with pytest.raises(NumericalAbort, match="non-finite"):
-        _blocked(parts, "surfaces_strong", list(range(20)), 50, 0.3, 7, "analytic", 8)
+    ("d_xx", "surfaces_strong: non-finite half_fxx_qv (nan)"),
+    # F_x is NaN above the surface only at the jumps' left limits, so only
+    # the jump columns are non-finite
+    ("d_x", "surfaces_strong: non-finite avg_fx_dx_jumps (nan)"),
+])
+def test_nonfinite_term_in_a_block_aborts(attr, message):
+    _, parts = build_parts("glued_quadratic_jump")
+    seeds, upper = list(range(20)), parts.psf.upper
+    alone = [simulate_jump_diffusion(parts.spec, 1.0, 50, s) for s in seeds]
+    left_limits = np.concatenate([b.x_pre[b.jump_indices] for b in alone])
+
+    def nan_above(t, a, x):
+        if attr == "d_xx":
+            return np.nan * x
+        return np.where(np.isin(x, left_limits), np.nan, upper.d_x(t, a, x))
+
+    parts.psf = replace(parts.psf, upper=replace(upper, **{attr: nan_above}))
+    with pytest.raises(NumericalAbort, match=re.escape(message)):
+        _blocked(parts, "surfaces_strong", seeds, 50, 0.3, 7, "analytic", 8)
 
 
 def test_block_needs_given_bandwidths():
@@ -540,17 +562,23 @@ def test_block_needs_given_bandwidths():
 
 
 def test_block_reports_sum_their_terms():
-    """A block's reports are each path's; their `terms` sum each term over
-    the rows, which is what reading one report's terms gives on a block."""
+    """A block's report table holds each path's report in its rows; its
+    `terms` sum each term over the rows, which is what reading one report's
+    terms gives on a block."""
     _, parts = build_parts("glued_quadratic_jump")
     draws = paths.draw_paths(parts.spec, 1.0, 50, range(40))
     group = np.flatnonzero((draws.steps == 51) & (np.diff(draws.offsets) == 1))
-    reports = evaluate_variant(parts, "jump_ltc", simulate_jump_diffusion(
-        parts.spec, 1.0, 50, draws, group), n=7)
-    assert len(group) > 2 and len(reports) == len(group)
-    assert list(reports.terms) == list(reports[0].terms)
+    block = simulate_jump_diffusion(parts.spec, 1.0, 50, draws, group)
+    reports = evaluate_variant(parts, "jump_ltc", block, n=7)
+    assert len(group) > 2 and reports.table.shape == (len(group), 3 + len(reports.names))
+    single = [repr(_one_path(parts, "jump_ltc", simulate_jump_diffusion(
+        parts.spec, 1.0, 50, draws, i), None, 7, "analytic")) for i in group]
+    rows = _as_rows("jump_ltc", *harness._verify_rows(parts, block, "jump_ltc", None, 7,
+                                                      "analytic"))
+    assert [repr(r) for r in rows] == single
+    assert list(reports.terms) == reports.names == list(rows[0][1])
     for name, total in reports.terms.items():
-        assert total == sum(r.terms[name] for r in reports)
+        assert total == sum(r[1][name] for r in rows)
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -117,6 +117,10 @@ class TestGridBySearchsorted:
     @example((1.0, 4, np.array([[0.25 - 0.4e-12, 0.25 + 0.4e-12], [0.5, 0.5 + 0.3e-12]])))
     @example((2.5, 10, np.array([0.5 - 1e-12, 0.5 + 1e-12, 2.5])))
     @example((0.7, 7, np.array([[0.7, 0.1 + 0.2e-12], [0.35, 0.7]])))
+    # a repeated time, and a jump that would replace the start point
+    @example((1.0, 4, np.array([0.5, 0.5])))
+    @example((0.7, 1, np.array([0.35, 0.35, 0.7])))
+    @example((1.0, 4, np.array([1e-13])))
     def test_matches_the_sorted_grid(self, block):
         t_end, n_steps, jt = block
         uniform = _uniform_grid(t_end, n_steps).times
@@ -135,6 +139,16 @@ class TestGridBySearchsorted:
         for name in ("times", "jump_flags", "dts", "jump_indices"):
             new, old = getattr(grid, name), getattr(expected, name)
             assert new.shape == old.shape and new.tobytes() == old.tobytes(), name
+
+
+    @pytest.mark.parametrize("jump_times, message", [
+        ([0.5, 0.5], "strictly increasing"), ([[0.3, 0.3], [0.1, 0.6]], "strictly increasing"),
+        ([1e-13], "must start at 0")])
+    def test_rejects_what_the_grid_check_rejects(self, jump_times, message):
+        """build_grid does not re-check the grid it places, so it rejects
+        these inputs itself, with the grid check's messages."""
+        with pytest.raises(ConfigError, match=message):
+            build_grid(1.0, 4, jump_times)
 
 
 class TestSharedGrid:
