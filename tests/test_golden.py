@@ -7,7 +7,11 @@ every registry surface.
 
 Three bench-sized cases (1000 paths at dt 1e-2) pin the same two files where
 row blocks fill up: the Y/Z-jump scenarios' variants form blocks of up to 162
-rows with up to 6 jump ranks, which the 6-path cases never reach.
+rows with up to 6 jump ranks, which the 6-path cases never reach. Two
+long-path cases (dt 1e-4) pin them for rows of 10001 points, several to a
+block: `tanaka_bm`/`tanaka` at the bench's `tanaka_fine` size, and
+`peskir_diffusion`/`ltc_diffusion`, whose variant reaches the occupation
+estimator and the generator term.
 
 Refactors must leave these digests unchanged. A change that alters the
 outputs on purpose regenerates the file and says why:
@@ -39,6 +43,8 @@ FORMER_ALIASES = {"surfaces_strong": "tanaka_bm", "generator_lambda": "peskir_di
 BENCH_CONFIG = ["--dt", "1e-2", "--paths", "1000", "--seed", "13"]
 BENCH_CASES = [("glued_quadratic_jump", "jump_ltc"), ("glued_quadratic_jump", "surfaces_strong"),
                ("smooth_fit_sqrt_surface", "smooth_fit")]
+LONG_CASES = [("tanaka_bm", "tanaka", ["--dt", "1e-4", "--paths", "400", "--seed", "13"]),
+              ("peskir_diffusion", "ltc_diffusion", ["--dt", "1e-4", "--paths", "40", "--seed", "13"])]
 # one penalty per decade, none of them a round number
 ENVELOPE_CONFIG = ["--m", "3.1622776601683795,31.622776601683793,"
                           "316.22776601683796,3162.2776601683795", "--grid-n", "7"]
@@ -69,6 +75,10 @@ def _envelope_key(surface):
 
 def _bench_key(name, variant):
     return f"{name}/{variant}/bench"
+
+
+def _long_key(name, variant):
+    return f"{name}/{variant}/long"
 
 
 def _digests(name, variant, qv, out_dir, config=CONFIG):
@@ -121,7 +131,8 @@ def test_golden_covers_every_pair(golden):
                                     + [_localtime_key(name, qv) for name in REGISTRY
                                        for qv in QV_MODES]
                                     + [_envelope_key(s) for s in SURFACES]
-                                    + [_bench_key(*c) for c in BENCH_CASES])
+                                    + [_bench_key(*c) for c in BENCH_CASES]
+                                    + [_long_key(n, v) for n, v, _ in LONG_CASES])
 
 
 @pytest.mark.parametrize("name,variant,qv", _cases(),
@@ -136,6 +147,14 @@ def test_outputs_match_golden(golden, tmp_path, name, variant, qv):
 def test_bench_sized_outputs_match_golden(golden, tmp_path, name, variant):
     key = _bench_key(name, variant)
     assert _digests(name, variant, "analytic", tmp_path, BENCH_CONFIG) == golden[key], (
+        f"{key}: verify.csv or summary.json changed")
+
+
+@pytest.mark.parametrize("name,variant,config", LONG_CASES,
+                         ids=[_long_key(n, v) for n, v, _ in LONG_CASES])
+def test_long_path_outputs_match_golden(golden, tmp_path, name, variant, config):
+    key = _long_key(name, variant)
+    assert _digests(name, variant, "analytic", tmp_path, config) == golden[key], (
         f"{key}: verify.csv or summary.json changed")
 
 
@@ -178,5 +197,7 @@ if __name__ == "__main__":
             table[_envelope_key(surface)] = _envelope_digests(surface, tmp)
         for case in BENCH_CASES:
             table[_bench_key(*case)] = _digests(*case, "analytic", tmp, BENCH_CONFIG)
+        for name, variant, config in LONG_CASES:
+            table[_long_key(name, variant)] = _digests(name, variant, "analytic", tmp, config)
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} entries to {GOLDEN}", file=sys.stderr)
