@@ -31,6 +31,11 @@ from .surfaces import moreau_envelope
 BLOCK_POINTS = 16384
 
 
+def _is_int(value):
+    # a bool is Integral too, but True would run as 1 and be echoed as true
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class ScenarioConfig:
     """Everything needed to reproduce one ensemble run."""
@@ -56,12 +61,12 @@ class ScenarioConfig:
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ConfigError(f"dt = {self.dt!r} does not divide t_end = {self.t_end!r}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.n_paths < 1:
-            raise ConfigError("n_paths must be at least 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        for name in ("n_paths", "workers"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.qv_mode not in ("analytic", "realized"):
             raise ConfigError(f"unknown qv_mode: {self.qv_mode!r}")
         if self.bandwidth_rule != "coupled":

@@ -125,6 +125,15 @@ class TestRunScenario:
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="tanaka_bm", bandwidth_rule="wide")
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_paths", 2.5), ("n_paths", 3.0), ("n_paths", True),
+        ("workers", 1.5), ("workers", 2.0), ("workers", True), ("seed", True)])
+    def test_non_integer_counts_rejected(self, name, value):
+        """A float count would fail deep in the seeding or the pool, and True
+        would run as 1 and be echoed as true in summary.json."""
+        with pytest.raises(ConfigError, match=name):
+            ScenarioConfig(scenario="tanaka_bm", **{name: value})
+
 
 class TestConvergence:
     def test_single_dt_rejected(self):
@@ -490,6 +499,23 @@ def test_blocks_equal_single_paths(name, variant, seeds, n_steps, rows, qv, spli
         results = _blocked(parts, variant, [seeds[i] for i in part], n_steps, eps, n, qv, rows)
         shuffled.update(zip(part, results))
     assert [repr(shuffled[i]) for i in range(len(seeds))] == single
+
+
+@pytest.mark.parametrize("qv", ["analytic", "realized"])
+@pytest.mark.parametrize("name, variant", [("tanaka_bm", "tanaka"),
+                                           ("peskir_diffusion", "ltc_diffusion"),
+                                           ("peskir_diffusion", "surfaces_strong")])
+def test_long_rows_in_blocks_equal_single_paths(name, variant, qv):
+    """Rows of 10001 points, longer than numpy's 8192-element buffer, reduce
+    in a block of 2 or 3 rows exactly as each path does alone."""
+    n_steps, seeds = 10000, [5, 2024, 2**32 - 3]
+    _, parts = build_parts(name)
+    eps, n = ScenarioConfig(scenario=name, dt=1.0 / n_steps).bandwidths()
+    single = [repr(_one_path(parts, variant, simulate_jump_diffusion(
+        parts.spec, 1.0, n_steps, s), eps, n, qv)) for s in seeds]
+    for rows in (2, 3):
+        together = _blocked(parts, variant, seeds, n_steps, eps, n, qv, rows)
+        assert [repr(r) for r in together] == single
 
 
 def test_jump_on_a_uniform_grid_point_inside_a_block(monkeypatch):
