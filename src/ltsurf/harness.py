@@ -27,8 +27,9 @@ from .scenarios import SURFACES, build_parts, evaluate_variant, list_scenarios
 from .surfaces import moreau_envelope
 
 # Grid points per block of paths: each of a block's (P, L+1) arrays is then
-# 128 KB, and a path of 8192 steps or more, such as a 1e4-step one, is alone.
-BLOCK_POINTS = 16384
+# 512 KiB, six 1e4-step paths share a block, and only a path of 32768 steps
+# or more is alone.
+BLOCK_POINTS = 65536
 
 
 def _is_int(value):
