@@ -6,7 +6,7 @@ both qv modes, and the byte-exact envelope.csv that `envelope` writes for
 every registry surface.
 
 Three bench-sized cases (1000 paths at dt 1e-2) pin the same two files where
-row blocks fill up: the Y/Z-jump scenarios' variants form blocks of up to 162
+row blocks fill up: the Y/Z-jump scenarios' variants form blocks of up to 383
 rows with up to 6 jump ranks, which the 6-path cases never reach. Two
 long-path cases (dt 1e-4) pin them for rows of 10001 points, several to a
 block: `tanaka_bm`/`tanaka` at the bench's `tanaka_fine` size, and
