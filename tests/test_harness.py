@@ -128,7 +128,7 @@ class TestRunScenario:
     @pytest.mark.parametrize("name, value", [
         ("n_paths", 2.5), ("n_paths", 3.0), ("n_paths", True),
         ("workers", 1.5), ("workers", 2.0), ("workers", True), ("seed", True)])
-    def test_non_integer_counts_rejected(self, name, value):
+    def test_non_integer_counts_and_seed_rejected(self, name, value):
         """A float count would fail deep in the seeding or the pool, and True
         would run as 1 and be echoed as true in summary.json."""
         with pytest.raises(ConfigError, match=name):
