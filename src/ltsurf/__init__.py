@@ -9,10 +9,9 @@ from .calculus import (continuous_qv_measure, left_point_sum,
                        local_time_time_integral, measure_integral)
 from .errors import (ConfigError, IncompatibleScenarioError, LtsurfError,
                      NumericalAbort)
-from .formulas import (Branch, FormulaReport, GeneratorSpec,
-                       PiecewiseSurfaceFunction, coupled_eps,
-                       coupled_mollifier_n, smooth_psf, verify_general,
-                       verify_jump_ltc, verify_ltc_diffusion,
+from .formulas import (Branch, FormulaReport, PiecewiseSurfaceFunction,
+                       coupled_eps, coupled_mollifier_n, smooth_psf,
+                       verify_general, verify_jump_ltc, verify_ltc_diffusion,
                        verify_smooth_fit, verify_surfaces_strong,
                        verify_tanaka)
 from .harness import (EnsembleSummary, ScenarioConfig, compare_estimators,

@@ -8,8 +8,10 @@ out; every other variant is a row of _VARIANTS, an ordered tuple of
 (column name, term builder) over one _PathView of the bundle.
 
 Conventions shared by all variants:
-  * integrands are evaluated at left limits: step-start values for the
-    continuous parts, pre-jump values (x_pre, a_pre) at flagged jumps;
+  * integrands are evaluated at left limits: step-start values (t, a, x)
+    for the continuous parts, general's H included, so the step after a
+    jump starts from the post-jump value; pre-jump values (x_pre, a_pre)
+    at flagged jumps;
   * the glue is closed below: x <= b selects the lower branch, so F_x on
     the surface is its limit from below; averaged derivatives are the mean
     of the limits from below and from above;
@@ -50,7 +52,8 @@ def coupled_mollifier_n(dt):
 
 @dataclass(frozen=True)
 class Branch:
-    """One smooth piece of a glued function, with sectional derivatives."""
+    """One smooth piece of a glued function, with sectional derivatives,
+    each called as (t, a, x, b) with b the surface b(t, a) at those points."""
 
     f: Callable
     d_t: Callable
@@ -66,40 +69,15 @@ class PiecewiseSurfaceFunction:
     surface: object
     lower: Branch
     upper: Branch
-    fx_plus: Callable  # (t, a) -> limit of F_x from above at the surface
-    fx_minus: Callable
 
     def b(self, t, a):
         return np.asarray(self.surface.b(t, a), dtype=float)
-
-    def validate_glue(self, t_grid, a_grid, cont_tol=1e-9, fd_tol=1e-4, fd_h=1e-6):
-        """Check continuity across the surface and agreement of the declared
-        one-sided x-derivatives with finite differences toward the surface."""
-        tt, aa = np.meshgrid(np.asarray(t_grid, float), np.asarray(a_grid, float),
-                             indexing="ij")
-        bb = self.b(tt, aa)
-        gap = np.abs(self.lower.f(tt, aa, bb) - self.upper.f(tt, aa, bb))
-        if np.max(gap) >= cont_tol:
-            raise ConfigError(f"branches disagree at the surface: max gap {np.max(gap):g}")
-        fd_plus = (self.upper.f(tt, aa, bb + fd_h) - self.upper.f(tt, aa, bb)) / fd_h
-        fd_minus = (self.lower.f(tt, aa, bb) - self.lower.f(tt, aa, bb - fd_h)) / fd_h
-        err_plus = np.max(np.abs(fd_plus - self.fx_plus(tt, aa)))
-        err_minus = np.max(np.abs(fd_minus - self.fx_minus(tt, aa)))
-        if max(err_plus, err_minus) >= fd_tol:
-            raise ConfigError(
-                "declared one-sided derivatives disagree with finite differences: "
-                f"plus {err_plus:g}, minus {err_minus:g}"
-            )
 
 
 def smooth_psf(f, d_t, d_a, d_x, d_xx, surface):
     """Globally smooth F wrapped in the piecewise container (f1 = f2)."""
     branch = Branch(f, d_t, d_a, d_x, d_xx)
-    return PiecewiseSurfaceFunction(
-        surface=surface, lower=branch, upper=branch,
-        fx_plus=lambda t, a: d_x(t, a, surface.b(t, a)),
-        fx_minus=lambda t, a: d_x(t, a, surface.b(t, a)),
-    )
+    return PiecewiseSurfaceFunction(surface=surface, lower=branch, upper=branch)
 
 
 class _Points:
@@ -110,23 +88,26 @@ class _Points:
         self.psf, self.t, self.a, self.x, self._values = psf, t, a, x, {}
 
     @cached_property
+    def b(self):
+        return self.psf.b(self.t, self.a)
+
+    @cached_property
     def sides(self):
-        """b, then x <= b (the lower branch owns x = b), then x >= b."""
-        b = self.psf.b(self.t, self.a)
-        return b, self.x <= b, self.x >= b
+        """x <= b (the lower branch owns x = b), then x >= b."""
+        return self.x <= self.b, self.x >= self.b
 
     def value(self, attr, averaged=False):
         """F ("f") or a derivative; averaged, the mean of the limits from
         above and from below."""
         if (attr, averaged) not in self._values:
-            psf, args = self.psf, (self.t, self.a, self.x)
+            psf, args = self.psf, (self.t, self.a, self.x, self.b)
             lower = np.asarray(getattr(psf.lower, attr)(*args), dtype=float)
             if psf.lower is psf.upper:  # smooth F
                 below = above = np.broadcast_arrays(lower, self.x)[0]
             else:
                 upper = np.asarray(getattr(psf.upper, attr)(*args), dtype=float)
-                below = np.where(self.sides[1], lower, upper)
-                above = np.where(self.sides[2], upper, lower) if averaged else None
+                below = np.where(self.sides[0], lower, upper)
+                above = np.where(self.sides[1], upper, lower) if averaged else None
             self._values[attr, averaged] = 0.5 * (above + below) if averaged else below
         return self._values[attr, averaged]
 
@@ -140,10 +121,10 @@ def eval_F(psf, t, a, x):
 
 
 def fx_jump(psf, t, a):
-    """One-sided x-derivative gap across the surface."""
-    t = np.asarray(t, float)
-    a = np.asarray(a, float)
-    return np.asarray(psf.fx_plus(t, a), float) - np.asarray(psf.fx_minus(t, a), float)
+    """One-sided x-derivative gap across the surface: F_x(b+) - F_x(b-)."""
+    t, a = np.asarray(t, float), np.asarray(a, float)
+    b = psf.b(t, a)
+    return psf.upper.d_x(t, a, b, b) - psf.lower.d_x(t, a, b, b)
 
 
 @dataclass
@@ -245,7 +226,7 @@ class _PathView(_Points):
         Ito formula makes no exception on the surface."""
         if self.psf.lower is self.psf.upper:
             return np.ones(self.x.shape, dtype=bool)
-        return self.x != self.sides[0]
+        return self.x != self.b
 
     def coeff(self, name):
         return float(getattr(self.bundle.spec, name))
@@ -341,7 +322,7 @@ _VARIANTS = {
     ),
     "general": (
         ("h_dlambda", lambda v: measure_integral(
-            np.broadcast_to(v.gen.h(v.t, v.bundle.a_pre, v.bundle.x_pre), v.x.shape),
+            np.broadcast_to(v.gen(v.t, v.a, v.x), v.x.shape),
             v.bundle.grid)),
         ("fx_dM", lambda v: left_point_sum(v.value("d_x"), v.bundle.m_increments)),
         ("local_time", _RIGHT_LOCAL_TIME),
@@ -401,13 +382,7 @@ def verify_smooth_fit(psf, bundle, qv_mode="analytic", fit_tol=1e-9,
     return _assemble("smooth_fit", psf, bundle, qv_mode)
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """User-supplied H for the general formula; lambda is dt."""
-
-    h: Callable  # (t, a, x) -> float, evaluated at left limits along paths
-
-
 def verify_general(psf, gen, bundle, n=None, qv_mode="analytic"):
-    """General semimartingale formula with user-supplied H and lambda = dt."""
+    """General semimartingale formula with lambda = dt and a user-supplied
+    H = gen(t, a, x), read at step start."""
     return _assemble("general", psf, bundle, qv_mode, n=n, gen=gen)

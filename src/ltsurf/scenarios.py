@@ -11,10 +11,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, IncompatibleScenarioError
-from .formulas import (Branch, GeneratorSpec, PiecewiseSurfaceFunction,
-                       smooth_psf, verify_general, verify_jump_ltc,
-                       verify_ltc_diffusion, verify_smooth_fit,
-                       verify_surfaces_strong, verify_tanaka)
+from .formulas import (Branch, PiecewiseSurfaceFunction, smooth_psf,
+                       verify_general, verify_jump_ltc, verify_ltc_diffusion,
+                       verify_smooth_fit, verify_surfaces_strong,
+                       verify_tanaka)
 from .paths import JumpLaw, SdeSpec, two_point
 from .surfaces import Surface, constant_surface
 
@@ -24,7 +24,7 @@ class ScenarioParts:
     spec: SdeSpec
     psf: Optional[PiecewiseSurfaceFunction] = None
     level: float = 0.0
-    gen: Optional[GeneratorSpec] = None
+    gen: Optional[Callable] = None  # H(t, a, x) of the general variant
     variants: tuple = ()
 
 
@@ -38,40 +38,33 @@ class Scenario:
     build: Callable[[dict], ScenarioParts]
 
 
-def _abs_psf(surface=None):
-    """F = |x - b| for a constant surface b."""
-    surface = surface or constant_surface(0.0)
-    c = float(surface.b(0.0, 0.0))
+def _abs_psf(level):
+    """F = |x - b| for the constant surface b = level."""
     lower = Branch(
-        f=lambda t, a, x: c - x,
-        d_t=lambda t, a, x: 0.0 * x,
-        d_a=lambda t, a, x: 0.0 * x,
-        d_x=lambda t, a, x: -1.0 + 0.0 * x,
-        d_xx=lambda t, a, x: 0.0 * x,
+        f=lambda t, a, x, b: b - x,
+        d_t=lambda t, a, x, b: 0.0 * x,
+        d_a=lambda t, a, x, b: 0.0 * x,
+        d_x=lambda t, a, x, b: -1.0 + 0.0 * x,
+        d_xx=lambda t, a, x, b: 0.0 * x,
     )
     upper = Branch(
-        f=lambda t, a, x: x - c,
-        d_t=lambda t, a, x: 0.0 * x,
-        d_a=lambda t, a, x: 0.0 * x,
-        d_x=lambda t, a, x: 1.0 + 0.0 * x,
-        d_xx=lambda t, a, x: 0.0 * x,
+        f=lambda t, a, x, b: x - b,
+        d_t=lambda t, a, x, b: 0.0 * x,
+        d_a=lambda t, a, x, b: 0.0 * x,
+        d_x=lambda t, a, x, b: 1.0 + 0.0 * x,
+        d_xx=lambda t, a, x, b: 0.0 * x,
     )
-    return PiecewiseSurfaceFunction(
-        surface=surface, lower=lower, upper=upper,
-        fx_plus=lambda t, a: 1.0 + 0.0 * np.asarray(t, float),
-        fx_minus=lambda t, a: -1.0 + 0.0 * np.asarray(t, float),
-    )
+    return PiecewiseSurfaceFunction(constant_surface(level), lower, upper)
 
 
 def _quadratic_psf():
-    surface = constant_surface(0.0)
     return smooth_psf(
-        f=lambda t, a, x: x * x,
-        d_t=lambda t, a, x: 0.0 * x,
-        d_a=lambda t, a, x: 0.0 * x,
-        d_x=lambda t, a, x: 2.0 * x,
-        d_xx=lambda t, a, x: 2.0 + 0.0 * x,
-        surface=surface,
+        f=lambda t, a, x, b: x * x,
+        d_t=lambda t, a, x, b: 0.0 * x,
+        d_a=lambda t, a, x, b: 0.0 * x,
+        d_x=lambda t, a, x, b: 2.0 * x,
+        d_xx=lambda t, a, x, b: 2.0 + 0.0 * x,
+        surface=constant_surface(0.0),
     )
 
 
@@ -81,9 +74,9 @@ def _sgn(x):
 
 def _build_tanaka_bm(p):
     spec = SdeSpec(mu_x=p["mu"], sigma=p["sigma"], x0=p["x0"])
-    psf = _abs_psf(constant_surface(p["level"]))
+    psf = _abs_psf(p["level"])
     # mu*sgn is locally bounded off the level, a Lebesgue-null set in time
-    gen = GeneratorSpec(h=lambda t, a, x: p["mu"] * _sgn(x - p["level"]))
+    gen = lambda t, a, x: p["mu"] * _sgn(x - p["level"])
     return ScenarioParts(spec=spec, psf=psf, level=p["level"], gen=gen,
                          variants=("tanaka", "ltc_diffusion", "surfaces_strong",
                                    "jump_ltc", "general"))
@@ -93,7 +86,7 @@ def _build_smooth_quadratic(p):
     spec = SdeSpec(mu_x=p["mu"], sigma=p["sigma"], x0=p["x0"])
     psf = _quadratic_psf()
     # the classical Ito generator of x^2
-    gen = GeneratorSpec(h=lambda t, a, x: p["mu"] * 2.0 * x + p["sigma"] ** 2 + 0.0 * x)
+    gen = lambda t, a, x: p["mu"] * 2.0 * x + p["sigma"] ** 2 + 0.0 * x
     return ScenarioParts(spec=spec, psf=psf, level=0.0, gen=gen,
                          variants=("ltc_diffusion", "surfaces_strong",
                                    "jump_ltc", "smooth_fit", "general", "tanaka"))
@@ -101,9 +94,9 @@ def _build_smooth_quadratic(p):
 
 def _build_peskir_diffusion(p):
     spec = SdeSpec(mu_x=p["mu"], sigma=p["sigma"], x0=p["x0"])
-    psf = _abs_psf(constant_surface(0.0))
+    psf = _abs_psf(0.0)
     # mu*sgn(x) is locally bounded off the curve, and P[X_{s-} = 0] = 0
-    gen = GeneratorSpec(h=lambda t, a, x: p["mu"] * _sgn(x))
+    gen = lambda t, a, x: p["mu"] * _sgn(x)
     return ScenarioParts(spec=spec, psf=psf, level=0.0, gen=gen,
                          variants=("ltc_diffusion", "tanaka", "surfaces_strong",
                                    "jump_ltc", "general"))
@@ -119,26 +112,21 @@ def _build_glued_quadratic_jump(p):
         x0=p["x0"], a0=0.0,
     )
     surface = Surface(lambda t, a: 1.0 + 0.5 * np.asarray(a, float), lipschitz=True)
-    b = surface.b
     lower = Branch(
-        f=lambda t, a, x: (x - b(t, a)) ** 2 + (x - b(t, a)),
-        d_t=lambda t, a, x: 0.0 * x,
-        d_a=lambda t, a, x: -0.5 * (2.0 * (x - b(t, a)) + 1.0),
-        d_x=lambda t, a, x: 2.0 * (x - b(t, a)) + 1.0,
-        d_xx=lambda t, a, x: 2.0 + 0.0 * x,
+        f=lambda t, a, x, b: (x - b) ** 2 + (x - b),
+        d_t=lambda t, a, x, b: 0.0 * x,
+        d_a=lambda t, a, x, b: -0.5 * (2.0 * (x - b) + 1.0),
+        d_x=lambda t, a, x, b: 2.0 * (x - b) + 1.0,
+        d_xx=lambda t, a, x, b: 2.0 + 0.0 * x,
     )
     upper = Branch(
-        f=lambda t, a, x: 2.0 * (x - b(t, a)),
-        d_t=lambda t, a, x: 0.0 * x,
-        d_a=lambda t, a, x: -1.0 + 0.0 * x,
-        d_x=lambda t, a, x: 2.0 + 0.0 * x,
-        d_xx=lambda t, a, x: 0.0 * x,
+        f=lambda t, a, x, b: 2.0 * (x - b),
+        d_t=lambda t, a, x, b: 0.0 * x,
+        d_a=lambda t, a, x, b: -1.0 + 0.0 * x,
+        d_x=lambda t, a, x, b: 2.0 + 0.0 * x,
+        d_xx=lambda t, a, x, b: 0.0 * x,
     )
-    psf = PiecewiseSurfaceFunction(
-        surface=surface, lower=lower, upper=upper,
-        fx_plus=lambda t, a: 2.0 + 0.0 * np.asarray(t, float),
-        fx_minus=lambda t, a: 1.0 + 0.0 * np.asarray(t, float),
-    )
+    psf = PiecewiseSurfaceFunction(surface, lower, upper)
     return ScenarioParts(spec=spec, psf=psf, level=0.0, gen=None,
                          variants=("jump_ltc", "surfaces_strong"))
 
@@ -153,34 +141,21 @@ def _build_smooth_fit_sqrt(p):
         x0=p["x0"], a0=p["a0"],
     )
 
-    def b(t, a):
-        a = np.asarray(a, float)
-        return np.sign(a) * np.sqrt(np.abs(a))
-
     def b_a(a):
         a = np.asarray(a, float)
         return 0.5 / np.sqrt(np.maximum(np.abs(a), 1e-300))
 
-    surface = Surface(b)  # not Lipschitz at a = 0
-    lower = Branch(
-        f=lambda t, a, x: 0.0 * x,
-        d_t=lambda t, a, x: 0.0 * x,
-        d_a=lambda t, a, x: 0.0 * x,
-        d_x=lambda t, a, x: 0.0 * x,
-        d_xx=lambda t, a, x: 0.0 * x,
-    )
+    surface = SURFACES["sqrt"]  # not Lipschitz at a = 0
+    zero = lambda t, a, x, b: 0.0 * x
+    lower = Branch(f=zero, d_t=zero, d_a=zero, d_x=zero, d_xx=zero)
     upper = Branch(
-        f=lambda t, a, x: (x - b(t, a)) ** 2,
-        d_t=lambda t, a, x: 0.0 * x,
-        d_a=lambda t, a, x: -2.0 * (x - b(t, a)) * b_a(a),
-        d_x=lambda t, a, x: 2.0 * (x - b(t, a)),
-        d_xx=lambda t, a, x: 2.0 + 0.0 * x,
+        f=lambda t, a, x, b: (x - b) ** 2,
+        d_t=zero,
+        d_a=lambda t, a, x, b: -2.0 * (x - b) * b_a(a),
+        d_x=lambda t, a, x, b: 2.0 * (x - b),
+        d_xx=lambda t, a, x, b: 2.0 + 0.0 * x,
     )
-    psf = PiecewiseSurfaceFunction(
-        surface=surface, lower=lower, upper=upper,
-        fx_plus=lambda t, a: 0.0 * np.asarray(t, float),
-        fx_minus=lambda t, a: 0.0 * np.asarray(t, float),
-    )
+    psf = PiecewiseSurfaceFunction(surface, lower, upper)
     return ScenarioParts(spec=spec, psf=psf, level=0.0, gen=None,
                          variants=("smooth_fit",))
 
@@ -188,11 +163,11 @@ def _build_smooth_fit_sqrt(p):
 def _linear_psf(surface_level=-5.0, cx=1.0, ca=0.2, ct=0.3):
     surface = constant_surface(surface_level)
     return smooth_psf(
-        f=lambda t, a, x: cx * x + ca * a + ct * t + 0.0 * x,
-        d_t=lambda t, a, x: ct + 0.0 * x,
-        d_a=lambda t, a, x: ca + 0.0 * x,
-        d_x=lambda t, a, x: cx + 0.0 * x,
-        d_xx=lambda t, a, x: 0.0 * x,
+        f=lambda t, a, x, b: cx * x + ca * a + ct * t + 0.0 * x,
+        d_t=lambda t, a, x, b: ct + 0.0 * x,
+        d_a=lambda t, a, x, b: ca + 0.0 * x,
+        d_x=lambda t, a, x, b: cx + 0.0 * x,
+        d_xx=lambda t, a, x, b: 0.0 * x,
         surface=surface,
     )
 
@@ -203,7 +178,7 @@ def _build_exact_drift(p):
     # no a-dependence: the curves formula carries no F_a term
     psf = _linear_psf(ca=0.0)
     h_const = 0.3 + p["mu_x"] * 1.0
-    gen = GeneratorSpec(h=lambda t, a, x: h_const + 0.0 * np.asarray(x, float))
+    gen = lambda t, a, x: h_const + 0.0 * np.asarray(x, float)
     return ScenarioParts(spec=spec, psf=psf, level=-5.0, gen=gen,
                          variants=("tanaka", "ltc_diffusion", "surfaces_strong",
                                    "jump_ltc", "smooth_fit", "general"))
@@ -220,7 +195,7 @@ def _build_exact_drift_jump(p):
     psf = _linear_psf()
     h_const = 0.3 + p["mu_x"] * 1.0 + p["mu_a"] * 0.2
     # jumps enter the jump sum only
-    gen = GeneratorSpec(h=lambda t, a, x: h_const + 0.0 * np.asarray(x, float))
+    gen = lambda t, a, x: h_const + 0.0 * np.asarray(x, float)
     return ScenarioParts(spec=spec, psf=psf, level=-5.0, gen=gen,
                          variants=("tanaka", "surfaces_strong", "jump_ltc",
                                    "smooth_fit", "general"))

@@ -7,14 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ltsurf import (Branch, ConfigError, GeneratorSpec,
-                    IncompatibleScenarioError,
-                    PiecewiseSurfaceFunction, SdeSpec, constant_surface,
+from ltsurf import (IncompatibleScenarioError, SdeSpec, constant_surface,
                     local_time_tanaka_residual, simulate_jump_diffusion,
                     smooth_psf, two_point,
                     verify_general, verify_jump_ltc, verify_ltc_diffusion,
                     verify_smooth_fit, verify_surfaces_strong, verify_tanaka)
-from ltsurf.calculus import JumpContext, iter_jumps
+from ltsurf.calculus import JumpContext, iter_jumps, measure_integral
 from ltsurf.formulas import _VARIANTS, _PathView, _Points, eval_F, fx_jump
 from ltsurf.paths import PathBundle, build_grid
 from ltsurf.scenarios import REGISTRY, build_parts, evaluate_variant
@@ -27,13 +25,21 @@ def _abs_psf():
 
 def _linear_psf():
     return smooth_psf(
-        f=lambda t, a, x: x + 0.0 * x,
-        d_t=lambda t, a, x: 0.0 * x,
-        d_a=lambda t, a, x: 0.0 * x,
-        d_x=lambda t, a, x: 1.0 + 0.0 * x,
-        d_xx=lambda t, a, x: 0.0 * x,
+        f=lambda t, a, x, b: x + 0.0 * x,
+        d_t=lambda t, a, x, b: 0.0 * x,
+        d_a=lambda t, a, x, b: 0.0 * x,
+        d_x=lambda t, a, x, b: 1.0 + 0.0 * x,
+        d_xx=lambda t, a, x, b: 0.0 * x,
         surface=constant_surface(-5.0),
     )
+
+
+def _validate_glue(psf, t_grid, a_grid):
+    """The two branches agree on the surface, to 1e-9, on a (t, a) grid."""
+    t, a = np.meshgrid(t_grid, a_grid, indexing="ij")
+    b = psf.b(t, a)
+    np.testing.assert_allclose(psf.lower.f(t, a, b, b), psf.upper.f(t, a, b, b),
+                               rtol=0, atol=1e-9)
 
 
 class TestPiecewise:
@@ -61,34 +67,18 @@ class TestPiecewise:
         assert fx_jump(_linear_psf(), 0.0, 0.0) == 0.0
         _, parts = build_parts("smooth_fit_sqrt_surface")
         assert fx_jump(parts.psf, 0.3, 0.7) == 0.0  # (x-b)^2 glued to 0
+        # on the moving surface b = 1 + a/2: 2 - (2 (x - b) + 1) at x = b
+        t, a = np.meshgrid(np.linspace(0, 1, 11), np.linspace(-2, 2, 21), indexing="ij")
+        gap = fx_jump(build_parts("glued_quadratic_jump")[1].psf, t, a)
+        assert gap.shape == t.shape and (gap == 1.0).all()
 
     def test_validate_glue_accepts_consistent_branches(self):
-        _abs_psf().validate_glue(np.linspace(0, 1, 5), np.linspace(-1, 1, 5))
+        _validate_glue(_abs_psf(), np.linspace(0, 1, 5), np.linspace(-1, 1, 5))
 
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_registry_functions_pass_validate_glue(self, name):
         _, parts = build_parts(name)
-        parts.psf.validate_glue(np.linspace(0, 1, 11), np.linspace(-2, 2, 21))
-
-    def test_validate_glue_rejects_discontinuity(self):
-        surface = constant_surface(0.0)
-        lower = Branch(f=lambda t, a, x: 0.0 * x, d_t=lambda t, a, x: 0.0 * x,
-                       d_a=lambda t, a, x: 0.0 * x, d_x=lambda t, a, x: 0.0 * x,
-                       d_xx=lambda t, a, x: 0.0 * x)
-        upper = Branch(f=lambda t, a, x: 1.0 + 0.0 * x, d_t=lower.d_t,
-                       d_a=lower.d_a, d_x=lower.d_x, d_xx=lower.d_xx)
-        psf = PiecewiseSurfaceFunction(surface, lower, upper,
-                                       fx_plus=lambda t, a: 0.0,
-                                       fx_minus=lambda t, a: 0.0)
-        with pytest.raises(ConfigError):
-            psf.validate_glue(np.linspace(0, 1, 3), np.linspace(-1, 1, 3))
-
-    def test_validate_glue_rejects_wrong_declared_derivative(self):
-        psf = PiecewiseSurfaceFunction(
-            _abs_psf().surface, _abs_psf().lower, _abs_psf().upper,
-            fx_plus=lambda t, a: 7.0, fx_minus=lambda t, a: -1.0)
-        with pytest.raises(ConfigError):
-            psf.validate_glue(np.linspace(0, 1, 3), np.linspace(-1, 1, 3))
+        _validate_glue(parts.psf, np.linspace(0, 1, 11), np.linspace(-2, 2, 21))
 
 
 def _registry_parts():
@@ -120,7 +110,11 @@ class TestRegistryDerivatives:
         psf = _PARTS[key].psf
         branch = psf.lower if side < 0 else psf.upper
         t, a, x = _points_off_the_surface(psf, side, seed=len(key))
-        h, f = self.H, branch.f
+        h, b = self.H, psf.b(t, a)
+
+        def f(t, a, x):  # the branch with the surface at the shifted point
+            return branch.f(t, a, x, psf.b(t, a))
+
         central = {
             "d_t": (f(t + h, a, x) - f(t - h, a, x)) / (2 * h),
             "d_a": (f(t, a + h, x) - f(t, a - h, x)) / (2 * h),
@@ -129,7 +123,7 @@ class TestRegistryDerivatives:
         }
         for attr, fd in central.items():
             tol = 1e-3 if attr == "d_xx" else 1e-4
-            declared = np.broadcast_to(getattr(branch, attr)(t, a, x), t.shape)
+            declared = np.broadcast_to(getattr(branch, attr)(t, a, x, b), t.shape)
             np.testing.assert_allclose(declared, fd, rtol=0, atol=tol, err_msg=attr)
 
     @pytest.mark.parametrize("side", [-1, 1], ids=["lower", "upper"])
@@ -144,7 +138,7 @@ class TestRegistryDerivatives:
 
         expected = (d("d_t") + spec.mu_x * d("d_x") + spec.mu_a * d("d_a")
                     + 0.5 * spec.sigma ** 2 * d("d_xx"))
-        h = np.broadcast_to(parts.gen.h(t, a, x), t.shape)
+        h = np.broadcast_to(parts.gen(t, a, x), t.shape)
         np.testing.assert_allclose(h, expected, rtol=1e-12, atol=1e-12)
 
 
@@ -237,9 +231,17 @@ class TestVerifyGeneral:
     def test_constant_density_measure_with_linear_f_is_exact(self):
         spec = SdeSpec(mu_x=1.0, x0=0.0)
         b = simulate_jump_diffusion(spec, 1.0, 100, 0)
-        gen = GeneratorSpec(h=lambda t, a, x: 1.0 + 0.0 * np.asarray(t, float))
-        rep = verify_general(_linear_psf(), gen, b)
+        rep = verify_general(_linear_psf(), lambda t, a, x: 1.0 + 0.0 * np.asarray(t, float), b)
         assert abs(rep.residual) < 1e-14
+
+    def test_h_is_read_at_step_start_after_a_jump(self):
+        # H = x integrates the grid values of X, post-jump values included
+        _, parts = build_parts("glued_quadratic_jump")
+        b = simulate_jump_diffusion(parts.spec, 1.0, 100, 3)
+        assert b.jump_indices.size and (b.x_pre != b.x_path).any()
+        rep = verify_general(parts.psf, lambda t, a, x: x, b)
+        expected = measure_integral(b.x_path, b.grid)
+        assert repr(rep.terms["h_dlambda"]) == repr(float(expected))
 
     def test_tanaka_special_case(self):
         _, parts = build_parts("tanaka_bm")
@@ -318,9 +320,10 @@ _SUMMANDS = {
 def _branch_value(psf, attr, averaged, t, a, x):
     """attr of the branch that owns each point, written out with np.where:
     the lower one on x <= b; averaged, the mean with the limit from above."""
-    lower, upper = (np.asarray(getattr(br, attr)(t, a, x), float) for br in (psf.lower, psf.upper))
-    below = np.where(x <= psf.b(t, a), lower, upper)
-    return 0.5 * (np.where(x >= psf.b(t, a), upper, lower) + below) if averaged else below
+    b = psf.b(t, a)
+    lower, upper = (np.asarray(getattr(br, attr)(t, a, x, b), float) for br in (psf.lower, psf.upper))
+    below = np.where(x <= b, lower, upper)
+    return 0.5 * (np.where(x >= b, upper, lower) + below) if averaged else below
 
 
 def _ordered_sum(values):

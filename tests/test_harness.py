@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 from ltsurf import (ConfigError, NumericalAbort, ScenarioConfig, compare_estimators,
                     convergence_study, emit_bundles, run_scenario)
-from ltsurf import harness, paths
+from ltsurf import harness, paths, scenarios
 from ltsurf.cli import COMMANDS, build_parser, main, read_config_file
 from ltsurf.harness import derive_path_seed
 from ltsurf.localtime import (local_time_mollifier, local_time_occupation,
                               local_time_tanaka_residual)
 from ltsurf.paths import simulate_jump_diffusion
 from ltsurf.scenarios import REGISTRY, build_parts, evaluate_variant, list_scenarios
+from ltsurf.surfaces import Surface
 
 REQUIRED_SCENARIOS = ["tanaka_bm", "peskir_diffusion", "glued_quadratic_jump",
                       "smooth_fit_sqrt_surface"]
@@ -176,7 +177,7 @@ class TestCli:
 
         def build(p):
             parts = scen.build(p)
-            upper = replace(parts.psf.upper, d_xx=lambda t, a, x: np.nan * x)
+            upper = replace(parts.psf.upper, d_xx=lambda t, a, x, b: np.nan * x)
             parts.psf = replace(parts.psf, upper=upper)
             return parts
 
@@ -564,10 +565,10 @@ def test_nonfinite_term_in_a_block_aborts(attr, message):
     alone = [simulate_jump_diffusion(parts.spec, 1.0, 50, s) for s in seeds]
     left_limits = np.concatenate([b.x_pre[b.jump_indices] for b in alone])
 
-    def nan_above(t, a, x):
+    def nan_above(t, a, x, b):
         if attr == "d_xx":
             return np.nan * x
-        return np.where(np.isin(x, left_limits), np.nan, upper.d_x(t, a, x))
+        return np.where(np.isin(x, left_limits), np.nan, upper.d_x(t, a, x, b))
 
     parts.psf = replace(parts.psf, upper=replace(upper, **{attr: nan_above}))
     with pytest.raises(NumericalAbort, match=re.escape(message)):
@@ -605,6 +606,30 @@ def test_block_reports_sum_their_terms():
     assert list(reports.terms) == reports.names == list(rows[0][1])
     for name, total in reports.terms.items():
         assert total == sum(r[1][name] for r in rows)
+
+
+@pytest.mark.parametrize("variant", ["jump_ltc", "surfaces_strong"])
+def test_block_evaluates_each_surface_at_most_seven_times(monkeypatch, variant):
+    """The surface is evaluated once per point set of a block: the grid, the
+    jumps' two sides, both ends, the local-time weight and its estimator.
+    The branches read b from the caller rather than evaluating it again."""
+    calls = []
+
+    def counted(b, lipschitz=False):
+        def b_counted(t, a):
+            calls.append(1)
+            return b(t, a)
+        return Surface(b_counted, lipschitz)
+
+    monkeypatch.setattr(scenarios, "Surface", counted)
+    _, parts = build_parts("glued_quadratic_jump")
+    draws = paths.draw_paths(parts.spec, 1.0, 100, range(40))
+    group = np.flatnonzero(draws.steps == 101)
+    block = simulate_jump_diffusion(parts.spec, 1.0, 100, draws, group)
+    assert len(group) > 2 and block.jump_indices.size
+    calls.clear()
+    evaluate_variant(parts, variant, block, eps=0.3, n=10)
+    assert 0 < len(calls) <= 7
 
 
 @pytest.mark.parametrize("flag, value", [
