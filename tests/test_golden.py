@@ -11,7 +11,9 @@ rows with up to 6 jump ranks, which the 6-path cases never reach. Two
 long-path cases (dt 1e-4) pin them for rows of 10001 points, several to a
 block: `tanaka_bm`/`tanaka` at the bench's `tanaka_fine` size, and
 `peskir_diffusion`/`ltc_diffusion`, whose variant reaches the occupation
-estimator and the generator term.
+estimator and the generator term. One bench-sized envelope case pins
+envelope.csv for the `abs` surface at the bench's `envelope` size: a
+20 x 20 table and the bench's seed-1 penalties.
 
 Refactors must leave these digests unchanged. A change that alters the
 outputs on purpose regenerates the file and says why:
@@ -48,6 +50,10 @@ LONG_CASES = [("tanaka_bm", "tanaka", ["--dt", "1e-4", "--paths", "400", "--seed
 # one penalty per decade, none of them a round number
 ENVELOPE_CONFIG = ["--m", "3.1622776601683795,31.622776601683793,"
                           "316.22776601683796,3162.2776601683795", "--grid-n", "7"]
+# the bench's `envelope` workload at seed 1
+ENVELOPE_BENCH_SURFACE = "abs"
+ENVELOPE_BENCH_CONFIG = ["--m", "3.2495380354723715,89.22030351678919,"
+                                "139.36689126371573,8884.836640546999", "--grid-n", "20"]
 
 
 def _cases():
@@ -71,6 +77,10 @@ def _localtime_key(name, qv):
 
 def _envelope_key(surface):
     return f"{surface}/envelope"
+
+
+def _envelope_bench_key(surface):
+    return f"{surface}/envelope/bench"
 
 
 def _bench_key(name, variant):
@@ -107,8 +117,8 @@ def _localtime_digests(name, qv):
     return {"stdout": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
-def _envelope_digests(surface, out_dir):
-    argv = ["envelope", "--surface", surface, *ENVELOPE_CONFIG, "--out", str(out_dir)]
+def _envelope_digests(surface, out_dir, config=ENVELOPE_CONFIG):
+    argv = ["envelope", "--surface", surface, *config, "--out", str(out_dir)]
     with open(os.devnull, "w") as sink, redirect_stdout(sink), redirect_stderr(sink):
         code = main(argv)
     assert code == 0, f"{_envelope_key(surface)}: exit code {code}"
@@ -131,6 +141,7 @@ def test_golden_covers_every_pair(golden):
                                     + [_localtime_key(name, qv) for name in REGISTRY
                                        for qv in QV_MODES]
                                     + [_envelope_key(s) for s in SURFACES]
+                                    + [_envelope_bench_key(ENVELOPE_BENCH_SURFACE)]
                                     + [_bench_key(*c) for c in BENCH_CASES]
                                     + [_long_key(n, v) for n, v, _ in LONG_CASES])
 
@@ -184,6 +195,12 @@ def test_envelope_table_matches_golden(golden, tmp_path, surface):
     assert _envelope_digests(surface, tmp_path) == golden[key], f"{key}: envelope.csv changed"
 
 
+def test_bench_sized_envelope_table_matches_golden(golden, tmp_path):
+    key = _envelope_bench_key(ENVELOPE_BENCH_SURFACE)
+    assert _envelope_digests(ENVELOPE_BENCH_SURFACE, tmp_path,
+                             ENVELOPE_BENCH_CONFIG) == golden[key], f"{key}: envelope.csv changed"
+
+
 if __name__ == "__main__":
     table = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -195,6 +212,8 @@ if __name__ == "__main__":
                 table[_localtime_key(name, qv)] = _localtime_digests(name, qv)
         for surface in SURFACES:
             table[_envelope_key(surface)] = _envelope_digests(surface, tmp)
+        table[_envelope_bench_key(ENVELOPE_BENCH_SURFACE)] = _envelope_digests(
+            ENVELOPE_BENCH_SURFACE, tmp, ENVELOPE_BENCH_CONFIG)
         for case in BENCH_CASES:
             table[_bench_key(*case)] = _digests(*case, "analytic", tmp, BENCH_CONFIG)
         for name, variant, config in LONG_CASES:
