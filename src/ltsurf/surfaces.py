@@ -27,9 +27,9 @@ def constant_surface(level):
                    lipschitz=True)
 
 
-# Chunk size of the batched grid search: each chunk's (queries, grid_n, grid_n)
-# buffer holds about this many floats (0.5 MB). Larger chunks were no faster
-# and only raised peak memory.
+# Float budget of a batch of the grid search (0.5 MB): batches of
+# (queries, grid_n, grid_n) grids, or of (queries, grid_n) rows when b
+# ignores t. Larger batches were no faster and only raised peak memory.
 _CHUNK_FLOATS = 2 ** 16
 
 
@@ -41,10 +41,14 @@ def moreau_envelope(surface, m, query, search_box, grid_n=33, rounds=6, shrink=1
     convention is (m/2)||.||^2, so the envelope increases to b as m grows.
     The infimum is approximated by a nested grid search over the search
     box; the query point itself is always a candidate, so the result never
-    exceeds b(query).  All queries are searched at once, in chunks.
+    exceeds b(query).  All queries are searched at once, in batches.
     """
     if not 0 < m < np.inf:
         raise ConfigError("m must be positive and finite")
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= least
+               for n, least in ((grid_n, 1), (rounds, 0))) or not 1 <= shrink < np.inf:
+        raise ConfigError("the search needs integers grid_n >= 1 and rounds >= 0 and a finite "
+                          f"shrink >= 1, got {grid_n=}, {rounds=}, {shrink=}")
     (t_lo, t_hi), (a_lo, a_hi) = search_box
     if t_lo > t_hi or a_lo > a_hi:
         raise ConfigError("empty search box")
@@ -54,16 +58,19 @@ def moreau_envelope(surface, m, query, search_box, grid_n=33, rounds=6, shrink=1
     if not np.all((t_lo <= tq) & (tq <= t_hi) & (a_lo <= aq) & (aq <= a_hi)):
         raise ConfigError("query must lie inside the search box")
     shape, tq, aq = tq.shape, tq.ravel(), aq.ravel()
+    # every query's first grid spans the box; on it, b gives one row if it ignores t
+    rowwise = np.shape(surface.b(np.linspace(t_lo, t_hi, grid_n)[None, :, None],
+                                 np.linspace(a_lo, a_hi, grid_n)[None, None, :])) == (1, 1, grid_n)
+    chunk = max(1, _CHUNK_FLOATS // grid_n ** (1 if rowwise else 2))
     env = np.empty(tq.size)
-    chunk = max(1, _CHUNK_FLOATS // grid_n ** 2)
     for lo in range(0, tq.size, chunk):
-        env[lo:lo + chunk] = _grid_search(surface, m, tq[lo:lo + chunk], aq[lo:lo + chunk],
-                                          search_box, grid_n, rounds, shrink)
+        env[lo:lo + chunk] = _grid_search(surface, m / 2.0, tq[lo:lo + chunk], aq[lo:lo + chunk],
+                                          search_box, grid_n, rounds, shrink, rowwise)
     return env.reshape(shape) if shape else float(env[0])
 
 
-def _grid_search(surface, m, tq, aq, search_box, grid_n, rounds, shrink):
-    """The nested grid search for a 1-D batch of queries.
+def _grid_search(surface, c, tq, aq, search_box, grid_n, rounds, shrink, rowwise):
+    """The nested grid search for a 1-D batch of queries, penalty c = m/2.
 
     Row 0 of each (2, queries) array is t, row 1 is a.
     """
@@ -74,21 +81,44 @@ def _grid_search(surface, m, tq, aq, search_box, grid_n, rounds, shrink):
     center = np.broadcast_to((box_lo + box_hi) / 2.0, best.shape)
     best_val = surface.b(tq, aq)
     rows = np.arange(tq.size)
-    tq, aq = tq[:, None, None], aq[:, None, None]
-    vals = np.empty((rows.size, grid_n, grid_n))
-    flat = vals.reshape(rows.size, -1)
     for _ in range(rounds):
         ts, as_ = np.linspace(np.maximum(box_lo, center - half),
                               np.minimum(box_hi, center + half), grid_n, axis=-1)
-        tt, aa = ts[:, :, None], as_[:, None, :]
-        np.add((tt - tq) ** 2, (aa - aq) ** 2, out=vals)
-        vals *= m / 2.0
-        vals += surface.b(tt, aa)
-        k = flat.argmin(axis=1)
-        v = flat[rows, k]
+        k, v = (_row_argmin if rowwise else _grid_argmin)(surface, c, tq, aq, ts, as_)
         better = v < best_val
         best_val = np.where(better, v, best_val)
         best = center = np.where(better, [ts[rows, k // grid_n], as_[rows, k % grid_n]], best)
         half /= shrink
     return best_val
 
+
+def _grid_argmin(surface, c, tq, aq, ts, as_):
+    """First flat argmin i * grid_n + j of each query's grid (ts[:, i], as_[:, j]), and value."""
+    k, v = np.empty(tq.size, dtype=int), np.empty(tq.size)
+    step = max(1, _CHUNK_FLOATS // ts.shape[1] ** 2)
+    for s in (slice(lo, lo + step) for lo in range(0, tq.size, step)):
+        tt, aa = ts[s, :, None], as_[s, None, :]
+        flat = (((tt - tq[s, None, None]) ** 2 + (aa - aq[s, None, None]) ** 2) * c
+                + surface.b(tt, aa)).reshape(len(tt), -1)
+        k[s] = flat.argmin(axis=1)
+        v[s] = flat[np.arange(len(flat)), k[s]]
+    return k, v
+
+
+def _row_argmin(surface, c, tq, aq, ts, as_):
+    """_grid_argmin from (queries, grid_n) arrays, for a b that ignores t.
+
+    Column j, (p_i + r_j) * c + b_j with p_i = (t_i - tq)**2, r_j = (a_j - aq)**2, is
+    nondecreasing in p_i even when rounded. Where it is finite at max p and one column j0
+    alone reaches the minimum V at min p, the argmin is column j0's first row equal to V.
+    """
+    rows, n = np.arange(tq.size), ts.shape[1]
+    p, r = (ts - tq[:, None]) ** 2, (as_ - aq[:, None]) ** 2
+    b = np.reshape(surface.b(ts[:, :, None], as_[:, None, :]), r.shape)
+    low, high = (np.stack([p.min(axis=1), p.max(axis=1)])[:, :, None] + r) * c + b
+    j = low.argmin(axis=1)
+    v = low[rows, j]
+    k = ((p + r[rows, j, None]) * c + b[rows, j, None] == v[:, None]).argmax(axis=1) * n + j
+    full = ~np.isfinite(high).all(axis=1) | ((low == v[:, None]).sum(axis=1) > 1)
+    k[full], v[full] = _grid_argmin(surface, c, tq[full], aq[full], ts[full], as_[full])
+    return k, v

@@ -10,9 +10,30 @@ from ltsurf import surfaces
 
 BOX = ((-2.0, 2.0), (-2.0, 2.0))
 ABS = Surface(lambda t, a: np.abs(np.asarray(a, float)))
-# queries per chunk of the batched search at the default grid_n
+# a step surface: two columns of a grid row can tie at its minimum
+STEP = Surface(lambda t, a: np.floor(4 * np.asarray(a, float)) / 4)
+# a surface that moves in t, so it is always searched on the full grid
+MOVING = Surface(lambda t, a: np.abs(np.asarray(a, float) - 0.5 * np.asarray(t, float)))
+# queries per full-grid batch at the default budget and grid_n
 CHUNK = surfaces._CHUNK_FLOATS // 33 ** 2
+# a small budget: full-grid batches of 2 queries, row batches of 66
+SMALL_BUDGET = 2 * 33 ** 2
+ROW_CHUNK = SMALL_BUDGET // 33
 in_box = st.tuples(st.floats(*BOX[0]), st.floats(*BOX[1]))
+
+
+def full_grid(surf):
+    """surf with its values broadcast over t, which makes the search take the full grid."""
+    return Surface(lambda t, a: np.broadcast_arrays(surf.b(t, a), t)[0])
+
+
+def grid_queries(n_random, seed=0):
+    """Queries on a lattice through STEP's jumps and midpoints, then n_random uniform ones."""
+    tq, aq = (g.ravel() for g in np.meshgrid(np.linspace(-2.0, 2.0, 5),
+                                              np.linspace(-2.0, 2.0, 33)))
+    rng = np.random.default_rng(seed)
+    return (np.concatenate([tq, rng.uniform(*BOX[0], n_random)]),
+            np.concatenate([aq, rng.uniform(*BOX[1], n_random)]))
 
 
 class TestMoreauEnvelope:
@@ -43,6 +64,23 @@ class TestMoreauEnvelope:
         with pytest.raises(ConfigError, match="m must be positive and finite"):
             moreau_envelope(ABS, m, (0.0, 0.0), BOX)
 
+    @pytest.mark.parametrize("search", [
+        {"grid_n": 0}, {"grid_n": -3}, {"grid_n": 2.0}, {"grid_n": True}, {"grid_n": None},
+        {"rounds": -1}, {"rounds": 1.5}, {"rounds": False},
+        {"shrink": 0.0}, {"shrink": 0.5}, {"shrink": np.nan}, {"shrink": np.inf}],
+        ids=str)
+    def test_search_parameters_rejected(self, search):
+        with pytest.raises(ConfigError, match="the search needs"):
+            moreau_envelope(SURFACES["abs"], 5.0, (0.1, 0.3), BOX, **search)
+
+    @pytest.mark.parametrize("search", [{}, {"grid_n": 1}, {"grid_n": np.int64(5)},
+                                        {"rounds": 0}, {"shrink": 1}], ids=str)
+    def test_search_parameters_accepted(self, search):
+        env = moreau_envelope(SURFACES["abs"], 5.0, (0.1, 0.3), BOX, **search)
+        assert env <= 0.3
+        if not search:
+            assert env == pytest.approx(0.2)
+
     def test_input_validation(self):
         with pytest.raises(ConfigError):
             moreau_envelope(ABS, 1.0, (5.0, 0.0), BOX)  # query outside box
@@ -57,15 +95,81 @@ class TestMoreauEnvelope:
 
     @pytest.mark.parametrize("surf", [*SURFACES.values(), constant_surface(0.5)],
                              ids=[*SURFACES, "constant"])
-    @given(log_m=st.floats(-1.0, 4.0),
-           queries=st.lists(in_box, min_size=CHUNK + 1, max_size=2 * CHUNK + 1))
+    @given(log_m=st.floats(-1.0, 4.0), queries=st.lists(in_box, min_size=1, max_size=8),
+           seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=5, deadline=None)
-    def test_batch_equals_scalar_calls(self, surf, log_m, queries):
-        # a batch longer than one chunk crosses a chunk boundary
+    def test_batch_equals_scalar_calls(self, surf, log_m, queries, seed):
+        # the drawn queries, then more than a row batch of uniform ones, so under
+        # the small budget the batch crosses batch boundaries on both paths
         m = 10.0 ** log_m
-        tq, aq = np.array(queries).T
-        batch = moreau_envelope(surf, m, (tq, aq), BOX)
-        assert batch.tolist() == [moreau_envelope(surf, m, q, BOX) for q in queries]
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(ROW_CHUNK + 1, ROW_CHUNK + 17))
+        tq, aq = np.concatenate([np.array(queries).T,
+                                 [rng.uniform(*side, n) for side in BOX]], axis=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(surfaces, "_CHUNK_FLOATS", SMALL_BUDGET)
+            batch = moreau_envelope(surf, m, (tq, aq), BOX)
+        assert batch.tolist() == [moreau_envelope(surf, m, q, BOX) for q in zip(tq, aq)]
+
+    @pytest.mark.parametrize("surf", [*SURFACES.values(), STEP], ids=[*SURFACES, "step"])
+    def test_row_search_equals_full_grid(self, surf):
+        searched = []  # queries the row search hands to the full grid, per round
+        grid_argmin = surfaces._grid_argmin
+
+        def spy(surface, c, tq, *rest):
+            searched.append(tq.size)
+            return grid_argmin(surface, c, tq, *rest)
+
+        tq, aq = grid_queries(15)
+        cases = [(grid_n, m) for grid_n in (1, 2, 7, 33) for m in (1e-2, 1.0, 1e2, 1e4)]
+        for grid_n, m in cases:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(surfaces, "_grid_argmin", spy)
+                rows = moreau_envelope(surf, m, (tq, aq), BOX, grid_n=grid_n)
+            full = moreau_envelope(full_grid(surf), m, (tq, aq), BOX, grid_n=grid_n)
+            assert rows.tobytes() == full.tobytes(), f"grid_n = {grid_n}, m = {m}"
+        if surf is STEP:
+            # some rounds tied and took the full grid, and only they did
+            assert 0 < sum(searched) < len(cases) * 6 * tq.size
+
+    @pytest.mark.parametrize("surf", SURFACES.values(), ids=list(SURFACES))
+    def test_row_search_leaves_nan_grids_to_the_full_grid(self, surf):
+        # m / 2 rounds to 0, so the objective is 0 * inf = nan on the rows
+        # where (t - tq)**2 overflows, though finite on the row of least p
+        box, query = ((0.0, 2e154), BOX[1]), (np.zeros(5), np.linspace(-1.0, 1.0, 5))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = moreau_envelope(surf, 5e-324, query, box)
+            full = moreau_envelope(full_grid(surf), 5e-324, query, box)
+        assert rows.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("surf,m", [(MOVING, 1.0), (STEP, 1e-20)], ids=["moving", "step"])
+    def test_full_grids_keep_to_the_budget(self, surf, m):
+        # 2 * CHUNK + 1 queries: three batches of the moving surface's full
+        # grids. At a negligible penalty every query ties on STEP's lowest
+        # step in every round, so its ties take three batches of full grids.
+        grids, depth = [], []  # points of each full grid that b is evaluated on
+        grid_argmin = surfaces._grid_argmin
+
+        def spy(*args):
+            depth.append(1)
+            try:
+                return grid_argmin(*args)
+            finally:
+                depth.pop()
+
+        def b(t, a):
+            if depth:
+                grids.append(np.broadcast(t, a).size)
+            return surf.b(t, a)
+
+        rng = np.random.default_rng(3)
+        tq, aq = (rng.uniform(*side, 2 * CHUNK + 1) for side in BOX)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(surfaces, "_grid_argmin", spy)
+            batch = moreau_envelope(Surface(b), m, (tq, aq), BOX)
+        assert sorted(grids) == [33 ** 2] * 6 + [CHUNK * 33 ** 2] * 12
+        assert max(grids) <= surfaces._CHUNK_FLOATS
+        assert batch.tolist() == [moreau_envelope(surf, m, q, BOX) for q in zip(tq, aq)]
 
     @given(queries=st.lists(in_box, min_size=1, max_size=20), where=st.integers(0, 19),
            axis=st.integers(0, 1),
