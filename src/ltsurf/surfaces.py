@@ -27,9 +27,8 @@ def constant_surface(level):
                    lipschitz=True)
 
 
-# Float budget of a batch of the grid search (0.5 MB): batches of
-# (queries, grid_n, grid_n) grids, or of (queries, grid_n) rows when b
-# ignores t. Larger batches were no faster and only raised peak memory.
+# Floats per batch of the grid search (0.5 MB): in (queries, grid_n, grid_n) grids, or
+# in (queries, grid_n) rows if b ignores t. Larger batches only raised peak memory.
 _CHUNK_FLOATS = 2 ** 16
 
 
@@ -97,7 +96,8 @@ def _grid_argmin(surface, c, tq, aq, ts, as_):
     k, v = np.empty(tq.size, dtype=int), np.empty(tq.size)
     step = max(1, _CHUNK_FLOATS // ts.shape[1] ** 2)
     for s in (slice(lo, lo + step) for lo in range(0, tq.size, step)):
-        tt, aa = ts[s, :, None], as_[s, None, :]
+        # C order, so that each query's grid is one contiguous row of flat
+        tt, aa = np.ascontiguousarray(ts[s])[:, :, None], np.ascontiguousarray(as_[s])[:, None]
         flat = (((tt - tq[s, None, None]) ** 2 + (aa - aq[s, None, None]) ** 2) * c
                 + surface.b(tt, aa)).reshape(len(tt), -1)
         k[s] = flat.argmin(axis=1)
