@@ -11,7 +11,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -112,13 +111,12 @@ class EnsembleSummary:
 
 def derive_path_seed(master_seed, path_index):
     """Stable per-path seed: SeedSequence([master seed, path index]) hashed to
-    one uint64.  An int for one index; a uint64 array, hashed in one pass, for
-    an array of them."""
+    one uint64, for all indices in one pass.  An int for one index; a uint64
+    array for an array of them."""
     index = np.asarray(path_index)
     words, master = seed_words(index), seed_words([master_seed])
-    if index.ndim == 0:  # numpy's own is faster for one; seed_words checked both
-        return np.random.SeedSequence([master_seed, int(index)]).generate_state(1, np.uint64).item()
-    return seed_hash(np.vstack((np.repeat(master, words.shape[1], 1), words)), 1)[0]
+    seeds = seed_hash(np.vstack((np.repeat(master, words.shape[1], 1), words)), 1)[0]
+    return seeds if index.ndim else seeds.item()
 
 
 def _run_paths(parts, t_end, n_steps, seeds, evaluate, args):
@@ -159,6 +157,9 @@ def _fan_out(config, parts, evaluate, *args):
     bounds = [config.n_paths * k // n_chunks for k in range(n_chunks + 1)]
     tasks = [(config.scenario, config.params, config.t_end, config.n_steps,
               seeds[lo:hi], evaluate, args) for lo, hi in zip(bounds, bounds[1:])]
+    # imported here, not at load: it brings in logging and multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         chunks = list(pool.map(_run_chunk, tasks))
     return chunks[0][0], np.concatenate([table for _, table in chunks])

@@ -332,13 +332,12 @@ def _uniform_grid(t_end, n_steps):
     return TimeGrid(np.linspace(0.0, t_end, n_steps + 1), np.zeros(n_steps + 1, dtype=bool))
 
 
-def simulate_compound_poisson(rate, jump_law, t_end, seed):
-    """Compound Poisson event trains on (0, t_end], deterministic per seed: one
-    per entry of a list of seeds or ChildSeeds, or a batch of one for any other
-    seed.  Each generator draws its count, that many uniform times, then that many
-    sizes; the distinct times take the first sizes, which a fresh generator draws
-    alike whatever the count, so no path draws twice."""
-    seeds = seed if isinstance(seed, (list, ChildSeeds)) else [seed]
+def simulate_compound_poisson(rate, jump_law, t_end, seeds):
+    """Compound Poisson event trains on (0, t_end], one per entry of a list of
+    seeds, each deterministic in its seed.  Each generator draws its count, that
+    many uniform times, then that many sizes; the distinct times take the first
+    sizes, which a fresh generator draws alike whatever the count, so no path
+    draws twice.  A rate of 0 draws nothing, so it reads no seed."""
     if rate < 0:
         raise ConfigError("rate must be nonnegative")
     if rate == 0:
@@ -369,18 +368,15 @@ def _by_path(path, times):
     return order, first
 
 
-def simulate_brownian(grid, seed):
-    """Standard Brownian increments dB on the grid's steps, read-only: each
-    step's standard normal times the square root of its length.  One path
-    (L,), or, for a list of seed sequences (the first entry tells), one row
-    per entry, drawn from each.  B itself is the running sum from 0."""
-    rows = isinstance(seed, list) and bool(seed) and isinstance(seed[0], ISeedSequence)
-    seeds = seed if rows else [seed]
+def simulate_brownian(grid, seeds):
+    """Standard Brownian increments dB on the grid's steps, read-only, one row
+    (L,) per entry of a list of seeds: each step's standard normal, drawn from
+    that seed, times the square root of its length.  B is the running sum from 0."""
     db = np.empty((len(seeds), grid.n_steps))
-    for row, row_seed in zip(db, seeds):
-        np.random.default_rng(row_seed).standard_normal(out=row)
+    for row, seed in zip(db, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
     db *= grid.sqrt_dts
-    return _read_only(db if rows else db[0])
+    return _read_only(db)
 
 
 def _jump_increments(train, sizes, rows, at, grid):
@@ -438,10 +434,11 @@ def seed_words(values, width=1):
 
 
 class ChildSeed(ISeedSequence):
-    """Child k of SeedSequence(entropy) as the 4 uint64 words that seed a PCG64."""
+    """A child of a SeedSequence as the 4 uint64 words that seed a PCG64, in a
+    C-contiguous array: PCG64 reads the words from its memory as laid out."""
 
-    def __init__(self, entropy, k, state):
-        self.entropy, self.spawn_key, self.state = entropy, (k,), state
+    def __init__(self, state):
+        self.state = state
 
     def generate_state(self, n_words, dtype=np.uint32):
         if (n_words, np.dtype(dtype)) != (4, np.uint64):
@@ -449,28 +446,13 @@ class ChildSeed(ISeedSequence):
         return self.state
 
 
-class ChildSeeds:
-    """Child k of SeedSequence(s) for each s in entropy, each a ChildSeed made
-    from its row of states only when iterated to, so no list of them is held."""
-
-    def __init__(self, entropy, k, states):
-        self.entropy, self.k, self.states = entropy, k, states
-
-    def __len__(self):
-        return len(self.entropy)
-
-    def __iter__(self):
-        return (ChildSeed(s, self.k, row) for s, row in zip(self.entropy, self.states))
-
-
 class Draws(NamedTuple):
     """A batch's random inputs short of its normals, flat.  Path p's jumps are
     entries offsets[p]:offsets[p + 1] of times, dy and dz: both trains' times
     in increasing order, a time of both once, and each train's size where it
     jumps, +0.0 elsewhere.  steps[p] counts the steps of p's grid with its jump
-    times merged in; states_b[p] seeds its Brownian child of seeds[p]."""
+    times merged in; states_b[p] is the state of p's Brownian child seed."""
 
-    seeds: list
     train_y: Jumps
     train_z: Jumps
     offsets: np.ndarray
@@ -495,44 +477,34 @@ def draw_paths(spec, t_end, n_steps, seeds):
     """Both jump trains of each path from its seed, for all seeds at once.
     Sub-streams for the Y jumps, Z jumps and Brownian increments are children 0,
     1 and 2 of SeedSequence(seed), so the Brownian draw does not depend on how
-    many jumps occurred.  Those in use are hashed for up to 4096 seeds at once,
-    by SeedSequence itself for a few."""
+    many jumps occurred.  seed_hash hashes those in use for up to 4096 seeds at
+    once: a child's entropy is the seed's words padded to the pool, then k."""
     if t_end <= 0:
         raise ConfigError("t_end must be positive")
-    entropy = seeds.tolist() if isinstance(seeds, np.ndarray) else list(map(int, seeds))
+    n, words = len(seeds), seed_words(seeds, 4)
     used = [k for k, rate in enumerate((spec.rate_y, spec.rate_z, 1.0)) if rate > 0]
-    states = [np.empty((len(used), 0, 4), np.uint64)]
-    for lo in range(0, len(entropy), 4096):
-        chunk, words = entropy[lo:lo + 4096], seed_words(seeds[lo:lo + 4096], 4)
-        if len(chunk) * len(used) <= 16:  # numpy's own is faster; seed_words checked them
-            states.append(np.array([[np.random.SeedSequence(s, spawn_key=(k,)).generate_state(
-                4, np.uint64) for s in chunk] for k in used]).reshape(len(used), -1, 4))
-        else:  # a child's entropy is the seed's words padded to the pool, then k
-            words = np.vstack((np.tile(words, len(used)), np.repeat(np.uint32(used), len(chunk))))
-            states.append(seed_hash(words, 4).T.reshape(len(used), -1, 4))
-    states = dict(zip(used, np.concatenate(states, axis=1)))
+    states = [seed_hash(np.vstack((np.tile(chunk, len(used)), np.repeat(np.uint32(used),
+                                   chunk.shape[1]))), 4).T.reshape(len(used), -1, 4)
+              for chunk in np.split(words, range(4096, n, 4096), axis=1)]
+    states = dict(zip(used, np.ascontiguousarray(np.concatenate(states, axis=1))))
     trains = ((0, spec.rate_y, spec.jump_law_y), (1, spec.rate_z, spec.jump_law_z))
-    y, z = (simulate_compound_poisson(rate, law, t_end, ChildSeeds(entropy, k, states.get(k)))
-            for k, rate, law in trains)  # a train of rate 0 builds no ChildSeed
+    # a train of rate 0 reads no seed, so it gets placeholders and hashes no child
+    y, z = (simulate_compound_poisson(rate, law, t_end, list(map(ChildSeed, states[k]))
+                                      if k in states else [None] * n)
+            for k, rate, law in trains)
     # merge each path's trains, a time of both once, with each train's sizes
-    path = np.repeat(np.tile(np.arange(len(entropy)), 2), np.concatenate((y.counts, z.counts)))
+    path = np.repeat(np.tile(np.arange(n), 2), np.concatenate((y.counts, z.counts)))
     times = np.concatenate((y.times, z.times))
     order, first = _by_path(path, times)
     sizes = np.zeros((2, np.count_nonzero(first)))
     sizes[(order >= y.times.size).astype(np.intp), np.cumsum(first) - 1] = 0.0 + np.concatenate(
         (y.sizes, z.sizes))[order]  # as adding into a step's zero: -0.0 becomes +0.0
     path, times = path[order][first], times[order][first]
-    counts = np.bincount(path, minlength=len(entropy))
+    counts = np.bincount(path, minlength=n)
     near, snapped = _snaps(_uniform_grid(t_end, n_steps).times, times, t_end)
     replaced = np.unique((path * (n_steps + 1) + near)[snapped])
-    steps = n_steps + counts - np.bincount(replaced // (n_steps + 1), minlength=len(entropy))
-    return Draws(entropy, y, z, np.concatenate(([0], np.cumsum(counts))), times, *sizes, steps,
-                 states[2])
-
-
-def draw_path(spec, t_end, n_steps, seed):
-    """draw_paths for one seed."""
-    return draw_paths(spec, t_end, n_steps, [seed])
+    steps = n_steps + counts - np.bincount(replaced // (n_steps + 1), minlength=n)
+    return Draws(y, z, np.concatenate(([0], np.cumsum(counts))), times, *sizes, steps, states[2])
 
 
 def simulate_jump_diffusion(spec, t_end, n_steps, seed, rows=None):
@@ -547,7 +519,7 @@ def simulate_jump_diffusion(spec, t_end, n_steps, seed, rows=None):
     if not isinstance(seed, Draws):
         if rows is not None or not isinstance(seed, numbers.Integral):
             raise ConfigError("a path's seed is an int; a block, draw_paths' result and rows")
-        seed, rows = draw_path(spec, t_end, n_steps, seed), 0
+        seed, rows = draw_paths(spec, t_end, n_steps, [seed]), 0
     rows, draws = np.asarray(rows), seed
     first = rows.flat[0] if rows.size else 0
     lo, k = draws.offsets[rows], draws.offsets[first + 1] - draws.offsets[first]
@@ -556,7 +528,7 @@ def simulate_jump_diffusion(spec, t_end, n_steps, seed, rows=None):
         raise ConfigError("a block's paths must share a step count and a jump count")
     at = lo[..., None] + np.arange(k)
     grid = build_grid(t_end, n_steps, draws.times[at])
-    seeds_b = [ChildSeed(draws.seeds[i], 2, draws.states_b[i]) for i in rows.reshape(-1).tolist()]
-    return PathBundle(grid, spec, simulate_brownian(grid, seeds_b if rows.ndim else seeds_b[0]),
+    db = simulate_brownian(grid, list(map(ChildSeed, draws.states_b[rows.reshape(-1)])))
+    return PathBundle(grid, spec, db if rows.ndim else db[0],
                       _jump_increments(draws.train_y, draws.dy, rows, at, grid),
                       _jump_increments(draws.train_z, draws.dz, rows, at, grid))

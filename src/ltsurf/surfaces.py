@@ -42,8 +42,8 @@ def moreau_envelope(surface, m, query, search_box, grid_n=33, rounds=6, shrink=1
     box; the query point itself is always a candidate, so the result never
     exceeds b(query).  All queries are searched at once, in batches.
     """
-    if not 0 < m < np.inf:
-        raise ConfigError("m must be positive and finite")
+    if not 0 < m / 2.0 < np.inf:  # a penalty m/2 of 0 makes 0 * inf = nan where t is far
+        raise ConfigError(f"m must be positive and finite, and m / 2 nonzero, got {m!r}")
     if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= least
                for n, least in ((grid_n, 1), (rounds, 0))) or not 1 <= shrink < np.inf:
         raise ConfigError("the search needs integers grid_n >= 1 and rounds >= 0 and a finite "

@@ -4,6 +4,8 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -95,6 +97,15 @@ class TestRunScenario:
             outs.append((out / "verify.csv").read_bytes()
                         + (out / "summary.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_loading_the_cli_leaves_the_process_pool_unimported(self):
+        # only a run with several workers needs concurrent.futures
+        code = ("import sys, ltsurf.cli; "
+                "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(harness.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     @pytest.mark.parametrize("run", [run_scenario, compare_estimators])
     def test_serial_run_builds_the_scenario_once(self, monkeypatch, run):
@@ -524,6 +535,10 @@ def test_jump_on_a_uniform_grid_point_inside_a_block(monkeypatch):
     that path's grid; blocks keep such a path apart and still agree."""
     draw = paths.simulate_compound_poisson
     on_grid = np.linspace(0.0, 1.0, 51)[17]
+    seeds = list(range(12))
+    # the states of the Y children of the odd path seeds
+    odd = {tuple(np.random.SeedSequence(s, spawn_key=(0,)).generate_state(4, np.uint64).tolist())
+           for s in seeds[1::2]}
 
     def patched(rate, law, t_end, seed):
         jumps = draw(rate, law, t_end, seed)
@@ -534,7 +549,7 @@ def test_jump_on_a_uniform_grid_point_inside_a_block(monkeypatch):
         trains = np.split(jumps.times, np.cumsum(jumps.counts)[:-1])
         sizes = np.split(jumps.sizes, np.cumsum(jumps.counts)[:-1])
         for i, child in enumerate(seed):
-            if child.entropy % 2:
+            if tuple(child.state.tolist()) in odd:
                 trains[i] = np.union1d(trains[i], [on_grid])
                 sizes[i] = np.full(trains[i].size, 0.25)
         return paths.Jumps(np.array([t.size for t in trains]), np.concatenate(trains),
@@ -542,7 +557,6 @@ def test_jump_on_a_uniform_grid_point_inside_a_block(monkeypatch):
 
     monkeypatch.setattr(paths, "simulate_compound_poisson", patched)
     _, parts = build_parts("glued_quadratic_jump")
-    seeds = list(range(12))
     single = [repr(_one_path(parts, "jump_ltc", simulate_jump_diffusion(
         parts.spec, 1.0, 50, s), 0.3, 7, "analytic")) for s in seeds]
     grids = [simulate_jump_diffusion(parts.spec, 1.0, 50, s).grid for s in seeds]

@@ -11,7 +11,7 @@ from ltsurf import (ConfigError, SdeSpec, constant_surface,
                     continuous_qv_measure, local_time_mollifier,
                     local_time_occupation, local_time_tanaka_residual,
                     simulate_jump_diffusion, two_point)
-from ltsurf.paths import draw_path, draw_paths
+from ltsurf.paths import draw_paths
 from occupation import occupation_formula_check
 
 
@@ -162,7 +162,7 @@ def _layout_bundle(spec, layout):
     if layout == "path":
         return simulate_jump_diffusion(spec, 1.0, 4000, 5)
     if layout == "row":
-        return simulate_jump_diffusion(spec, 1.0, 4000, draw_path(spec, 1.0, 4000, 5),
+        return simulate_jump_diffusion(spec, 1.0, 4000, draw_paths(spec, 1.0, 4000, [5]),
                                        np.arange(1))
     draws = draw_paths(spec, 1.0, 400, range(60))
     # the largest group, the one of the lowest seed among equals

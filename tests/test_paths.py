@@ -10,8 +10,8 @@ from ltsurf import (ConfigError, NumericalAbort, PathBundle, SdeSpec, build_grid
                     simulate_jump_diffusion, two_point)
 from ltsurf import paths
 from ltsurf.harness import derive_path_seed
-from ltsurf.paths import (_SNAP, ChildSeed, ChildSeeds, JumpLaw, TimeGrid, _uniform_grid,
-                          draw_path, draw_paths, seed_hash, seed_words)
+from ltsurf.paths import (_SNAP, ChildSeed, JumpLaw, TimeGrid, _uniform_grid, draw_paths,
+                          seed_hash, seed_words)
 
 
 class TestBuildGrid:
@@ -184,24 +184,23 @@ class TestSharedGrid:
 
 class TestCompoundPoisson:
     def test_deterministic(self):
-        a = simulate_compound_poisson(2.0, two_point(-1, 1), 1.0, seed=5)
-        b = simulate_compound_poisson(2.0, two_point(-1, 1), 1.0, seed=5)
+        a = simulate_compound_poisson(2.0, two_point(-1, 1), 1.0, [5])
+        b = simulate_compound_poisson(2.0, two_point(-1, 1), 1.0, [5])
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.sizes, b.sizes)
 
     def test_zero_rate_empty(self):
-        train = simulate_compound_poisson(0.0, None, 1.0, seed=1)
+        train = simulate_compound_poisson(0.0, None, 1.0, [1])
         assert train.times.size == 0
 
     def test_zero_rate_builds_no_rng(self):
         # a negative seed is rejected by default_rng, which must not be reached
-        train = simulate_compound_poisson(0.0, None, 1.0, seed=-1)
+        train = simulate_compound_poisson(0.0, None, 1.0, [-1])
         assert train.times.size == 0 and train.sizes.size == 0
 
     def test_event_count_matches_poisson_law(self):
         # oracle: counts ~ Poisson(2), mean 2, var 2
-        counts = [simulate_compound_poisson(2.0, two_point(-1, 1), 1.0, s).times.size
-                  for s in range(10000)]
+        counts = simulate_compound_poisson(2.0, two_point(-1, 1), 1.0, range(10000)).counts
         se = np.sqrt(2.0 / 10000)
         assert abs(np.mean(counts) - 2.0) < 3 * se
 
@@ -209,21 +208,21 @@ class TestCompoundPoisson:
 class TestBrownian:
     def test_one_increment_per_step_and_deterministic(self):
         g = build_grid(1.0, 100)
-        b1 = simulate_brownian(g, seed=3)
-        b2 = simulate_brownian(g, seed=3)
-        assert b1.shape == (100,)
+        b1 = simulate_brownian(g, [3])
+        b2 = simulate_brownian(g, [3])
+        assert b1.shape == (1, 100)
         np.testing.assert_array_equal(b1, b2)
 
     def test_matches_scaled_normals_bit_for_bit(self):
         g = build_grid(1.0, 100, jump_times=[0.305])
         normals = np.random.default_rng(3).standard_normal(g.n_steps)
         expected = normals * np.sqrt(np.diff(g.times))
-        assert simulate_brownian(g, seed=3).tobytes() == expected.tobytes()
+        assert simulate_brownian(g, [3]).tobytes() == expected.tobytes()
 
     def test_increment_variance(self):
         # oracle: Var(B_1) = 1, sample variance over ensembles
         g = build_grid(1.0, 50)
-        finals = [np.sum(simulate_brownian(g, s)) for s in range(10000)]
+        finals = simulate_brownian(g, range(10000)).sum(axis=1)
         se = np.sqrt(2.0 / 10000)  # var of sample variance of N(0,1)
         assert abs(np.var(finals) - 1.0) < 3 * se
 
@@ -371,7 +370,7 @@ class TestJumpFreeBundle:
         # a drawn dB of -0.0 (and of +0.0): sigma * dB is -0.0 there, or
         # everywhere dB < 0 when sigma is +0.0, and +0.0 + -0.0 is +0.0
         grid = build_grid(1.0, 20)
-        db = simulate_brownian(grid, 3).copy()
+        db = simulate_brownian(grid, [3])[0].copy()
         db[[4, 9]] = -0.0, 0.0
         b = PathBundle(grid, SdeSpec(mu_x=mu, sigma=sigma), db, grid.zero_steps,
                        grid.zero_steps)
@@ -413,19 +412,19 @@ class TestBlocks:
                                              (len(rows), *getattr(path, name).shape))
                     assert values[row].tobytes() == getattr(path, name).tobytes(), name
 
-    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3, 2**100])
     def test_draws_use_the_three_children_of_the_path_seed(self, seed):
         spec = SdeSpec(sigma=1.0, lambda_x=1.0, rate_y=3.0, jump_law_y=two_point(-0.4, 0.6),
                        rate_z=2.0, jump_law_z=JumpLaw("exponential", (0.3,)))
         seed_y, seed_z, seed_b = np.random.SeedSequence(seed).spawn(3)
-        draw = draw_path(spec, 1.0, 40, seed)
+        draw = draw_paths(spec, 1.0, 40, [seed])
         for train, rate, law, child in ((draw.train_y, 3.0, spec.jump_law_y, seed_y),
                                         (draw.train_z, 2.0, spec.jump_law_z, seed_z)):
-            ref = simulate_compound_poisson(rate, law, 1.0, child)
+            ref = simulate_compound_poisson(rate, law, 1.0, [child])
             assert train.times.tobytes() == ref.times.tobytes()
             assert train.sizes.tobytes() == ref.sizes.tobytes()
         b = simulate_jump_diffusion(spec, 1.0, 40, seed)
-        assert b.db.tobytes() == simulate_brownian(b.grid, seed_b).tobytes()
+        assert b.db.tobytes() == simulate_brownian(b.grid, [seed_b]).tobytes()
 
     def test_jump_free_block_shares_the_uniform_grid(self):
         draws = draw_paths(SdeSpec(sigma=1.0), 1.0, 30, range(5))
@@ -437,13 +436,13 @@ class TestBlocks:
         assert one.x_path.shape == (1, 31) and one.x_path.tobytes() == block.x_path[0].tobytes()
 
     def test_a_list_of_seeds_is_not_a_block(self):
-        with pytest.raises(ConfigError, match="draw_path"):
+        with pytest.raises(ConfigError, match="draw_paths"):
             simulate_jump_diffusion(SdeSpec(sigma=1.0), 1.0, 30, [3, 4])
-        # a list of ints is one SeedSequence's entropy, as for numpy
+        # simulate_brownian draws one row per listed seed
         grid = build_grid(1.0, 30)
         db = simulate_brownian(grid, [3, 4])
-        ref = np.random.default_rng([3, 4]).standard_normal(30) * grid.sqrt_dts
-        assert db.shape == (30,) and db.tobytes() == ref.tobytes()
+        ref = [np.random.default_rng(s).standard_normal(30) * grid.sqrt_dts for s in (3, 4)]
+        assert db.shape == (2, 30) and db.tobytes() == np.array(ref).tobytes()
 
     def test_a_block_shares_its_step_and_jump_counts(self):
         spec = _jump_spec()
@@ -496,7 +495,7 @@ def _alone(spec, t_end, n_steps, seed):
         inc = np.zeros(grid.n_steps)
         inc[np.searchsorted(grid.times, times) - 1] += sizes
         increments.append(inc)
-    return trains, PathBundle(grid, spec, simulate_brownian(grid, child_b), *increments)
+    return trains, PathBundle(grid, spec, simulate_brownian(grid, [child_b])[0], *increments)
 
 
 class TestFlatDraw:
@@ -577,7 +576,7 @@ class TestSeedHash:
         for seed, state in zip(seeds, seed_hash(words, 4).T):
             ref = np.random.SeedSequence(seed, spawn_key=(k,))
             assert state.tolist() == ref.generate_state(4, np.uint64).tolist()
-            child = ChildSeed(seed, k, np.ascontiguousarray(state))
+            child = ChildSeed(np.ascontiguousarray(state))
             assert (np.random.default_rng(child).standard_normal(8).tobytes()
                     == np.random.default_rng(ref).standard_normal(8).tobytes())
 
@@ -586,10 +585,9 @@ class TestSeedHash:
         spec = SdeSpec(sigma=1.0)
         seeds = derive_path_seed(3, np.arange(4100))
         draws = draw_paths(spec, 1.0, 10, seeds)
-        assert len(draws.seeds) == draws.steps.size == seeds.size
+        assert draws.steps.size == seeds.size
         for i in (0, 4095, 4096, 4099):
             assert draws.states_b[i].tolist() == _child_state(int(seeds[i]), 2)
-            assert draws.seeds[i] == int(seeds[i])
             assert draws.train_y.counts[i] == 0 and draws.train_z.counts[i] == 0
 
     def test_words_of_long_seeds(self):
@@ -604,8 +602,8 @@ class TestSeedHash:
         with pytest.raises(ConfigError, match="nonnegative"):
             derive_path_seed(-1, 0)
 
-    def test_draw_gives_each_train_lazy_child_seeds(self, monkeypatch):
-        """Each train's generators are seeded from a ChildSeeds, in path order."""
+    def test_draw_gives_each_train_its_child_seeds(self, monkeypatch):
+        """Each train's generators are seeded from its children, in path order."""
         passed, draw = [], paths.simulate_compound_poisson
         monkeypatch.setattr(paths, "simulate_compound_poisson",
                             lambda *args: passed.append(args[-1]) or draw(*args))
@@ -613,12 +611,11 @@ class TestSeedHash:
         draw_paths(_jump_spec(), 1.0, 10, seeds)
         assert len(passed) == 2
         for k, children in enumerate(passed):
-            assert isinstance(children, ChildSeeds) and len(children) == len(seeds)
             assert ([child.generate_state(4, np.uint64).tolist() for child in children]
                     == [_child_state(s, k) for s in seeds])
 
     def test_child_seed_gives_only_its_state(self):
-        child = ChildSeed(5, 2, np.zeros(4, np.uint64))
+        child = ChildSeed(np.zeros(4, np.uint64))
         with pytest.raises(ValueError, match="4 uint64 words"):
             child.generate_state(8, np.uint32)
 

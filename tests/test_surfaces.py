@@ -59,10 +59,18 @@ class TestMoreauEnvelope:
         surf = constant_surface(2.5)
         assert moreau_envelope(surf, 1.0, (0.0, 0.0), BOX) == pytest.approx(2.5)
 
-    @pytest.mark.parametrize("m", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("m", [-1.0, 0.0, 5e-324, np.nan, np.inf, -np.inf])
     def test_m_must_be_positive_and_finite(self, m):
         with pytest.raises(ConfigError, match="m must be positive and finite"):
             moreau_envelope(ABS, m, (0.0, 0.0), BOX)
+
+    def test_least_penalty_reaches_the_infimum(self):
+        # at m = 5e-324, which is rejected, m / 2 rounds to 0 and the objective is
+        # 0 * inf = nan wherever (t - tq)**2 overflows; at the next m, m / 2 > 0
+        # and the search finds the infimum, the penalty of a point far out in t
+        box = ((0.0, 2e154), BOX[1])
+        with np.errstate(over="ignore"):
+            assert moreau_envelope(ABS, 1e-323, (0.0, -1.0), box) == 5e-324
 
     @pytest.mark.parametrize("search", [
         {"grid_n": 0}, {"grid_n": -3}, {"grid_n": 2.0}, {"grid_n": True}, {"grid_n": None},
@@ -134,13 +142,21 @@ class TestMoreauEnvelope:
 
     @pytest.mark.parametrize("surf", SURFACES.values(), ids=list(SURFACES))
     def test_row_search_leaves_nan_grids_to_the_full_grid(self, surf):
-        # m / 2 rounds to 0, so the objective is 0 * inf = nan on the rows
-        # where (t - tq)**2 overflows, though finite on the row of least p
-        box, query = ((0.0, 2e154), BOX[1]), (np.zeros(5), np.linspace(-1.0, 1.0, 5))
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = moreau_envelope(surf, 5e-324, query, box)
-            full = moreau_envelope(full_grid(surf), 5e-324, query, box)
+        # b is nan where a > 0.5, so a grid reaching there is nan at max p too
+        holed = Surface(lambda t, a: np.where(np.asarray(a) > 0.5, np.nan, surf.b(t, a)))
+        searched, grid_argmin = [], surfaces._grid_argmin
+
+        def spy(surface, c, tq, *rest):
+            searched.append(tq.size)
+            return grid_argmin(surface, c, tq, *rest)
+
+        query = (np.zeros(5), np.linspace(-1.0, 1.0, 5))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(surfaces, "_grid_argmin", spy)
+            rows = moreau_envelope(holed, 5.0, query, BOX)
+        full = moreau_envelope(full_grid(holed), 5.0, query, BOX)
         assert rows.tobytes() == full.tobytes()
+        assert searched
 
     @pytest.mark.parametrize("surf,m", [(MOVING, 1.0), (STEP, 1e-20)], ids=["moving", "step"])
     def test_full_grids_keep_to_the_budget(self, surf, m):
