@@ -165,8 +165,6 @@ def _dispatch(args):
 
     if args.command == "envelope":
         m_values = _floats(given["m"], "m")
-        if not m_values:
-            raise ConfigError("--m must list at least one penalty")
         out = given.get("out")
         rows = envelope_table(given["surface"], m_values, grid_n=given["grid_n"],
                               out_dir=out)

@@ -322,25 +322,42 @@ def emit_bundles(config, out_dir):
 
 def envelope_table(surface_name, m_values, t_range=(0.0, 1.0), a_range=(-1.0, 1.0),
                    grid_n=20, out_dir=None):
-    """Moreau envelope of a registry surface tabulated over a (t, a) grid."""
-    if grid_n < 1:
-        raise ConfigError(f"grid_n must be at least 1, got {grid_n}")
+    """Moreau envelope of a registry surface tabulated over a (t, a) grid.
+
+    Returns one (m, t, a, envelope, b) row per penalty and grid point: m
+    outermost, then t, then a, as meshgrid(..., indexing="ij") ravels them.
+    envelope.csv holds the same rows in that order, each value as "%.17g";
+    it is written from that grid, so each t, a, b and m is formatted once
+    and only the envelope values once per row.
+    """
+    if not (_is_int(grid_n) and grid_n >= 1):
+        raise ConfigError(f"grid_n must be at least 1 and an integer, got {grid_n!r}")
+    m_values = [float(m) for m in m_values]
+    if not m_values:
+        raise ConfigError("the table needs at least one penalty m")
     if surface_name not in SURFACES:
         raise ConfigError(f"unknown surface: {surface_name!r} "
                           f"(registry: {', '.join(sorted(SURFACES))})")
     surface = SURFACES[surface_name]
-    tt, aa = (g.ravel() for g in np.meshgrid(np.linspace(*t_range, grid_n),
-                                              np.linspace(*a_range, grid_n), indexing="ij"))
+    t_axis, a_axis = np.linspace(*t_range, grid_n), np.linspace(*a_range, grid_n)
+    tt, aa = (g.ravel() for g in np.meshgrid(t_axis, a_axis, indexing="ij"))
     pad = 1.0 + (a_range[1] - a_range[0])
     box = ((t_range[0] - pad, t_range[1] + pad), (a_range[0] - pad, a_range[1] + pad))
     b = surface.b(tt, aa).tolist()
-    rows = []
-    for m in map(float, m_values):
-        env = moreau_envelope(surface, m, (tt, aa), box)
-        rows += [(m, *r) for r in zip(tt.tolist(), aa.tolist(), env.tolist(), b)]
+    t_list, a_list = tt.tolist(), aa.tolist()
+    rows, envs = [], []
+    for m in m_values:
+        envs.append(moreau_envelope(surface, m, (tt, aa), box).tolist())
+        rows += [(m, *r) for r in zip(t_list, a_list, envs[-1], b)]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        lines = ["m,t,a,envelope,b"] + [("%.17g," * 4 + "%.17g") % r for r in rows]
+        a_text = ["%.17g," % a for a in a_axis.tolist()]
+        heads = ["%.17g," % t + a for t in t_axis.tolist() for a in a_text]  # "t,a,"
+        tails = [",%.17g" % v for v in b]  # ",b"
+        lines = ["m,t,a,envelope,b"]
+        for m, env in zip(m_values, envs):
+            m_text = "%.17g," % m
+            lines += [m_text + h + "%.17g" % e + s for h, e, s in zip(heads, env, tails)]
         with open(os.path.join(out_dir, "envelope.csv"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
     return rows

@@ -111,6 +111,7 @@ def _row_argmin(surface, c, tq, aq, ts, as_):
     Column j, (p_i + r_j) * c + b_j with p_i = (t_i - tq)**2, r_j = (a_j - aq)**2, is
     nondecreasing in p_i even when rounded. Where it is finite at max p and one column j0
     alone reaches the minimum V at min p, the argmin is column j0's first row equal to V.
+    Only the other queries, if any, are searched on the full grid.
     """
     rows, n = np.arange(tq.size), ts.shape[1]
     p, r = (ts - tq[:, None]) ** 2, (as_ - aq[:, None]) ** 2
@@ -120,5 +121,6 @@ def _row_argmin(surface, c, tq, aq, ts, as_):
     v = low[rows, j]
     k = ((p + r[rows, j, None]) * c + b[rows, j, None] == v[:, None]).argmax(axis=1) * n + j
     full = ~np.isfinite(high).all(axis=1) | ((low == v[:, None]).sum(axis=1) > 1)
-    k[full], v[full] = _grid_argmin(surface, c, tq[full], aq[full], ts[full], as_[full])
+    if full.any():
+        k[full], v[full] = _grid_argmin(surface, c, tq[full], aq[full], ts[full], as_[full])
     return k, v

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ltsurf import (IncompatibleScenarioError, SdeSpec, constant_surface,
+from ltsurf import (IncompatibleScenarioError, SdeSpec, Surface, constant_surface,
                     local_time_tanaka_residual, simulate_jump_diffusion,
                     smooth_psf, two_point,
                     verify_general, verify_jump_ltc, verify_ltc_diffusion,
                     verify_smooth_fit, verify_surfaces_strong, verify_tanaka)
 from ltsurf.calculus import JumpContext, iter_jumps, measure_integral
-from ltsurf.formulas import _VARIANTS, _PathView, _Points, eval_F, fx_jump
+from ltsurf.formulas import (_VARIANTS, Branch, PiecewiseSurfaceFunction, _PathView, _Points,
+                             eval_F, fx_jump)
 from ltsurf.paths import PathBundle, build_grid
 from ltsurf.scenarios import REGISTRY, build_parts, evaluate_variant
 
@@ -99,6 +100,36 @@ def _points_off_the_surface(psf, side, seed, size=50):
     rng = np.random.default_rng(seed)
     t, a = rng.uniform(0.1, 1.0, size), rng.uniform(0.3, 2.0, size)
     return t, a, psf.b(t, a) + side * rng.uniform(0.05, 1.0, size)
+
+
+def _moving_glue():
+    """F = (x - b)^+ across the moving surface b(t, a) = t: the branch 0
+    below it, x - b above it, glued continuously."""
+    def zero(t, a, x, b):
+        return 0.0 * x
+
+    upper = Branch(f=lambda t, a, x, b: x - b, d_t=lambda t, a, x, b: -1.0 + 0.0 * x,
+                   d_a=zero, d_x=lambda t, a, x, b: 1.0 + 0.0 * x, d_xx=zero)
+    surface = Surface(lambda t, a: np.asarray(t, float) + 0.0 * np.asarray(a, float),
+                      lipschitz=True)
+    return PiecewiseSurfaceFunction(surface, Branch(zero, zero, zero, zero, zero), upper)
+
+
+class TestMovingSurface:
+    """The surface's time argument reaches the formulas: a surface frozen at
+    t = 0 would put x = 0.5 above it at every t."""
+
+    def test_eval_f_takes_the_branch_below_the_surface_at_t(self):
+        psf = _moving_glue()
+        assert eval_F(psf, 1.0, 0.0, 0.5).tolist() == [0.0]  # b(1, 0) = 1
+        assert eval_F(psf, 0.0, 0.0, 0.5).tolist() == [0.5]  # b(0, 0) = 0
+
+    def test_lhs_follows_the_surface(self):
+        # X stays at 0.5 while the surface rises through it, so F falls from 0.5 to 0
+        bundle = simulate_jump_diffusion(SdeSpec(x0=0.5), 1.0, 100, 0)
+        rep = verify_jump_ltc(_moving_glue(), bundle)
+        assert rep.lhs == -0.5
+        assert abs(rep.residual) < 1e-12
 
 
 class TestRegistryDerivatives:

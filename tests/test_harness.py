@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltsurf import (ConfigError, NumericalAbort, ScenarioConfig, compare_estimators,
-                    convergence_study, emit_bundles, run_scenario)
+                    convergence_study, emit_bundles, envelope_table, run_scenario)
 from ltsurf import harness, paths, scenarios
 from ltsurf.cli import COMMANDS, build_parser, main, read_config_file
 from ltsurf.harness import derive_path_seed
@@ -296,7 +296,7 @@ class TestCli:
     @pytest.mark.parametrize("m", ["", ","])
     def test_envelope_empty_m_exit_2(self, tmp_path, capsys, m):
         assert main(["envelope", "--m", m, "--out", str(tmp_path)]) == 2
-        assert "--m must list at least one penalty" in capsys.readouterr().err
+        assert "the table needs at least one penalty m" in capsys.readouterr().err
         cfg = tmp_path / "env.cfg"
         cfg.write_text("m =\n")
         assert main(["envelope", "--config", str(cfg)]) == 2
@@ -305,6 +305,48 @@ class TestCli:
         cfg = tmp_path / "env.cfg"
         cfg.write_text("grid_n = many\n")
         assert main(["envelope", "--config", str(cfg)]) == 2
+
+
+class TestEnvelopeTable:
+    @pytest.mark.parametrize("grid_n", [2.5, 3.0, True, False, "3", None])
+    def test_grid_n_must_be_an_integer(self, tmp_path, grid_n):
+        with pytest.raises(ConfigError, match="grid_n must be at least 1 and an integer"):
+            envelope_table("abs", [1.0], grid_n=grid_n, out_dir=str(tmp_path))
+        assert not (tmp_path / "envelope.csv").exists()
+
+    def test_numpy_integer_grid_n_accepted(self):
+        assert len(envelope_table("abs", [1.0], grid_n=np.int64(2))) == 4
+
+    @pytest.mark.parametrize("m_values", [[], (), iter([]), np.array([])],
+                             ids=["list", "tuple", "iterator", "array"])
+    def test_empty_m_values_rejected(self, tmp_path, m_values):
+        with pytest.raises(ConfigError, match="at least one penalty m"):
+            envelope_table("abs", m_values, grid_n=2, out_dir=str(tmp_path))
+        assert not (tmp_path / "envelope.csv").exists()
+
+    @pytest.mark.parametrize("surface,m_values,kwargs", [
+        ("abs", [1.0, 100.0], {"grid_n": 1}),
+        ("quad", [3.0, 0.5], {"grid_n": 2}),
+        ("sqrt", [7.25], {"grid_n": 5}),
+        ("abs", [2.0, 2.0, 0.1], {"grid_n": 3}),
+        ("sqrt", [1.5, 40.0], {"grid_n": 4, "t_range": (0.25, 3.5),
+                               "a_range": (-0.3, 1.7)}),
+        ("quad", [5.0], {"grid_n": 3, "t_range": (2.0, 2.0)}),
+    ], ids=["grid_n_1", "grid_n_2", "one_m", "repeated_m", "ranges", "flat_t"])
+    def test_csv_lines_are_the_returned_rows(self, tmp_path, surface, m_values, kwargs):
+        rows = envelope_table(surface, m_values, out_dir=str(tmp_path), **kwargs)
+        n = kwargs["grid_n"]
+        assert len(rows) == len(m_values) * n * n
+        # m outermost, then t, then a
+        assert [r[0] for r in rows] == [m for m in m_values for _ in range(n * n)]
+        t, a = (np.linspace(*kwargs.get(key, default), n).tolist()
+                for key, default in (("t_range", (0.0, 1.0)), ("a_range", (-1.0, 1.0))))
+        assert [r[1:3] for r in rows] == [(ti, aj) for _ in m_values for ti in t for aj in a]
+        text = (tmp_path / "envelope.csv").read_text()
+        assert text.endswith("\n")
+        header, *lines = text[:-1].split("\n")
+        assert header == "m,t,a,envelope,b"
+        assert lines == [("%.17g," * 4 + "%.17g") % row for row in rows]
 
     def test_converge_subcommand(self, capsys):
         rc = main(["converge", "--scenario", "smooth_quadratic",

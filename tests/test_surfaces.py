@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltsurf import SURFACES, ConfigError, Surface, constant_surface, moreau_envelope
+from ltsurf import (SURFACES, ConfigError, Surface, constant_surface, envelope_table,
+                    moreau_envelope)
 from ltsurf import surfaces
 
 BOX = ((-2.0, 2.0), (-2.0, 2.0))
@@ -157,6 +158,23 @@ class TestMoreauEnvelope:
         full = moreau_envelope(full_grid(holed), 5.0, query, BOX)
         assert rows.tobytes() == full.tobytes()
         assert searched
+
+    def test_row_search_alone_on_the_bench_table(self):
+        # the bench's envelope workload at seed 1: every round of every query of
+        # the abs table has one finite row minimum, so no full grid is searched
+        calls, grid_argmin = [], surfaces._grid_argmin
+
+        def spy(surface, c, tq, *rest):
+            calls.append(tq.size)
+            return grid_argmin(surface, c, tq, *rest)
+
+        m_values = [3.2495380354723715, 89.22030351678919, 139.36689126371573,
+                    8884.836640546999]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(surfaces, "_grid_argmin", spy)
+            rows = envelope_table("abs", m_values, grid_n=20)
+        assert len(rows) == 4 * 20 * 20
+        assert calls == []
 
     @pytest.mark.parametrize("surf,m", [(MOVING, 1.0), (STEP, 1e-20)], ids=["moving", "step"])
     def test_full_grids_keep_to_the_budget(self, surf, m):
