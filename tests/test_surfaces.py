@@ -21,6 +21,16 @@ CHUNK = surfaces._CHUNK_FLOATS // 33 ** 2
 SMALL_BUDGET = 2 * 33 ** 2
 ROW_CHUNK = SMALL_BUDGET // 33
 in_box = st.tuples(st.floats(*BOX[0]), st.floats(*BOX[1]))
+# envelope_table's penalties in the golden file (one per decade) and in the
+# bench's envelope workload at seed 1
+GOLDEN_M = [3.1622776601683795, 31.622776601683793, 316.22776601683796, 3162.2776601683795]
+BENCH_M = [3.2495380354723715, 89.22030351678919, 139.36689126371573, 8884.836640546999]
+PENALTIES = pytest.mark.parametrize("m_values", [GOLDEN_M, BENCH_M], ids=["golden", "bench"])
+# exact envelopes of two registry surfaces, penalty (m/2)|.|^2, in (m, a)
+CLOSED_FORMS = {
+    "abs": lambda m, a: np.where(np.abs(a) <= 1 / m, m * a * a / 2, np.abs(a) - 1 / (2 * m)),
+    "quad": lambda m, a: m * a * a / (m + 2),
+}
 
 
 def full_grid(surf):
@@ -168,11 +178,9 @@ class TestMoreauEnvelope:
             calls.append(tq.size)
             return grid_argmin(surface, c, tq, *rest)
 
-        m_values = [3.2495380354723715, 89.22030351678919, 139.36689126371573,
-                    8884.836640546999]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(surfaces, "_grid_argmin", spy)
-            rows = envelope_table("abs", m_values, grid_n=20)
+            rows = envelope_table("abs", BENCH_M, grid_n=20)
         assert len(rows) == 4 * 20 * 20
         assert calls == []
 
@@ -222,3 +230,12 @@ class TestMoreauEnvelope:
             moreau_envelope(ABS, 1.0, (np.zeros(3), np.zeros(4)), BOX)
         with pytest.raises(ConfigError, match="differ in shape"):
             moreau_envelope(ABS, 1.0, (0.0, np.zeros(2)), BOX)
+
+
+class TestEnvelopeTable:
+    @pytest.mark.parametrize("grid_n", [7, 20])
+    @PENALTIES
+    @pytest.mark.parametrize("surface", list(CLOSED_FORMS))
+    def test_within_1e_8_of_the_closed_form(self, surface, m_values, grid_n):
+        m, _, a, env, _ = np.array(envelope_table(surface, m_values, grid_n=grid_n)).T
+        assert np.abs(env - CLOSED_FORMS[surface](m, a)).max() < 1e-8
