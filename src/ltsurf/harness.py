@@ -338,6 +338,10 @@ def envelope_table(surface_name, m_values, t_range=(0.0, 1.0), a_range=(-1.0, 1.
     if surface_name not in SURFACES:
         raise ConfigError(f"unknown surface: {surface_name!r} "
                           f"(registry: {', '.join(sorted(SURFACES))})")
+    for name, (lo, hi) in (("t_range", t_range), ("a_range", a_range)):
+        if not -np.inf < lo <= hi < np.inf:
+            raise ConfigError(f"{name} must run from a finite low end to a finite high end "
+                              f"at or above it, got {(lo, hi)!r}")
     surface = SURFACES[surface_name]
     t_axis, a_axis = np.linspace(*t_range, grid_n), np.linspace(*a_range, grid_n)
     tt, aa = (g.ravel() for g in np.meshgrid(t_axis, a_axis, indexing="ij"))

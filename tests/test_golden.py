@@ -19,6 +19,9 @@ Refactors must leave these digests unchanged. A change that alters the
 outputs on purpose regenerates the file and says why:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints the keys whose digests changed, appeared or vanished against the
+file it replaces.
 """
 
 import hashlib
@@ -218,5 +221,10 @@ if __name__ == "__main__":
             table[_bench_key(*case)] = _digests(*case, "analytic", tmp, BENCH_CONFIG)
         for name, variant, config in LONG_CASES:
             table[_long_key(name, variant)] = _digests(name, variant, "analytic", tmp, config)
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} entries to {GOLDEN}", file=sys.stderr)
+    for what, keys in (("changed", [k for k in table.keys() & old.keys() if table[k] != old[k]]),
+                       ("appeared", table.keys() - old.keys()),
+                       ("vanished", old.keys() - table.keys())):
+        print(f"{what}: {len(keys)}" + "".join(f"\n  {k}" for k in sorted(keys)))

@@ -324,6 +324,21 @@ class TestEnvelopeTable:
             envelope_table("abs", m_values, grid_n=2, out_dir=str(tmp_path))
         assert not (tmp_path / "envelope.csv").exists()
 
+    @pytest.mark.parametrize("ranges", [
+        {"a_range": (0.5, 0.2)}, {"a_range": (0.5, -0.2)}, {"a_range": (1.0, -1.0)},
+        {"t_range": (2.0, 1.0)}, {"t_range": (np.nan, 1.0)}, {"a_range": (-1.0, np.inf)},
+        {"t_range": (-np.inf, 0.0)}], ids=str)
+    def test_reversed_or_infinite_ranges_rejected(self, tmp_path, ranges):
+        (name, value), = ranges.items()
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must run from a finite low "
+                                                        f"end") + f".*got {re.escape(str(value))}"):
+            envelope_table("abs", [1.0], grid_n=2, out_dir=str(tmp_path), **ranges)
+        assert not (tmp_path / "envelope.csv").exists()
+
+    def test_flat_range_accepted(self):
+        rows = envelope_table("abs", [1.0], grid_n=2, t_range=(2.0, 2.0), a_range=(0.5, 0.5))
+        assert [r[1:3] for r in rows] == [(2.0, 0.5)] * 4
+
     @pytest.mark.parametrize("surface,m_values,kwargs", [
         ("abs", [1.0, 100.0], {"grid_n": 1}),
         ("quad", [3.0, 0.5], {"grid_n": 2}),
