@@ -11,15 +11,15 @@ from ltsurf import surfaces
 
 BOX = ((-2.0, 2.0), (-2.0, 2.0))
 ABS = Surface(lambda t, a: np.abs(np.asarray(a, float)))
-# a step surface: two columns of a grid row can tie at its minimum
+# a step surface: grid points can tie at its minimum
 STEP = Surface(lambda t, a: np.floor(4 * np.asarray(a, float)) / 4)
 # a surface that moves in t, so it is always searched on the full grid
 MOVING = Surface(lambda t, a: np.abs(np.asarray(a, float) - 0.5 * np.asarray(t, float)))
 # queries per full-grid batch at the default budget and grid_n
 CHUNK = surfaces._CHUNK_FLOATS // 33 ** 2
-# a small budget: full-grid batches of 2 queries, row batches of 66
+# a small budget: full-grid batches of 2 queries, a-only batches of 66
 SMALL_BUDGET = 2 * 33 ** 2
-ROW_CHUNK = SMALL_BUDGET // 33
+A_CHUNK = SMALL_BUDGET // 33
 in_box = st.tuples(st.floats(*BOX[0]), st.floats(*BOX[1]))
 # envelope_table's penalties in the golden file (one per decade) and in the
 # bench's envelope workload at seed 1
@@ -36,15 +36,6 @@ CLOSED_FORMS = {
 def full_grid(surf):
     """surf with its values broadcast over t, which makes the search take the full grid."""
     return Surface(lambda t, a: np.broadcast_arrays(surf.b(t, a), t)[0])
-
-
-def grid_queries(n_random):
-    """Queries on a lattice through STEP's jumps and midpoints, then n_random uniform ones."""
-    tq, aq = (g.ravel() for g in np.meshgrid(np.linspace(-2.0, 2.0, 5),
-                                              np.linspace(-2.0, 2.0, 33)))
-    rng = np.random.default_rng(0)
-    return (np.concatenate([tq, rng.uniform(*BOX[0], n_random)]),
-            np.concatenate([aq, rng.uniform(*BOX[1], n_random)]))
 
 
 class TestMoreauEnvelope:
@@ -118,11 +109,11 @@ class TestMoreauEnvelope:
            seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=5, deadline=None)
     def test_batch_equals_scalar_calls(self, surf, log_m, queries, seed):
-        # the drawn queries, then more than a row batch of uniform ones, so under
+        # the drawn queries, then more than an a-only batch of uniform ones, so under
         # the small budget the batch crosses batch boundaries on both paths
         m = 10.0 ** log_m
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(ROW_CHUNK + 1, ROW_CHUNK + 17))
+        n = int(rng.integers(A_CHUNK + 1, A_CHUNK + 17))
         tq, aq = np.concatenate([np.array(queries).T,
                                  [rng.uniform(*side, n) for side in BOX]], axis=1)
         with pytest.MonkeyPatch.context() as patch:
@@ -130,65 +121,37 @@ class TestMoreauEnvelope:
             batch = moreau_envelope(surf, m, (tq, aq), BOX)
         assert batch.tolist() == [moreau_envelope(surf, m, q, BOX) for q in zip(tq, aq)]
 
-    @pytest.mark.parametrize("surf", [*SURFACES.values(), STEP], ids=[*SURFACES, "step"])
-    def test_row_search_equals_full_grid(self, surf):
-        searched = []  # queries the row search hands to the full grid, per round
-        grid_argmin = surfaces._grid_argmin
-
-        def spy(surface, c, tq, *rest):
-            searched.append(tq.size)
-            return grid_argmin(surface, c, tq, *rest)
-
-        tq, aq = grid_queries(15)
-        cases = [(grid_n, m) for grid_n in (1, 2, 7, 33) for m in (1e-2, 1.0, 1e2, 1e4)]
-        for grid_n, m in cases:
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(surfaces, "_grid_argmin", spy)
-                rows = moreau_envelope(surf, m, (tq, aq), BOX, grid_n=grid_n)
-            full = moreau_envelope(full_grid(surf), m, (tq, aq), BOX, grid_n=grid_n)
-            assert rows.tobytes() == full.tobytes(), f"grid_n = {grid_n}, m = {m}"
-        if surf is STEP:
-            # some rounds tied and took the full grid, and only they did
-            assert 0 < sum(searched) < len(cases) * 6 * tq.size
-
+    @pytest.mark.parametrize("search", ["a alone", "full grid"])
     @pytest.mark.parametrize("surf", SURFACES.values(), ids=list(SURFACES))
-    def test_row_search_leaves_nan_grids_to_the_full_grid(self, surf):
-        # b is nan where a > 0.5, so a grid reaching there is nan at max p too
+    def test_nan_never_wins_a_round(self, surf, search):
+        # b is nan where a > 0.5, so every grid reaching there holds nan
         holed = Surface(lambda t, a: np.where(np.asarray(a) > 0.5, np.nan, surf.b(t, a)))
-        searched, grid_argmin = [], surfaces._grid_argmin
+        holed = holed if search == "a alone" else full_grid(holed)
+        rng = np.random.default_rng(5)
+        tq, aq = rng.uniform(*BOX[0], 41), np.linspace(-2.0, 2.0, 41)
+        for m in (1.0, 5.0, 1e3):
+            env, b = moreau_envelope(holed, m, (tq, aq), BOX), holed.b(tq, aq)
+            finite = np.isfinite(b)
+            assert (env[finite] <= b[finite]).all(), f"m = {m}"
 
-        def spy(surface, c, tq, *rest):
-            searched.append(tq.size)
-            return grid_argmin(surface, c, tq, *rest)
-
-        query = (np.zeros(5), np.linspace(-1.0, 1.0, 5))
+    @pytest.mark.parametrize("grid_n,m_values", [(7, GOLDEN_M), (20, BENCH_M)],
+                             ids=["golden", "bench"])
+    def test_t_free_surfaces_never_search_the_full_grid(self, grid_n, m_values):
+        calls = []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(surfaces, "_grid_argmin", spy)
-            rows = moreau_envelope(holed, 5.0, query, BOX)
-        full = moreau_envelope(full_grid(holed), 5.0, query, BOX)
-        assert rows.tobytes() == full.tobytes()
-        assert searched
-
-    def test_row_search_alone_on_the_bench_table(self):
-        # the bench's envelope workload at seed 1: every round of every query of
-        # the abs table has one finite row minimum, so no full grid is searched
-        calls, grid_argmin = [], surfaces._grid_argmin
-
-        def spy(surface, c, tq, *rest):
-            calls.append(tq.size)
-            return grid_argmin(surface, c, tq, *rest)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(surfaces, "_grid_argmin", spy)
-            rows = envelope_table("abs", BENCH_M, grid_n=20)
-        assert len(rows) == 4 * 20 * 20
+            patch.setattr(surfaces, "_grid_argmin", lambda *args: calls.append(args))
+            for surface in SURFACES:
+                assert len(envelope_table(surface, m_values, grid_n=grid_n)) == 4 * grid_n ** 2
+            # at a negligible penalty every query ties on STEP's lowest step in every round
+            moreau_envelope(STEP, 1e-20, (np.zeros(9), np.linspace(-2.0, 2.0, 9)), BOX,
+                            grid_n=grid_n)
         assert calls == []
 
-    @pytest.mark.parametrize("surf,m", [(MOVING, 1.0), (STEP, 1e-20)], ids=["moving", "step"])
+    @pytest.mark.parametrize("surf,m", [(MOVING, 1.0), (full_grid(STEP), 1e-20)],
+                             ids=["moving", "step"])
     def test_full_grids_keep_to_the_budget(self, surf, m):
-        # 2 * CHUNK + 1 queries: three batches of the moving surface's full
-        # grids. At a negligible penalty every query ties on STEP's lowest
-        # step in every round, so its ties take three batches of full grids.
+        # 2 * CHUNK + 1 queries: three batches of full grids. At a negligible
+        # penalty every query ties on STEP's lowest step in every round.
         grids, depth = [], []  # points of each full grid that b is evaluated on
         grid_argmin = surfaces._grid_argmin
 
@@ -239,3 +202,12 @@ class TestEnvelopeTable:
     def test_within_1e_8_of_the_closed_form(self, surface, m_values, grid_n):
         m, _, a, env, _ = np.array(envelope_table(surface, m_values, grid_n=grid_n)).T
         assert np.abs(env - CLOSED_FORMS[surface](m, a)).max() < 1e-8
+
+    @pytest.mark.parametrize("grid_n", [7, 20])
+    @PENALTIES
+    @pytest.mark.parametrize("surface", list(SURFACES))
+    def test_t_free_envelope_ignores_t(self, surface, m_values, grid_n):
+        # every registry surface ignores t, so rows of equal (m, a) agree to the bit
+        env = np.array(envelope_table(surface, m_values, grid_n=grid_n))[:, 3]
+        bits = env.view(np.uint64).reshape(len(m_values), grid_n, grid_n)
+        assert (bits == bits[:, :1]).all()
