@@ -335,10 +335,6 @@ class TestEnvelopeTable:
             envelope_table("abs", [1.0], grid_n=2, out_dir=str(tmp_path), **ranges)
         assert not (tmp_path / "envelope.csv").exists()
 
-    def test_flat_range_accepted(self):
-        rows = envelope_table("abs", [1.0], grid_n=2, t_range=(2.0, 2.0), a_range=(0.5, 0.5))
-        assert [r[1:3] for r in rows] == [(2.0, 0.5)] * 4
-
     @pytest.mark.parametrize("surface,m_values,kwargs", [
         ("abs", [1.0, 100.0], {"grid_n": 1}),
         ("quad", [3.0, 0.5], {"grid_n": 2}),
@@ -347,7 +343,8 @@ class TestEnvelopeTable:
         ("sqrt", [1.5, 40.0], {"grid_n": 4, "t_range": (0.25, 3.5),
                                "a_range": (-0.3, 1.7)}),
         ("quad", [5.0], {"grid_n": 3, "t_range": (2.0, 2.0)}),
-    ], ids=["grid_n_1", "grid_n_2", "one_m", "repeated_m", "ranges", "flat_t"])
+        ("abs", [5.0], {"grid_n": 2, "a_range": (0.5, 0.5)}),
+    ], ids=["grid_n_1", "grid_n_2", "one_m", "repeated_m", "ranges", "flat_t", "flat_a"])
     def test_csv_lines_are_the_returned_rows(self, tmp_path, surface, m_values, kwargs):
         rows = envelope_table(surface, m_values, out_dir=str(tmp_path), **kwargs)
         n = kwargs["grid_n"]

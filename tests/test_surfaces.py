@@ -38,6 +38,21 @@ def full_grid(surf):
     return Surface(lambda t, a: np.broadcast_arrays(surf.b(t, a), t)[0])
 
 
+def search_a_alone(surf, m, tq, aq, box, grid_n, rounds=6, shrink=10.0):
+    """One query's envelope of a t-free surface, searched round by round over a alone."""
+    c, (a_lo, a_hi) = m / 2.0, box[1]
+    best, best_a = surf.b(tq, aq), aq
+    center, half = (a_lo + a_hi) / 2.0, (a_hi - a_lo) / 2.0  # then each round's best
+    for _ in range(rounds):
+        a = np.linspace(max(a_lo, center - half), min(a_hi, center + half), grid_n)
+        objective = (a - aq) ** 2 * c + surf.b(tq, a)
+        j = int(np.argmin(objective))  # the first of tied minima
+        if objective[j] < best:
+            best, best_a = objective[j], a[j]
+        center, half = best_a, half / shrink
+    return float(best)
+
+
 class TestMoreauEnvelope:
     def test_never_exceeds_b(self):
         for a in np.linspace(-1.5, 1.5, 11):
@@ -120,6 +135,17 @@ class TestMoreauEnvelope:
             patch.setattr(surfaces, "_CHUNK_FLOATS", SMALL_BUDGET)
             batch = moreau_envelope(surf, m, (tq, aq), BOX)
         assert batch.tolist() == [moreau_envelope(surf, m, q, BOX) for q in zip(tq, aq)]
+
+    @pytest.mark.parametrize("surf", [*SURFACES.values(), STEP], ids=[*SURFACES, "step"])
+    def test_a_alone_equals_a_plain_search(self, surf):
+        # queries through STEP's jumps and midpoints, where grid points tie
+        rng = np.random.default_rng(0)
+        tq, aq = rng.uniform(*BOX[0], 33), np.linspace(*BOX[1], 33)
+        for grid_n in (1, 2, 7, 33):
+            for m in (1e-2, 1.0, 1e2, 1e4):
+                batch = moreau_envelope(surf, m, (tq, aq), BOX, grid_n=grid_n)
+                assert batch.tolist() == [search_a_alone(surf, m, *q, BOX, grid_n)
+                                          for q in zip(tq, aq)], f"grid_n = {grid_n}, m = {m}"
 
     @pytest.mark.parametrize("search", ["a alone", "full grid"])
     @pytest.mark.parametrize("surf", SURFACES.values(), ids=list(SURFACES))
