@@ -329,9 +329,8 @@ class TestEnvelopeTable:
         {"t_range": (2.0, 1.0)}, {"t_range": (np.nan, 1.0)}, {"a_range": (-1.0, np.inf)},
         {"t_range": (-np.inf, 0.0)}], ids=str)
     def test_reversed_or_infinite_ranges_rejected(self, tmp_path, ranges):
-        (name, value), = ranges.items()
-        with pytest.raises(ConfigError, match=re.escape(f"{name} must run from a finite low "
-                                                        f"end") + f".*got {re.escape(str(value))}"):
+        name, = ranges
+        with pytest.raises(ConfigError, match=f"{name} must run from a finite low end"):
             envelope_table("abs", [1.0], grid_n=2, out_dir=str(tmp_path), **ranges)
         assert not (tmp_path / "envelope.csv").exists()
 
