@@ -365,18 +365,17 @@ def verify_jump_ltc(psf, bundle, n=None, qv_mode="analytic"):
     return _assemble("jump_ltc", psf, bundle, qv_mode, n=n)
 
 
-def verify_smooth_fit(psf, bundle, qv_mode="analytic", fit_tol=1e-9,
-                      fit_grid=21):
+def verify_smooth_fit(psf, bundle, qv_mode="analytic"):
     """Extended Ito formula under smooth fit: no local-time term.
 
-    The vanishing of the one-sided derivative gap is checked on a test grid
-    spanning each path's (t, a) range before evaluation.
+    Before evaluation, the one-sided derivative gap must be below 1e-9 on a
+    21 x 21 test grid spanning each path's (t, a) range.
     """
-    t_grid = np.linspace(bundle.times[..., 0], bundle.times[..., -1], fit_grid, axis=-1)
+    t_grid = np.linspace(bundle.times[..., 0], bundle.times[..., -1], 21, axis=-1)
     a_grid = np.linspace(bundle.a_path.min(axis=-1) - 0.1, bundle.a_path.max(axis=-1) + 0.1,
-                         fit_grid, axis=-1)
+                         21, axis=-1)
     gap = np.max(np.abs(fx_jump(psf, t_grid[..., :, None], a_grid[..., None, :])))
-    if gap >= fit_tol:
+    if gap >= 1e-9:
         raise IncompatibleScenarioError(
             f"smooth-fit condition violated on the test grid: max gap {gap:g}")
     return _assemble("smooth_fit", psf, bundle, qv_mode)

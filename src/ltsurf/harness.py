@@ -11,7 +11,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -102,11 +102,9 @@ class EnsembleSummary:
     rhs_stats: dict
     residual_stats: dict  # mean, median, se, quantiles, abs_median, abs_mean
     provenance: dict
-    reports: Optional[list] = None
 
     def to_json(self):
-        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "reports"}
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
 
 def derive_path_seed(master_seed, path_index):
@@ -176,7 +174,7 @@ def _column_stats(arr):
     return {"mean": float(np.mean(arr)), "median": float(np.median(arr)), "se": se}
 
 
-def run_scenario(config, keep_reports=False):
+def run_scenario(config):
     """Simulate n_paths bundles, evaluate the configured variant per path,
     aggregate in path order and (optionally) write csv + json outputs."""
     scen, parts = build_parts(config.scenario, config.params)
@@ -225,23 +223,27 @@ def run_scenario(config, keep_reports=False):
             "mollifier_n": n,
             "seed_derivation": "SeedSequence([master_seed, path_index])",
         },
-        reports=[(row[0], dict(zip(term_names, row[1:-2])), row[-2], row[-1])
-                 for row in table.tolist()] if keep_reports else None,
     )
     if config.output is not None:
         write_outputs(summary, table, term_names, config.output)
     return summary
 
 
-def write_outputs(summary, table, term_names, out_dir):
+def _write_lines(out_dir, name, lines):
+    """Write out_dir/name, making out_dir, with each line ended by a newline; return its path."""
     os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+def write_outputs(summary, table, term_names, out_dir):
     header = ["path_id", "lhs"] + [f"term_{t}" for t in term_names] + ["rhs", "residual"]
     row = "%d" + ",%.17g" * (len(header) - 1)  # "%.17g" % x is format(float(x), ".17g")
-    lines = [",".join(header)] + [row % (i, *r) for i, r in enumerate(table.tolist())]
-    with open(os.path.join(out_dir, "verify.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        fh.write(summary.to_json() + "\n")
+    _write_lines(out_dir, "verify.csv",
+                 [",".join(header)] + [row % (i, *r) for i, r in enumerate(table.tolist())])
+    _write_lines(out_dir, "summary.json", [summary.to_json()])
 
 
 def convergence_study(config, dt_list, out_dir=None):
@@ -269,15 +271,11 @@ def convergence_study(config, dt_list, out_dir=None):
     verdict = all(b <= a for a, b in zip(medians, medians[1:]))
     table = {"rows": rows, "monotone_nonincreasing": verdict}
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         cols = ["dt", "eps", "mollifier_n", "median_abs_residual",
                 "mean_abs_residual", "median_residual"]
-        lines = [",".join(cols)] + ["%.17g,%.17g,%d,%.17g,%.17g,%.17g" % tuple(map(r.get, cols))
-                                    for r in rows]
-        with open(os.path.join(out_dir, "converge.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with open(os.path.join(out_dir, "converge.json"), "w") as fh:
-            fh.write(json.dumps(table, indent=2, sort_keys=True) + "\n")
+        _write_lines(out_dir, "converge.csv", [",".join(cols)] + [
+            "%.17g,%.17g,%d,%.17g,%.17g,%.17g" % tuple(map(r.get, cols)) for r in rows])
+        _write_lines(out_dir, "converge.json", [json.dumps(table, indent=2, sort_keys=True)])
     return table
 
 
@@ -304,7 +302,6 @@ def compare_estimators(config):
 def emit_bundles(config, out_dir):
     """Raw path dump: one long CSV with the aligned driver and state paths."""
     _, parts = build_parts(config.scenario, config.params)
-    os.makedirs(out_dir, exist_ok=True)
     cols = ["path_id", "t", "jump", "brownian", "y", "z", "a", "x", "a_pre", "x_pre"]
     lines, row = [",".join(cols)], "%d,%.17g,%d" + ",%.17g" * 7
     seeds = derive_path_seed(config.seed, np.arange(config.n_paths))
@@ -314,15 +311,12 @@ def emit_bundles(config, out_dir):
         brownian, y, z = (np.cumsum(np.concatenate(([0.0], d))) for d in (b.db, b.dy, b.dz))
         lines += [row % (i, *r) for r in zip(b.times, b.grid.jump_flags, brownian, y, z,
                                              b.a_path, b.x_path, b.a_pre, b.x_pre)]
-    path = os.path.join(out_dir, "paths.csv")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write_lines(out_dir, "paths.csv", lines)
 
 
-def envelope_table(surface_name, m_values, t_range=(0.0, 1.0), a_range=(-1.0, 1.0),
-                   grid_n=20, out_dir=None):
-    """Moreau envelope of a registry surface tabulated over a (t, a) grid.
+def envelope_table(surface_name, m_values, grid_n=20, out_dir=None):
+    """Moreau envelope of a registry surface tabulated over a grid_n x grid_n
+    grid of t in [0, 1] and a in [-1, 1], searched in the box [-3, 4] x [-4, 4].
 
     Returns one (m, t, a, envelope, b) row per penalty and grid point: m
     outermost, then t, then a, as meshgrid(..., indexing="ij") ravels them.
@@ -338,15 +332,10 @@ def envelope_table(surface_name, m_values, t_range=(0.0, 1.0), a_range=(-1.0, 1.
     if surface_name not in SURFACES:
         raise ConfigError(f"unknown surface: {surface_name!r} "
                           f"(registry: {', '.join(sorted(SURFACES))})")
-    for name, (lo, hi) in (("t_range", t_range), ("a_range", a_range)):
-        if not -np.inf < lo <= hi < np.inf:
-            raise ConfigError(f"{name} must run from a finite low end to a finite high end "
-                              f"at or above it, got {(lo, hi)!r}")
     surface = SURFACES[surface_name]
-    t_axis, a_axis = np.linspace(*t_range, grid_n), np.linspace(*a_range, grid_n)
+    t_axis, a_axis = np.linspace(0.0, 1.0, grid_n), np.linspace(-1.0, 1.0, grid_n)
     tt, aa = (g.ravel() for g in np.meshgrid(t_axis, a_axis, indexing="ij"))
-    pad = 1.0 + (a_range[1] - a_range[0])
-    box = ((t_range[0] - pad, t_range[1] + pad), (a_range[0] - pad, a_range[1] + pad))
+    box = ((-3.0, 4.0), (-4.0, 4.0))  # the table widened by 3 on every side
     b = surface.b(tt, aa).tolist()
     t_list, a_list = tt.tolist(), aa.tolist()
     rows, envs = [], []
@@ -354,7 +343,6 @@ def envelope_table(surface_name, m_values, t_range=(0.0, 1.0), a_range=(-1.0, 1.
         envs.append(moreau_envelope(surface, m, (tt, aa), box).tolist())
         rows += [(m, *r) for r in zip(t_list, a_list, envs[-1], b)]
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         a_text = ["%.17g," % a for a in a_axis.tolist()]
         heads = ["%.17g," % t + a for t in t_axis.tolist() for a in a_text]  # "t,a,"
         tails = [",%.17g" % v for v in b]  # ",b"
@@ -362,8 +350,7 @@ def envelope_table(surface_name, m_values, t_range=(0.0, 1.0), a_range=(-1.0, 1.
         for m, env in zip(m_values, envs):
             m_text = "%.17g," % m
             lines += [m_text + h + "%.17g" % e + s for h, e, s in zip(heads, env, tails)]
-        with open(os.path.join(out_dir, "envelope.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(out_dir, "envelope.csv", lines)
     return rows
 
 

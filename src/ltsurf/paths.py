@@ -92,8 +92,10 @@ class Jumps(NamedTuple):
 class JumpLaw:
     """Jump-size sampler with finite mean absolute size.
 
-    kinds: two_point (values a/b with prob p/1-p) and exponential (mean,
-    optionally negated via sign).  A sample is sizes(draw(rng, n)).
+    kinds: two_point, params (lo, hi): lo or hi with probability 1/2 each,
+    lo where the uniform draw is below 0.5; and exponential, params (mean,):
+    sizes of mean |mean|, negated if mean < 0.  A sample is
+    sizes(draw(rng, n)).
     """
 
     kind: str
@@ -111,13 +113,13 @@ class JumpLaw:
 
     def sizes(self, draws):
         if self.kind == "two_point":
-            lo, hi, p = self.params
-            return np.where(draws < p, lo, hi).astype(float)
+            lo, hi = self.params
+            return np.where(draws < 0.5, lo, hi).astype(float)
         return np.sign(self.params[0]) * draws
 
 
-def two_point(lo, hi, p=0.5):
-    return JumpLaw("two_point", (lo, hi, p))
+def two_point(lo, hi):
+    return JumpLaw("two_point", (lo, hi))
 
 
 @dataclass(frozen=True)

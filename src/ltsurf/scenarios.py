@@ -160,15 +160,15 @@ def _build_smooth_fit_sqrt(p):
                          variants=("smooth_fit",))
 
 
-def _linear_psf(surface_level=-5.0, cx=1.0, ca=0.2, ct=0.3):
-    surface = constant_surface(surface_level)
+def _linear_psf(ca):
+    """F = x + ca a + 0.3 t, smooth across the constant surface b = -5."""
     return smooth_psf(
-        f=lambda t, a, x, b: cx * x + ca * a + ct * t + 0.0 * x,
-        d_t=lambda t, a, x, b: ct + 0.0 * x,
+        f=lambda t, a, x, b: x + ca * a + 0.3 * t + 0.0 * x,
+        d_t=lambda t, a, x, b: 0.3 + 0.0 * x,
         d_a=lambda t, a, x, b: ca + 0.0 * x,
-        d_x=lambda t, a, x, b: cx + 0.0 * x,
+        d_x=lambda t, a, x, b: 1.0 + 0.0 * x,
         d_xx=lambda t, a, x, b: 0.0 * x,
-        surface=surface,
+        surface=constant_surface(-5.0),
     )
 
 
@@ -176,7 +176,7 @@ def _build_exact_drift(p):
     spec = SdeSpec(mu_x=p["mu_x"], sigma=0.0, mu_a=p["mu_a"],
                    x0=p["x0"], a0=p["a0"])
     # no a-dependence: the curves formula carries no F_a term
-    psf = _linear_psf(ca=0.0)
+    psf = _linear_psf(0.0)
     h_const = 0.3 + p["mu_x"] * 1.0
     gen = lambda t, a, x: h_const + 0.0 * np.asarray(x, float)
     return ScenarioParts(spec=spec, psf=psf, level=-5.0, gen=gen,
@@ -192,7 +192,7 @@ def _build_exact_drift_jump(p):
         a_jump_driver="y",
         x0=p["x0"], a0=p["a0"],
     )
-    psf = _linear_psf()
+    psf = _linear_psf(0.2)
     h_const = 0.3 + p["mu_x"] * 1.0 + p["mu_a"] * 0.2
     # jumps enter the jump sum only
     gen = lambda t, a, x: h_const + 0.0 * np.asarray(x, float)

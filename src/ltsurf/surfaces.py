@@ -22,9 +22,9 @@ class Surface:
 
 
 def constant_surface(level):
-    c = float(level)
-    return Surface(lambda t, a: np.broadcast_arrays(np.asarray(t, float) * 0.0 + c, a)[0],
-                   lipschitz=True)
+    """b = level, which ignores t, so its envelope is searched over a alone."""
+    c = float(level) + 0.0  # a level of -0.0 gives 0.0
+    return Surface(lambda t, a: np.broadcast_to(c, np.shape(a)), lipschitz=True)
 
 
 # Floats per batch of the grid search (0.5 MB): in (queries, grid_n, grid_n) grids, or in
@@ -32,24 +32,25 @@ def constant_surface(level):
 _CHUNK_FLOATS = 2 ** 16
 
 
-def moreau_envelope(surface, m, query, search_box, grid_n=33, rounds=6, shrink=10.0):
+def moreau_envelope(surface, m, query, search_box, grid_n=33, rounds=6):
     """Quadratic inf-convolution of b evaluated at (t, a) query points.
 
     query is (tq, aq), two scalars or two arrays of one shape; a scalar
     query returns a float, an array query an array of that shape.  Penalty
     convention is (m/2)||.||^2, so the envelope increases to b as m grows.
     The infimum is approximated by a nested grid search over the search
-    box; the query point itself is always a candidate, so the result never
-    exceeds b(query).  If b ignores t, the infimum lies at t = tq, so only
-    a is searched and the result does not depend on tq.  All queries are
-    searched at once, in batches.
+    box, each round's half-width a tenth of the last's; the query point
+    itself is always a candidate, so the result never exceeds b(query).
+    If b ignores t, the infimum lies at t = tq, so only a is searched and
+    the result does not depend on tq.  All queries are searched at once,
+    in batches.
     """
     if not 0 < m / 2.0 < np.inf:  # a penalty m/2 of 0 makes 0 * inf = nan where t is far
         raise ConfigError(f"m must be positive and finite, and m / 2 nonzero, got {m!r}")
     if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= least
-               for n, least in ((grid_n, 1), (rounds, 0))) or not 1 <= shrink < np.inf:
-        raise ConfigError("the search needs integers grid_n >= 1 and rounds >= 0 and a finite "
-                          f"shrink >= 1, got {grid_n=}, {rounds=}, {shrink=}")
+               for n, least in ((grid_n, 1), (rounds, 0))):
+        raise ConfigError(f"the search needs integers grid_n >= 1 and rounds >= 0, got {grid_n=}, "
+                          f"{rounds=}")
     (t_lo, t_hi), (a_lo, a_hi) = search_box
     if t_lo > t_hi or a_lo > a_hi:
         raise ConfigError("empty search box")
@@ -66,11 +67,11 @@ def moreau_envelope(surface, m, query, search_box, grid_n=33, rounds=6, shrink=1
     env = np.empty(tq.size)
     for lo in range(0, tq.size, chunk):
         env[lo:lo + chunk] = _grid_search(surface, m / 2.0, tq[lo:lo + chunk], aq[lo:lo + chunk],
-                                          search_box, grid_n, rounds, shrink, t_free)
+                                          search_box, grid_n, rounds, t_free)
     return env.reshape(shape) if shape else float(env[0])
 
 
-def _grid_search(surface, c, tq, aq, search_box, grid_n, rounds, shrink, t_free):
+def _grid_search(surface, c, tq, aq, search_box, grid_n, rounds, t_free):
     """The nested grid search for a 1-D batch of queries, penalty c = m/2.
 
     If b ignores t, the penalty's t part is least, at 0, at t = tq, so t stays
@@ -101,19 +102,17 @@ def _grid_search(surface, c, tq, aq, search_box, grid_n, rounds, shrink, t_free)
         better = v < best_val
         best_val = np.where(better, v, best_val)
         best = center = np.where(better, at, best)
-        half /= shrink
+        half /= 10.0
     return best_val
 
 
 def _grid_argmin(surface, c, tq, aq, ts, as_):
-    """First flat argmin i * grid_n + j of each query's grid (ts[:, i], as_[:, j]), and value."""
-    k, v = np.empty(tq.size, dtype=int), np.empty(tq.size)
-    step = max(1, _CHUNK_FLOATS // ts.shape[1] ** 2)
-    for s in (slice(lo, lo + step) for lo in range(0, tq.size, step)):
-        # C order, so that each query's grid is one contiguous row of flat
-        tt, aa = np.ascontiguousarray(ts[s])[:, :, None], np.ascontiguousarray(as_[s])[:, None]
-        flat = (((tt - tq[s, None, None]) ** 2 + (aa - aq[s, None, None]) ** 2) * c
-                + surface.b(tt, aa)).reshape(len(tt), -1)
-        k[s] = flat.argmin(axis=1)
-        v[s] = flat[np.arange(len(flat)), k[s]]
-    return k, v
+    """First flat argmin i * grid_n + j of each query's grid (ts[:, i], as_[:, j]), and value.
+
+    The queries are one of moreau_envelope's batches, whose grids fit in _CHUNK_FLOATS."""
+    # C order, so that each query's grid is one contiguous row of flat
+    tt, aa = np.ascontiguousarray(ts)[:, :, None], np.ascontiguousarray(as_)[:, None]
+    flat = (((tt - tq[:, None, None]) ** 2 + (aa - aq[:, None, None]) ** 2) * c
+            + surface.b(tt, aa)).reshape(len(tt), -1)
+    k = flat.argmin(axis=1)
+    return k, flat[np.arange(len(flat)), k]

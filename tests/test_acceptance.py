@@ -31,6 +31,15 @@ def _line(name, ok, detail):
     print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
+def _per_path(config):
+    """run_scenario's per-path rows, read back from the verify.csv it writes
+    to config.output, as {column: value} in path order."""
+    run_scenario(config)
+    with open(os.path.join(config.output, "verify.csv")) as fh:
+        header, *lines = fh.read().split()
+    return [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+
+
 @pytest.fixture(scope="module")
 def estimator_stats():
     # shared by criteria 1 and 2: 10^4 paths at dt = 1e-4, eps = 1/n = 0.01
@@ -136,8 +145,7 @@ def test_criterion_6_smooth_fit_scenario():
     table = convergence_study(cfg, [1e-2, 1e-3, 1e-4])
     meds = [r["median_abs_residual"] for r in table["rows"]]
     report = run_scenario(ScenarioConfig(scenario="smooth_fit_sqrt_surface",
-                                         dt=1e-2, n_paths=1, seed=1),
-                          keep_reports=True)
+                                         dt=1e-2, n_paths=1, seed=1))
     no_lt = "local_time" not in report.term_names
     ok = gap < 1e-9 and table["monotone_nonincreasing"] and meds[-1] < 0.1 and no_lt
     _line("criterion 6", ok,
@@ -149,25 +157,23 @@ def test_criterion_6_smooth_fit_scenario():
     assert no_lt
 
 
-def test_criterion_7_general_formula_coherence():
+def test_criterion_7_general_formula_coherence(tmp_path):
     kw = dict(t_end=1.0, dt=4e-5, n_paths=400, seed=5, bandwidth_rule=0.01,
               workers=WORKERS)
-    sg = run_scenario(ScenarioConfig(scenario="peskir_diffusion", variant="general", **kw),
-                      keep_reports=True)
-    sp = run_scenario(ScenarioConfig(scenario="peskir_diffusion", **kw),
-                      keep_reports=True)
+    sg = _per_path(ScenarioConfig(scenario="peskir_diffusion", variant="general",
+                                  output=str(tmp_path / "general"), **kw))
+    sp = _per_path(ScenarioConfig(scenario="peskir_diffusion",
+                                  output=str(tmp_path / "default"), **kw))
     mapping = [("h_dlambda", "generator_time_integral"),
                ("fx_dM", "sigma_fx_brownian"),
                ("local_time", "local_time")]
     worst = 0.0
     for g, p in mapping:
-        diffs = [abs(rg[1][g] - rp[1][p])
-                 for rg, rp in zip(sg.reports, sp.reports)]
+        diffs = [abs(rg[f"term_{g}"] - rp[f"term_{p}"]) for rg, rp in zip(sg, sp)]
         worst = max(worst, float(np.median(diffs)))
     # jump terms: both scenarios are continuous, so the general report's
     # jump compensation must vanish identically
-    jump_med = float(np.median([abs(r[1]["jump_compensation"])
-                                for r in sg.reports]))
+    jump_med = float(np.median([abs(r["term_jump_compensation"]) for r in sg]))
     ok = worst < 0.05 and jump_med == 0.0
     _line("criterion 7", ok,
           f"worst term-wise median discrepancy {worst:.4f}")
@@ -218,15 +224,14 @@ def test_criterion_9_moreau_envelope_suite():
     assert lip <= 1.0 + 1e-6
 
 
-def test_criterion_10_degenerate_exactness():
+def test_criterion_10_degenerate_exactness(tmp_path):
     worst = 0.0
     for name in ("exact_drift", "exact_drift_jump"):
         _, parts = build_parts(name)
         for variant in parts.variants:
             cfg = ScenarioConfig(scenario=name, dt=1e-3, n_paths=20, seed=3,
-                                 variant=variant)
-            s = run_scenario(cfg, keep_reports=True)
-            worst = max(worst, max(abs(r[3]) for r in s.reports))
+                                 variant=variant, output=str(tmp_path / name / variant))
+            worst = max(worst, max(abs(r["residual"]) for r in _per_path(cfg)))
     ok = worst < 1e-10
     _line("criterion 10", ok, f"worst per-path |residual| {worst:.2e}")
     assert ok

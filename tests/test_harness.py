@@ -79,12 +79,12 @@ class TestRunScenario:
             assert float(vals["residual"]) == float(vals["lhs"]) - acc
 
     def test_csv_floats_have_17_significant_digits(self, tmp_path):
-        cfg = ScenarioConfig(scenario="tanaka_bm", dt=1e-2, n_paths=2,
+        cfg = ScenarioConfig(scenario="tanaka_bm", dt=1e-2, n_paths=1,
                              seed=3, output=str(tmp_path))
-        s = run_scenario(cfg, keep_reports=True)
+        s = run_scenario(cfg)
         lines = (tmp_path / "verify.csv").read_text().strip().split("\n")
         lhs_str = lines[1].split(",")[1]
-        assert float(lhs_str) == s.reports[0][0]  # round-trips exactly
+        assert float(lhs_str) == s.lhs_stats["mean"]  # one path's lhs round-trips exactly
 
     def test_worker_invariance(self, tmp_path):
         outs = []
@@ -324,34 +324,19 @@ class TestEnvelopeTable:
             envelope_table("abs", m_values, grid_n=2, out_dir=str(tmp_path))
         assert not (tmp_path / "envelope.csv").exists()
 
-    @pytest.mark.parametrize("ranges", [
-        {"a_range": (0.5, 0.2)}, {"a_range": (0.5, -0.2)}, {"a_range": (1.0, -1.0)},
-        {"t_range": (2.0, 1.0)}, {"t_range": (np.nan, 1.0)}, {"a_range": (-1.0, np.inf)},
-        {"t_range": (-np.inf, 0.0)}], ids=str)
-    def test_reversed_or_infinite_ranges_rejected(self, tmp_path, ranges):
-        name, = ranges
-        with pytest.raises(ConfigError, match=f"{name} must run from a finite low end"):
-            envelope_table("abs", [1.0], grid_n=2, out_dir=str(tmp_path), **ranges)
-        assert not (tmp_path / "envelope.csv").exists()
-
     @pytest.mark.parametrize("surface,m_values,kwargs", [
         ("abs", [1.0, 100.0], {"grid_n": 1}),
         ("quad", [3.0, 0.5], {"grid_n": 2}),
         ("sqrt", [7.25], {"grid_n": 5}),
         ("abs", [2.0, 2.0, 0.1], {"grid_n": 3}),
-        ("sqrt", [1.5, 40.0], {"grid_n": 4, "t_range": (0.25, 3.5),
-                               "a_range": (-0.3, 1.7)}),
-        ("quad", [5.0], {"grid_n": 3, "t_range": (2.0, 2.0)}),
-        ("abs", [5.0], {"grid_n": 2, "a_range": (0.5, 0.5)}),
-    ], ids=["grid_n_1", "grid_n_2", "one_m", "repeated_m", "ranges", "flat_t", "flat_a"])
+    ], ids=["grid_n_1", "grid_n_2", "one_m", "repeated_m"])
     def test_csv_lines_are_the_returned_rows(self, tmp_path, surface, m_values, kwargs):
         rows = envelope_table(surface, m_values, out_dir=str(tmp_path), **kwargs)
         n = kwargs["grid_n"]
         assert len(rows) == len(m_values) * n * n
         # m outermost, then t, then a
         assert [r[0] for r in rows] == [m for m in m_values for _ in range(n * n)]
-        t, a = (np.linspace(*kwargs.get(key, default), n).tolist()
-                for key, default in (("t_range", (0.0, 1.0)), ("a_range", (-1.0, 1.0))))
+        t, a = np.linspace(0.0, 1.0, n).tolist(), np.linspace(-1.0, 1.0, n).tolist()
         assert [r[1:3] for r in rows] == [(ti, aj) for _ in m_values for ti in t for aj in a]
         text = (tmp_path / "envelope.csv").read_text()
         assert text.endswith("\n")

@@ -38,7 +38,7 @@ def full_grid(surf):
     return Surface(lambda t, a: np.broadcast_arrays(surf.b(t, a), t)[0])
 
 
-def search_a_alone(surf, m, tq, aq, box, grid_n, rounds=6, shrink=10.0):
+def search_a_alone(surf, m, tq, aq, box, grid_n, rounds=6):
     """One query's envelope of a t-free surface, searched round by round over a alone."""
     c, (a_lo, a_hi) = m / 2.0, box[1]
     best, best_a = surf.b(tq, aq), aq
@@ -49,7 +49,7 @@ def search_a_alone(surf, m, tq, aq, box, grid_n, rounds=6, shrink=10.0):
         j = int(np.argmin(objective))  # the first of tied minima
         if objective[j] < best:
             best, best_a = objective[j], a[j]
-        center, half = best_a, half / shrink
+        center, half = best_a, half / 10.0
     return float(best)
 
 
@@ -91,15 +91,13 @@ class TestMoreauEnvelope:
 
     @pytest.mark.parametrize("search", [
         {"grid_n": 0}, {"grid_n": -3}, {"grid_n": 2.0}, {"grid_n": True}, {"grid_n": None},
-        {"rounds": -1}, {"rounds": 1.5}, {"rounds": False},
-        {"shrink": 0.0}, {"shrink": 0.5}, {"shrink": np.nan}, {"shrink": np.inf}],
-        ids=str)
+        {"rounds": -1}, {"rounds": 1.5}, {"rounds": False}], ids=str)
     def test_search_parameters_rejected(self, search):
         with pytest.raises(ConfigError, match="the search needs"):
             moreau_envelope(SURFACES["abs"], 5.0, (0.1, 0.3), BOX, **search)
 
     @pytest.mark.parametrize("search", [{}, {"grid_n": 1}, {"grid_n": np.int64(5)},
-                                        {"rounds": 0}, {"shrink": 1}], ids=str)
+                                        {"rounds": 0}], ids=str)
     def test_search_parameters_accepted(self, search):
         env = moreau_envelope(SURFACES["abs"], 5.0, (0.1, 0.3), BOX, **search)
         assert env <= 0.3
@@ -172,6 +170,17 @@ class TestMoreauEnvelope:
             moreau_envelope(STEP, 1e-20, (np.zeros(9), np.linspace(-2.0, 2.0, 9)), BOX,
                             grid_n=grid_n)
         assert calls == []
+
+    def test_constant_surface_searches_a_alone(self):
+        calls, grid_argmin = [], surfaces._grid_argmin
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(surfaces, "_grid_argmin",
+                          lambda *args: calls.append(args) or grid_argmin(*args))
+            env = moreau_envelope(constant_surface(0.5), 1.0,
+                                  (np.zeros(5), np.linspace(-1.0, 1.0, 5)), BOX)
+        assert calls == []
+        assert env.tolist() == [0.5] * 5
+        assert not np.signbit(constant_surface(-0.0).b(1.0, 0.0))
 
     @pytest.mark.parametrize("surf,m", [(MOVING, 1.0), (full_grid(STEP), 1e-20)],
                              ids=["moving", "step"])
