@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -77,6 +77,10 @@ class TestRunScenario:
                 acc += float(vals[t])
             assert float(vals["rhs"]) == acc
             assert float(vals["residual"]) == float(vals["lhs"]) - acc
+
+    def test_summary_json_holds_every_field(self):
+        s = run_scenario(ScenarioConfig(scenario="tanaka_bm", dt=1e-2, n_paths=1, seed=4))
+        assert sorted(json.loads(s.to_json())) == sorted(f.name for f in fields(s))
 
     def test_csv_floats_have_17_significant_digits(self, tmp_path):
         cfg = ScenarioConfig(scenario="tanaka_bm", dt=1e-2, n_paths=1,
@@ -344,6 +348,17 @@ class TestEnvelopeTable:
         assert header == "m,t,a,envelope,b"
         assert lines == [("%.17g," * 4 + "%.17g") % row for row in rows]
 
+    @pytest.mark.parametrize("surface", ["abs", "quad", "sqrt"])
+    def test_search_box_is_the_table_widened_by_three(self, monkeypatch, surface):
+        searched, search = [], harness.moreau_envelope
+        monkeypatch.setattr(harness, "moreau_envelope", lambda surf, m, query, box:
+                            searched.append(box) or search(surf, m, query, box))
+        rows = envelope_table(surface, [2.0, 50.0], grid_n=3)
+        # the table is t in [0, 1], a in [-1, 1]
+        assert {r[1] for r in rows} == {0.0, 0.5, 1.0} and {r[2] for r in rows} == {-1.0, 0.0, 1.0}
+        # one search per penalty, in the table widened by 3 on every side
+        assert searched == [((0.0 - 3.0, 1.0 + 3.0), (-1.0 - 3.0, 1.0 + 3.0))] * 2
+
     def test_converge_subcommand(self, capsys):
         rc = main(["converge", "--scenario", "smooth_quadratic",
                    "--dts", "1e-2,1e-3", "--paths", "20", "--seed", "1"])
@@ -423,6 +438,30 @@ def test_read_config_file_errors(tmp_path):
         read_config_file(str(bad))
     with pytest.raises(ConfigError):
         read_config_file(str(tmp_path / "missing.cfg"))
+
+
+@pytest.fixture(scope="module")
+def output_files(tmp_path_factory):
+    """The six output files, each written into a directory that did not exist."""
+    root = tmp_path_factory.mktemp("outputs")
+    cfg = ScenarioConfig(scenario="tanaka_bm", dt=1e-2, n_paths=2, seed=3)
+    run_scenario(replace(cfg, output=str(root / "verify" / "out")))
+    convergence_study(cfg, [1e-1, 5e-2], out_dir=str(root / "converge" / "out"))
+    emit_bundles(cfg, str(root / "simulate" / "out"))
+    envelope_table("abs", [1.0], grid_n=2, out_dir=str(root / "envelope" / "out"))
+    return {p.name: p for p in root.glob("*/out/*")}
+
+
+@pytest.mark.parametrize("name", ["verify.csv", "summary.json", "converge.csv",
+                                  "converge.json", "paths.csv", "envelope.csv"])
+def test_output_file_ends_with_one_newline(output_files, name):
+    text = output_files[name].read_text()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    if name.endswith(".json"):
+        json.loads(text)
+    else:
+        lines = text[:-1].split("\n")
+        assert len(lines) > 1 and {line.count(",") for line in lines} == {lines[0].count(",")}
 
 
 def test_emit_bundles_deterministic(tmp_path):

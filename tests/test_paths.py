@@ -205,6 +205,14 @@ class TestCompoundPoisson:
         assert abs(np.mean(counts) - 2.0) < 3 * se
 
 
+class TestTwoPoint:
+    @pytest.mark.parametrize("draw,size", [(0.0, -0.4), (np.nextafter(0.5, 0.0), -0.4),
+                                           (0.5, 0.6), (np.nextafter(1.0, 0.0), 0.6)],
+                             ids=["zero", "below_half", "half", "below_one"])
+    def test_lo_below_one_half_and_hi_from_it(self, draw, size):
+        assert two_point(-0.4, 0.6).sizes(np.array([draw])).tolist() == [size]
+
+
 class TestBrownian:
     def test_one_increment_per_step_and_deterministic(self):
         g = build_grid(1.0, 100)

@@ -182,6 +182,29 @@ class TestMoreauEnvelope:
         assert env.tolist() == [0.5] * 5
         assert not np.signbit(constant_surface(-0.0).b(1.0, 0.0))
 
+    @pytest.mark.parametrize("t,a", [(0.3, -0.5), (np.zeros((2, 3)), 0.25),
+                                     (0.7, np.linspace(-1.0, 1.0, 4))],
+                             ids=["scalars", "t_array", "a_array"])
+    def test_constant_surface_takes_the_shape_of_a(self, t, a):
+        b = constant_surface(1.5).b(t, a)
+        assert np.shape(b) == np.shape(a)
+        assert np.all(b == 1.5)
+
+    @pytest.mark.parametrize("rounds", [1, 2, 4])
+    def test_each_round_narrows_the_search_tenfold(self, rounds):
+        spans, grid_argmin = [], surfaces._grid_argmin
+
+        def spy(surf, c, tq, aq, ts, as_):
+            spans.extend((ts[0, -1] - ts[0, 0], as_[0, -1] - as_[0, 0]))
+            return grid_argmin(surf, c, tq, aq, ts, as_)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(surfaces, "_grid_argmin", spy)
+            moreau_envelope(MOVING, 1.0, (0.1, 0.3), BOX, rounds=rounds)
+        # the first grid spans the box; each later one, inside the box, a tenth of the last
+        assert spans == pytest.approx([4.0 / 10 ** k for k in range(rounds) for _ in "ta"],
+                                      rel=1e-12)
+
     @pytest.mark.parametrize("surf,m", [(MOVING, 1.0), (full_grid(STEP), 1e-20)],
                              ids=["moving", "step"])
     def test_full_grids_keep_to_the_budget(self, surf, m):
