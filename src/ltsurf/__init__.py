@@ -10,10 +10,9 @@ from .calculus import (continuous_qv_measure, left_point_sum,
 from .errors import (ConfigError, IncompatibleScenarioError, LtsurfError,
                      NumericalAbort)
 from .formulas import (Branch, FormulaReport, PiecewiseSurfaceFunction,
-                       coupled_eps, coupled_mollifier_n, smooth_psf,
-                       verify_general, verify_jump_ltc, verify_ltc_diffusion,
-                       verify_smooth_fit, verify_surfaces_strong,
-                       verify_tanaka)
+                       smooth_psf, verify_general, verify_jump_ltc,
+                       verify_ltc_diffusion, verify_smooth_fit,
+                       verify_surfaces_strong, verify_tanaka)
 from .harness import (EnsembleSummary, ScenarioConfig, compare_estimators,
                       convergence_study, emit_bundles, envelope_table,
                       run_scenario)

@@ -6,7 +6,7 @@ a flag (`t_end` is `--t-end`) and a key of the flat key=value file that
 --config names; command-line flags override the file.  A command with a
 scenario also takes `--param k=v` and `param.k = v`.  A flag or file key
 that the command does not read is an error.  Exit codes: 0 ok, 2 config
-error, 3 scenario / variant incompatibility, 4 numerical abort.
+error or unknown variant, 3 variant not in the scenario, 4 numerical abort.
 """
 
 import argparse

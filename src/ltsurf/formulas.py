@@ -3,9 +3,11 @@
 Each verify_* function returns a FormulaReport: the left-hand side, every
 right-hand-side term by name, their left-to-right sum and the residual
 lhs - rhs; on a block of paths, FormulaReports of these as one table.
-A non-finite term aborts the run. verify_tanaka writes Tanaka's formula
-out; every other variant is a row of _VARIANTS, an ordered tuple of
-(column name, term builder) over one _PathView of the bundle.
+A non-finite term aborts the run. A local-time term takes the bandwidth it
+is given (eps or the mollifier's n; ScenarioConfig.bandwidths picks them for
+a run). verify_tanaka writes Tanaka's formula out; every other variant is a
+row of _VARIANTS, an ordered tuple of (column name, term builder) over one
+_PathView of the bundle.
 
 Conventions shared by all variants:
   * integrands are evaluated at left limits: step-start values (t, a, x)
@@ -29,25 +31,8 @@ import numpy as np
 
 from .calculus import (continuous_qv_measure, iter_jumps, left_point_sum,
                        local_time_time_integral, measure_integral)
-from .errors import ConfigError, IncompatibleScenarioError, NumericalAbort
+from .errors import IncompatibleScenarioError, NumericalAbort
 from .localtime import local_time_mollifier, local_time_occupation
-
-
-def coupled_eps(dt):
-    """Default occupation-window bandwidth, coupled to the step size so the
-    window stays resolvable: eps = 3 sqrt(dt)."""
-    return 3.0 * math.sqrt(dt)
-
-
-def coupled_mollifier_n(dt):
-    """Default kernel sharpness for the mollifier estimator.
-
-    The kernel window 1/n is matched to the path's per-step excursion
-    scale sqrt(dt) rather than to the occupation eps: the Tanaka-type
-    left-hand sides resolve the surface at the sqrt(dt) scale, and a
-    matching window keeps the two sides tightly coupled per path.
-    """
-    return max(1, int(round(1.0 / math.sqrt(dt))))
 
 
 @dataclass(frozen=True)
@@ -170,17 +155,9 @@ def _make_report(variant, lhs, terms, rows):
     return FormulaReport(variant, lhs, dict(zip(terms, values)), rhs, residual)
 
 
-def _bandwidth(bundle, given, coupled):
-    """The given bandwidth, else, for one path, the one coupled to its median step."""
-    if given is None and bundle.x_path.ndim > 1:
-        raise ConfigError("a block of paths needs given bandwidths")
-    return coupled(float(np.median(bundle.grid.dts))) if given is None else given
-
-
-def verify_tanaka(bundle, level, n=None, qv_mode="analytic"):
+def verify_tanaka(bundle, level, n, qv_mode="analytic"):
     """Tanaka's formula for |X - a|, local time via the mollifier estimator."""
     a = float(level)
-    n = _bandwidth(bundle, n, coupled_mollifier_n)
     u = bundle.x_path - a
     sgn = np.where(u > 0.0, 1.0, -1.0)
     stoch = np.sum(sgn[..., :-1] * bundle.diffusion_increments, axis=-1)
@@ -269,11 +246,9 @@ def _local_time(estimate):
 
 
 _SYMMETRIC_LOCAL_TIME = _local_time(lambda v: local_time_occupation(
-    v.bundle, v.psf.surface, _bandwidth(v.bundle, v.eps, coupled_eps), side="symmetric",
-    qv_mode=v.qv_mode))
+    v.bundle, v.psf.surface, v.eps, side="symmetric", qv_mode=v.qv_mode))
 _RIGHT_LOCAL_TIME = _local_time(lambda v: local_time_mollifier(
-    v.bundle, v.psf.surface, _bandwidth(v.bundle, v.n, coupled_mollifier_n),
-    qv_mode=v.qv_mode))
+    v.bundle, v.psf.surface, v.n, qv_mode=v.qv_mode))
 
 
 def _jump_sum(v):
@@ -339,7 +314,7 @@ def _assemble(variant, psf, bundle, qv_mode, **view_args):
     return _make_report(variant, lhs, terms, view.x.shape[:-1])
 
 
-def verify_ltc_diffusion(psf, bundle, eps=None, qv_mode="analytic"):
+def verify_ltc_diffusion(psf, bundle, eps, qv_mode="analytic"):
     """Diffusion-only local time on curves formula (symmetric local time)."""
     if bundle.jump_indices.size:
         raise IncompatibleScenarioError(
@@ -347,13 +322,13 @@ def verify_ltc_diffusion(psf, bundle, eps=None, qv_mode="analytic"):
     return _assemble("ltc_diffusion", psf, bundle, qv_mode, eps=eps)
 
 
-def verify_surfaces_strong(psf, bundle, eps=None, qv_mode="analytic"):
+def verify_surfaces_strong(psf, bundle, eps, qv_mode="analytic"):
     """Strong-smoothness surfaces formula: averaged one-sided derivatives in
     the dt/dA/dX terms, symmetric local time, full jump compensation."""
     return _assemble("surfaces_strong", psf, bundle, qv_mode, eps=eps)
 
 
-def verify_jump_ltc(psf, bundle, n=None, qv_mode="analytic"):
+def verify_jump_ltc(psf, bundle, n, qv_mode="analytic"):
     """Jump-diffusion local time on surfaces formula (right local time).
 
     Requires a Lipschitz-declared surface so the composed boundary process
@@ -381,7 +356,7 @@ def verify_smooth_fit(psf, bundle, qv_mode="analytic"):
     return _assemble("smooth_fit", psf, bundle, qv_mode)
 
 
-def verify_general(psf, gen, bundle, n=None, qv_mode="analytic"):
+def verify_general(psf, gen, bundle, n, qv_mode="analytic"):
     """General semimartingale formula with lambda = dt and a user-supplied
     H = gen(t, a, x), read at step start."""
     return _assemble("general", psf, bundle, qv_mode, n=n, gen=gen)

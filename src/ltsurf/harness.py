@@ -18,11 +18,11 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError
-from .formulas import coupled_eps, coupled_mollifier_n
 from .localtime import (local_time_mollifier, local_time_occupation,
                         local_time_tanaka_residual)
 from .paths import draw_paths, seed_hash, seed_words, simulate_jump_diffusion
-from .scenarios import SURFACES, build_parts, evaluate_variant, list_scenarios
+from .scenarios import (SURFACES, build_parts, check_variant, evaluate_variant,
+                        list_scenarios)
 from .surfaces import moreau_envelope
 
 # Grid points per block of paths: each of a block's (P, L+1) arrays is then
@@ -71,6 +71,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown qv_mode: {self.qv_mode!r}")
         if self.bandwidth_rule != "coupled":
             try:
+                # a bool is a number too, but True would run as eps = 1.0
+                if isinstance(self.bandwidth_rule, (bool, np.bool_)):
+                    raise TypeError
                 bw = float(self.bandwidth_rule)
             except (TypeError, ValueError):
                 raise ConfigError("bandwidth must be 'coupled' or a number, "
@@ -84,9 +87,16 @@ class ScenarioConfig:
         return max(1, int(round(self.t_end / self.dt)))
 
     def bandwidths(self):
-        """(eps, mollifier n) implied by the bandwidth rule."""
+        """(eps, mollifier n) implied by the bandwidth rule: the one place
+        that picks a run's local-time bandwidths. "coupled" ties both to the
+        step: eps = 3 sqrt(dt) keeps the occupation window resolvable, and
+        the kernel window 1/n matches the per-step excursion scale sqrt(dt),
+        at which the Tanaka-type left-hand sides resolve the surface, so the
+        two sides stay tightly coupled per path. A fixed eps gives
+        n = round(1/eps)."""
         if self.bandwidth_rule == "coupled":
-            return coupled_eps(self.dt), coupled_mollifier_n(self.dt)
+            root = math.sqrt(self.dt)
+            return 3.0 * root, max(1, int(round(1.0 / root)))
         eps = float(self.bandwidth_rule)
         return eps, max(1, int(round(1.0 / eps)))
 
@@ -179,9 +189,7 @@ def run_scenario(config):
     aggregate in path order and (optionally) write csv + json outputs."""
     scen, parts = build_parts(config.scenario, config.params)
     variant = config.variant or scen.default_variant
-    if variant not in parts.variants:
-        # raise the dedicated incompatibility error with context
-        evaluate_variant(parts, variant, None)
+    check_variant(parts, variant)
     eps, n = config.bandwidths()
     term_names, table = _fan_out(config, parts, _verify_rows, variant, eps, n,
                                  config.qv_mode)
@@ -258,11 +266,10 @@ def convergence_study(config, dt_list, out_dir=None):
     for dt in dts:
         cfg = replace(config, dt=dt, bandwidth_rule="coupled", output=None)
         summary = run_scenario(cfg)
-        eps, n = cfg.bandwidths()
         rows.append({
             "dt": dt,
-            "eps": eps,
-            "mollifier_n": n,
+            "eps": summary.provenance["eps"],
+            "mollifier_n": summary.provenance["mollifier_n"],
             "median_abs_residual": summary.residual_stats["abs_median"],
             "mean_abs_residual": summary.residual_stats["abs_mean"],
             "median_residual": summary.residual_stats["median"],

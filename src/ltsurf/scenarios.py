@@ -290,28 +290,43 @@ def build_parts(name, params=None):
     return scen, scen.build(merged)
 
 
-def evaluate_variant(parts, variant, bundle, eps=None, n=None, qv_mode="analytic"):
-    """Dispatch a formula variant against a simulated bundle."""
+# Each variant's formula on (parts, bundle, eps, n, qv_mode). The verify_* names
+# are looked up per call, so a wrapper set on this module sees every call.
+_CALLS = {
+    "tanaka": lambda parts, bundle, eps, n, qv_mode: verify_tanaka(
+        bundle, parts.level, n, qv_mode=qv_mode),
+    "ltc_diffusion": lambda parts, bundle, eps, n, qv_mode: verify_ltc_diffusion(
+        parts.psf, bundle, eps, qv_mode=qv_mode),
+    "surfaces_strong": lambda parts, bundle, eps, n, qv_mode: verify_surfaces_strong(
+        parts.psf, bundle, eps, qv_mode=qv_mode),
+    "jump_ltc": lambda parts, bundle, eps, n, qv_mode: verify_jump_ltc(
+        parts.psf, bundle, n, qv_mode=qv_mode),
+    "smooth_fit": lambda parts, bundle, eps, n, qv_mode: verify_smooth_fit(
+        parts.psf, bundle, qv_mode=qv_mode),
+    "general": lambda parts, bundle, eps, n, qv_mode: verify_general(
+        parts.psf, parts.gen, bundle, n, qv_mode=qv_mode),
+}
+
+
+def check_variant(parts, variant):
+    """ConfigError for a name that no formula defines; IncompatibleScenarioError
+    for a formula that the scenario does not list or cannot supply."""
+    if variant not in _CALLS:
+        raise ConfigError(f"unknown variant: {variant!r} (formulas: {', '.join(_CALLS)})")
     if variant not in parts.variants:
         raise IncompatibleScenarioError(
             f"variant {variant!r} is not compatible with this scenario "
             f"(supported: {', '.join(parts.variants)})")
-    if variant == "tanaka":
-        return verify_tanaka(bundle, parts.level, n=n, qv_mode=qv_mode)
-    if variant == "ltc_diffusion":
-        return verify_ltc_diffusion(parts.psf, bundle, eps=eps, qv_mode=qv_mode)
-    if variant == "surfaces_strong":
-        return verify_surfaces_strong(parts.psf, bundle, eps=eps, qv_mode=qv_mode)
-    if variant == "jump_ltc":
-        return verify_jump_ltc(parts.psf, bundle, n=n, qv_mode=qv_mode)
-    if variant == "smooth_fit":
-        return verify_smooth_fit(parts.psf, bundle, qv_mode=qv_mode)
-    if variant == "general":
-        if parts.gen is None:
-            raise IncompatibleScenarioError(
-                "scenario supplies no generator H for the general variant")
-        return verify_general(parts.psf, parts.gen, bundle, n=n, qv_mode=qv_mode)
-    raise ConfigError(f"unknown variant: {variant!r}")
+    if variant == "general" and parts.gen is None:
+        raise IncompatibleScenarioError(
+            "scenario supplies no generator H for the general variant")
+
+
+def evaluate_variant(parts, variant, bundle, eps, n, qv_mode="analytic"):
+    """Evaluate a formula variant on a simulated bundle, with occupation
+    bandwidth eps and mollifier sharpness n for its local-time term."""
+    check_variant(parts, variant)
+    return _CALLS[variant](parts, bundle, eps, n, qv_mode)
 
 
 def list_scenarios():

@@ -15,6 +15,7 @@ from ltsurf import (IncompatibleScenarioError, SdeSpec, Surface, constant_surfac
 from ltsurf.calculus import JumpContext, iter_jumps, measure_integral
 from ltsurf.formulas import (_VARIANTS, Branch, PiecewiseSurfaceFunction, _PathView, _Points,
                              eval_F, fx_jump)
+from ltsurf.harness import ScenarioConfig
 from ltsurf.paths import PathBundle, build_grid
 from ltsurf.scenarios import REGISTRY, build_parts, evaluate_variant
 
@@ -22,6 +23,11 @@ from ltsurf.scenarios import REGISTRY, build_parts, evaluate_variant
 def _abs_psf():
     _, parts = build_parts("tanaka_bm")
     return parts.psf
+
+
+def _coupled(n_steps):
+    """The coupled (eps, mollifier n) of a unit-time path of n_steps steps."""
+    return ScenarioConfig(scenario="tanaka_bm", dt=1.0 / n_steps).bandwidths()
 
 
 def _linear_psf():
@@ -127,7 +133,7 @@ class TestMovingSurface:
     def test_lhs_follows_the_surface(self):
         # X stays at 0.5 while the surface rises through it, so F falls from 0.5 to 0
         bundle = simulate_jump_diffusion(SdeSpec(x0=0.5), 1.0, 100, 0)
-        rep = verify_jump_ltc(_moving_glue(), bundle)
+        rep = verify_jump_ltc(_moving_glue(), bundle, n=10)
         assert rep.lhs == -0.5
         assert abs(rep.residual) < 1e-12
 
@@ -178,13 +184,13 @@ class TestVerifyTanaka:
         spec = SdeSpec(mu_x=1.0, lambda_x=1.0, rate_y=1.0,
                        jump_law_y=two_point(0.5, 0.5), x0=0.0)
         b = simulate_jump_diffusion(spec, 1.0, 100, 12)
-        rep = verify_tanaka(b, -5.0)  # level below the path: sgn constant
+        rep = verify_tanaka(b, -5.0, n=10)  # level below the path: sgn constant
         assert abs(rep.residual) < 1e-12
         assert rep.rhs == sum(rep.terms.values())
 
     def test_report_structure(self):
         b = simulate_jump_diffusion(SdeSpec(sigma=1.0), 1.0, 500, 1)
-        rep = verify_tanaka(b, 0.0)
+        rep = verify_tanaka(b, 0.0, n=22)
         assert set(rep.terms) == {"sgn_stochastic_integral", "jump_correction",
                                   "local_time"}
         assert rep.residual == rep.lhs - rep.rhs
@@ -217,13 +223,13 @@ class TestVerifyLtcDiffusion:
                        jump_law_y=two_point(-0.1, 0.1))
         b = simulate_jump_diffusion(spec, 1.0, 100, 3)
         with pytest.raises(IncompatibleScenarioError):
-            verify_ltc_diffusion(_abs_psf(), b)
+            verify_ltc_diffusion(_abs_psf(), b, eps=_coupled(100)[0])
 
     def test_matches_tanaka_within_estimator_tolerance(self):
         diffs = []
         for seed in range(40):
             b = simulate_jump_diffusion(SdeSpec(sigma=1.0), 1.0, 10000, seed)
-            r1 = verify_tanaka(b, 0.0)
+            r1 = verify_tanaka(b, 0.0, n=100)
             r2 = verify_ltc_diffusion(_abs_psf(), b, eps=0.01)
             diffs.append(abs(r1.residual - r2.residual))
         assert np.median(diffs) < 0.05
@@ -234,12 +240,12 @@ class TestVerifyJumpLtc:
         _, parts = build_parts("smooth_fit_sqrt_surface")
         b = simulate_jump_diffusion(parts.spec, 1.0, 100, 3)
         with pytest.raises(IncompatibleScenarioError):
-            verify_jump_ltc(parts.psf, b)
+            verify_jump_ltc(parts.psf, b, n=10)
 
     def test_pure_drift_and_jumps_exact_with_zero_local_time(self):
         _, parts = build_parts("exact_drift_jump")
         b = simulate_jump_diffusion(parts.spec, 1.0, 200, 8)
-        rep = verify_jump_ltc(parts.psf, b)
+        rep = verify_jump_ltc(parts.psf, b, n=14)
         assert rep.terms["local_time"] == 0.0
         assert abs(rep.residual) < 1e-12
 
@@ -254,7 +260,7 @@ class TestVerifySmoothFit:
         _, parts = build_parts("smooth_quadratic")
         b = simulate_jump_diffusion(parts.spec, 1.0, 2000, 5)
         r_fit = verify_smooth_fit(parts.psf, b)
-        r_ltc = verify_ltc_diffusion(parts.psf, b)
+        r_ltc = verify_ltc_diffusion(parts.psf, b, eps=_coupled(2000)[0])
         assert r_fit.residual == pytest.approx(r_ltc.residual, abs=1e-12)
 
 
@@ -262,7 +268,8 @@ class TestVerifyGeneral:
     def test_constant_density_measure_with_linear_f_is_exact(self):
         spec = SdeSpec(mu_x=1.0, x0=0.0)
         b = simulate_jump_diffusion(spec, 1.0, 100, 0)
-        rep = verify_general(_linear_psf(), lambda t, a, x: 1.0 + 0.0 * np.asarray(t, float), b)
+        rep = verify_general(_linear_psf(), lambda t, a, x: 1.0 + 0.0 * np.asarray(t, float), b,
+                             n=10)
         assert abs(rep.residual) < 1e-14
 
     def test_h_is_read_at_step_start_after_a_jump(self):
@@ -270,7 +277,7 @@ class TestVerifyGeneral:
         _, parts = build_parts("glued_quadratic_jump")
         b = simulate_jump_diffusion(parts.spec, 1.0, 100, 3)
         assert b.jump_indices.size and (b.x_pre != b.x_path).any()
-        rep = verify_general(parts.psf, lambda t, a, x: x, b)
+        rep = verify_general(parts.psf, lambda t, a, x: x, b, n=10)
         expected = measure_integral(b.x_path, b.grid)
         assert repr(rep.terms["h_dlambda"]) == repr(float(expected))
 
@@ -278,8 +285,8 @@ class TestVerifyGeneral:
         _, parts = build_parts("tanaka_bm")
         for seed in range(30):
             b = simulate_jump_diffusion(parts.spec, 1.0, 10000, seed)
-            r1 = verify_tanaka(b, 0.0)
-            r2 = verify_general(parts.psf, parts.gen, b)
+            r1 = verify_tanaka(b, 0.0, n=100)
+            r2 = verify_general(parts.psf, parts.gen, b, n=100)
             # H = 0 for mu = 0, same mollifier local time: identical residuals
             assert r1.residual == r2.residual, seed
 
@@ -288,14 +295,15 @@ class TestSurfacesStrong:
     def test_smooth_f_collapses_to_plain_derivatives(self):
         _, parts = build_parts("smooth_quadratic")
         b = simulate_jump_diffusion(parts.spec, 1.0, 2000, 9)
-        r_strong = verify_surfaces_strong(parts.psf, b)
-        r_ltc = verify_ltc_diffusion(parts.psf, b)
+        eps = _coupled(2000)[0]
+        r_strong = verify_surfaces_strong(parts.psf, b, eps=eps)
+        r_ltc = verify_ltc_diffusion(parts.psf, b, eps=eps)
         assert r_strong.residual == pytest.approx(r_ltc.residual, abs=1e-10)
 
     def test_pure_jump_exact(self):
         _, parts = build_parts("exact_drift_jump")
         b = simulate_jump_diffusion(parts.spec, 1.0, 300, 14)
-        rep = verify_surfaces_strong(parts.psf, b)
+        rep = verify_surfaces_strong(parts.psf, b, eps=_coupled(300)[0])
         assert abs(rep.residual) < 1e-12
 
 
@@ -324,14 +332,14 @@ def test_degenerate_scenarios_exact_over_random_inputs(mu_x, mu_a, rate, lo, hi,
         for variant in parts.variants:
             if variant == "tanaka" and not clear:
                 continue
-            rep = evaluate_variant(parts, variant, b, qv_mode=qv)
+            rep = evaluate_variant(parts, variant, b, *_coupled(50), qv_mode=qv)
             assert abs(rep.residual) <= 1e-10, (name, variant, rep)
 
 
 def test_variant_dispatch_rejects_unsupported_pairs():
     _, parts = build_parts("glued_quadratic_jump")
     with pytest.raises(IncompatibleScenarioError):
-        evaluate_variant(parts, "ltc_diffusion", None)
+        evaluate_variant(parts, "ltc_diffusion", None, *_coupled(100))
 
 
 # Each jump term's summand at one rank: d(attr, averaged) is the derivative

@@ -140,6 +140,9 @@ class TestRunScenario:
             ScenarioConfig(scenario="tanaka_bm", bandwidth_rule=-0.1)
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="tanaka_bm", bandwidth_rule="wide")
+        for flag in (True, np.True_):  # a bool would run as eps = 1.0
+            with pytest.raises(ConfigError, match="bandwidth"):
+                ScenarioConfig(scenario="tanaka_bm", bandwidth_rule=flag)
 
     @pytest.mark.parametrize("name, value", [
         ("n_paths", 2.5), ("n_paths", 3.0), ("n_paths", True),
@@ -206,6 +209,13 @@ class TestCli:
                    "--variant", "ltc_diffusion", "--dt", "1e-2",
                    "--paths", "1"])
         assert rc == 3
+
+    def test_unknown_variant_exit_2_unlisted_variant_exit_3(self, capsys):
+        argv = ["verify", "--scenario", "tanaka_bm", "--dt", "1e-2", "--paths", "1"]
+        assert main(argv + ["--variant", "foo"]) == 2
+        assert "unknown variant: 'foo'" in capsys.readouterr().err
+        assert main(argv + ["--variant", "smooth_fit"]) == 3  # tanaka_bm does not list it
+        assert "not compatible" in capsys.readouterr().err
 
     def test_verify_writes_outputs(self, tmp_path, capsys):
         rc = main(["verify", "--scenario", "tanaka_bm", "--dt", "1e-2",
@@ -534,6 +544,26 @@ def test_every_traced_path_function_is_reached(scenario, monkeypatch):
                        "simulate_jump_diffusion"}
 
 
+@pytest.mark.parametrize("name, scenario", [
+    ("verify_tanaka", "tanaka_bm"), ("verify_ltc_diffusion", "peskir_diffusion"),
+    ("verify_surfaces_strong", "glued_quadratic_jump"),
+    ("verify_jump_ltc", "glued_quadratic_jump"),
+    ("verify_smooth_fit", "smooth_fit_sqrt_surface"), ("verify_general", "tanaka_bm")])
+def test_every_traced_formula_is_reached(name, scenario, monkeypatch):
+    """The benchmark's layer tracer times each formula through its verify_* name
+    in ltsurf.scenarios: a variant that called a function captured at import
+    would leave its formula span empty."""
+    calls = []
+
+    def recording(*args, _fn=getattr(scenarios, name), **kwargs):
+        calls.append(name)
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(scenarios, name, recording)
+    run_scenario(ScenarioConfig(scenario=scenario, dt=1e-2, n_paths=2, seed=1,
+                                variant=name.removeprefix("verify_")))
+    assert calls
+
+
 def _pairs():
     return [(name, variant) for name in REGISTRY
             for variant in (*build_parts(name)[1].variants, "localtime")]
@@ -666,19 +696,6 @@ def test_nonfinite_term_in_a_block_aborts(attr, message):
         _blocked(parts, "surfaces_strong", seeds, 50, 0.3, 7, "analytic", 8)
 
 
-def test_block_needs_given_bandwidths():
-    """Without given bandwidths only one path couples them to its median step."""
-    _, parts = build_parts("glued_quadratic_jump")
-    draws = paths.draw_paths(parts.spec, 1.0, 50, range(3))
-    block = simulate_jump_diffusion(parts.spec, 1.0, 50, draws, np.arange(1))
-    for variant in ("jump_ltc", "surfaces_strong"):
-        with pytest.raises(ConfigError, match="given bandwidths"):
-            evaluate_variant(parts, variant, block)
-    path = simulate_jump_diffusion(parts.spec, 1.0, 50, 0)
-    assert repr(evaluate_variant(parts, "jump_ltc", path)) == repr(evaluate_variant(
-        parts, "jump_ltc", path, n=ScenarioConfig(scenario="x", dt=0.02).bandwidths()[1]))
-
-
 def test_block_reports_sum_their_terms():
     """A block's report table holds each path's report in its rows; its
     `terms` sum each term over the rows, which is what reading one report's
@@ -687,7 +704,7 @@ def test_block_reports_sum_their_terms():
     draws = paths.draw_paths(parts.spec, 1.0, 50, range(40))
     group = np.flatnonzero((draws.steps == 51) & (np.diff(draws.offsets) == 1))
     block = simulate_jump_diffusion(parts.spec, 1.0, 50, draws, group)
-    reports = evaluate_variant(parts, "jump_ltc", block, n=7)
+    reports = evaluate_variant(parts, "jump_ltc", block, None, 7)
     assert len(group) > 2 and reports.table.shape == (len(group), 3 + len(reports.names))
     single = [repr(_one_path(parts, "jump_ltc", simulate_jump_diffusion(
         parts.spec, 1.0, 50, draws, i), None, 7, "analytic")) for i in group]
