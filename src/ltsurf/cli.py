@@ -64,6 +64,7 @@ COMMANDS = {
     "envelope": ("Moreau envelope table for a registry surface",
                  {"surface": str, "m": str, "grid_n": int, "out": str}),
 }
+_NAMES = (*COMMANDS, "scenarios")
 
 # Defaults of the keys that ScenarioConfig does not hold.
 _DEFAULTS = {"dts": "1e-2,1e-3,1e-4", "surface": "abs", "m": "1,10,100,1000",
@@ -111,14 +112,18 @@ def _scenario_config(given):
     return ScenarioConfig(**{_FIELDS.get(k, k): v for k, v in given.items()})
 
 
-def build_parser():
+def build_parser(only=None):
+    """The parser of every command, or of the one command that only names."""
     parser = argparse.ArgumentParser(
         prog="ltsurf",
         description="simulate jump diffusions and verify local-time "
                     "change-of-variables formulas pathwise",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True,  # usage lists every command
+                                 metavar=only and "{" + ",".join(_NAMES) + "}")
     for name, (desc, keys) in COMMANDS.items():
+        if only not in (None, name):
+            continue
         sub = subs.add_parser(name, help=desc, allow_abbrev=False)
         if "scenario" in keys:
             sub.add_argument("--param", action="append", metavar="k=v")
@@ -126,13 +131,15 @@ def build_parser():
             sub.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
                              help=f"default {_DEFAULTS[key]}" if key in _DEFAULTS else None)
         sub.add_argument("--config", help="flat key=value config file")
-    subs.add_parser("scenarios", help="list registry scenarios")
+    if only in (None, "scenarios"):
+        subs.add_parser("scenarios", help="list registry scenarios")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # help and errors that list the commands need every subparser
+    args = build_parser(argv[0] if argv and argv[0] in _NAMES else None).parse_args(argv)
     try:
         return _dispatch(args)
     except ConfigError as exc:

@@ -78,8 +78,9 @@ class ScenarioConfig:
             except (TypeError, ValueError):
                 raise ConfigError("bandwidth must be 'coupled' or a number, "
                                   f"got {self.bandwidth_rule!r}") from None
-            if not 0 < bw < math.inf:
-                raise ConfigError(f"fixed bandwidth must be positive and finite, got {bw!r}")
+            if not 0 < bw < math.inf or 1.0 / bw == math.inf:  # n = round(1 / eps) is an int
+                raise ConfigError("fixed bandwidth must be positive and finite, with a finite "
+                                  f"reciprocal, got {bw!r}")
             self.bandwidth_rule = bw
 
     @property
@@ -328,8 +329,8 @@ def envelope_table(surface_name, m_values, grid_n=20, out_dir=None):
     Returns one (m, t, a, envelope, b) row per penalty and grid point: m
     outermost, then t, then a, as meshgrid(..., indexing="ij") ravels them.
     envelope.csv holds the same rows in that order, each value as "%.17g";
-    it is written from that grid, so each t, a, b and m is formatted once
-    and only the envelope values once per row.
+    it is written from that grid, so each t, a, b and m is formatted once,
+    and each penalty's distinct envelope values (by bits) once.
     """
     if not (_is_int(grid_n) and grid_n >= 1):
         raise ConfigError(f"grid_n must be at least 1 and an integer, got {grid_n!r}")
@@ -347,8 +348,8 @@ def envelope_table(surface_name, m_values, grid_n=20, out_dir=None):
     t_list, a_list = tt.tolist(), aa.tolist()
     rows, envs = [], []
     for m in m_values:
-        envs.append(moreau_envelope(surface, m, (tt, aa), box).tolist())
-        rows += [(m, *r) for r in zip(t_list, a_list, envs[-1], b)]
+        envs.append(moreau_envelope(surface, m, (tt, aa), box))
+        rows += [(m, *r) for r in zip(t_list, a_list, envs[-1].tolist(), b)]
     if out_dir is not None:
         a_text = ["%.17g," % a for a in a_axis.tolist()]
         heads = ["%.17g," % t + a for t in t_axis.tolist() for a in a_text]  # "t,a,"
@@ -356,7 +357,9 @@ def envelope_table(surface_name, m_values, grid_n=20, out_dir=None):
         lines = ["m,t,a,envelope,b"]
         for m, env in zip(m_values, envs):
             m_text = "%.17g," % m
-            lines += [m_text + h + "%.17g" % e + s for h, e, s in zip(heads, env, tails)]
+            _, first, back = np.unique(env.view(np.int64), return_index=True, return_inverse=True)
+            texts = ["%.17g" % e for e in env[first].tolist()]  # each distinct bit pattern once
+            lines += [m_text + h + texts[k] + s for h, k, s in zip(heads, back.tolist(), tails)]
         _write_lines(out_dir, "envelope.csv", lines)
     return rows
 

@@ -41,9 +41,9 @@ def moreau_envelope(surface, m, query, search_box, grid_n=33, rounds=6):
     The infimum is approximated by a nested grid search over the search
     box, each round's half-width a tenth of the last's; the query point
     itself is always a candidate, so the result never exceeds b(query).
-    If b ignores t, the infimum lies at t = tq, so only a is searched and
-    the result does not depend on tq.  All queries are searched at once,
-    in batches.
+    If b ignores t, the infimum lies at t = tq, so only a is searched, the
+    result does not depend on tq, and queries with the same aq bits share
+    one search.  All queries are searched at once, in batches.
     """
     if not 0 < m / 2.0 < np.inf:  # a penalty m/2 of 0 makes 0 * inf = nan where t is far
         raise ConfigError(f"m must be positive and finite, and m / 2 nonzero, got {m!r}")
@@ -63,12 +63,16 @@ def moreau_envelope(surface, m, query, search_box, grid_n=33, rounds=6):
     # every query's first grid spans the box; on it, b gives one row if it ignores t
     t_free = np.shape(surface.b(np.linspace(t_lo, t_hi, grid_n)[None, :, None],
                                 np.linspace(a_lo, a_hi, grid_n)[None, None, :])) == (1, 1, grid_n)
+    back = slice(None)
+    if t_free:  # the result ignores tq: search each distinct aq once, by bits, so -0.0 != 0.0
+        _, first, back = np.unique(aq.view(np.int64), return_index=True, return_inverse=True)
+        tq, aq = tq[first], aq[first]
     chunk = max(1, _CHUNK_FLOATS // grid_n ** (1 if t_free else 2))
     env = np.empty(tq.size)
     for lo in range(0, tq.size, chunk):
         env[lo:lo + chunk] = _grid_search(surface, m / 2.0, tq[lo:lo + chunk], aq[lo:lo + chunk],
                                           search_box, grid_n, rounds, t_free)
-    return env.reshape(shape) if shape else float(env[0])
+    return env[back].reshape(shape) if shape else float(env[0])
 
 
 def _grid_search(surface, c, tq, aq, search_box, grid_n, rounds, t_free):

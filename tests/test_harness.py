@@ -140,6 +140,9 @@ class TestRunScenario:
             ScenarioConfig(scenario="tanaka_bm", bandwidth_rule=-0.1)
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="tanaka_bm", bandwidth_rule="wide")
+        for tiny in (1e-320, 5e-324):  # 1 / eps overflows to inf, which has no mollifier n
+            with pytest.raises(ConfigError, match="finite reciprocal"):
+                ScenarioConfig(scenario="tanaka_bm", bandwidth_rule=tiny)
         for flag in (True, np.True_):  # a bool would run as eps = 1.0
             with pytest.raises(ConfigError, match="bandwidth"):
                 ScenarioConfig(scenario="tanaka_bm", bandwidth_rule=flag)
@@ -181,6 +184,27 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["scenarios", "--config", "run.cfg"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], *([name, "--help"] for name in (*COMMANDS, "scenarios")), ["bogus"], [],
+        ["verify", "--bogus", "1"], ["envelope", "--scenario", "x"]],
+        ids=lambda argv: " ".join(argv) or "empty")
+    def test_parser_prints_as_the_parser_of_every_command(self, argv, capsys):
+        # main builds only the subparser that argv[0] names, if it names one
+        outcomes = []
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            outcomes.append((*capsys.readouterr(), exc.value.code))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'")])
+    def test_parser_errors_name_the_command_argument(self, argv, message, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert message in capsys.readouterr().err
 
     def test_unknown_scenario_exit_2(self, capsys):
         assert main(["verify", "--scenario", "nope", "--paths", "1"]) == 2
@@ -356,6 +380,15 @@ class TestEnvelopeTable:
         assert text.endswith("\n")
         header, *lines = text[:-1].split("\n")
         assert header == "m,t,a,envelope,b"
+        assert lines == [("%.17g," * 4 + "%.17g") % row for row in rows]
+
+    def test_signed_zero_envelopes_keep_their_signs_in_the_csv(self, tmp_path, monkeypatch):
+        # -0.0 == 0.0, but each is formatted from its own bits
+        monkeypatch.setattr(harness, "moreau_envelope", lambda surf, m, query, box:
+                            np.where(np.arange(query[1].size) % 3, 0.0, -0.0))
+        rows = envelope_table("abs", [1.0, 2.0], grid_n=3, out_dir=str(tmp_path))
+        assert {str(r[3]) for r in rows} == {"-0.0", "0.0"}
+        lines = (tmp_path / "envelope.csv").read_text().splitlines()[1:]
         assert lines == [("%.17g," * 4 + "%.17g") % row for row in rows]
 
     @pytest.mark.parametrize("surface", ["abs", "quad", "sqrt"])
@@ -742,8 +775,10 @@ def test_block_evaluates_each_surface_at_most_seven_times(monkeypatch, variant):
 
 @pytest.mark.parametrize("flag, value", [
     ("--dt", "nan"), ("--dt", "inf"), ("--t-end", "nan"), ("--t-end", "inf"),
-    ("--bandwidth", "nan"), ("--bandwidth", "inf"), ("--seed", "-1")])
+    ("--bandwidth", "nan"), ("--bandwidth", "inf"), ("--bandwidth", "1e-320"),
+    ("--seed", "-1")])
 def test_nonfinite_or_negative_input_exit_2(flag, value, capsys):
-    """Each would silently change the run or fail with a traceback."""
+    """Each would silently change the run or fail with a traceback: a bandwidth
+    of 1e-320 would overflow in n = round(1 / eps)."""
     assert main(["verify", "--scenario", "tanaka_bm", "--paths", "1", f"{flag}={value}"]) == 2
     assert "config error" in capsys.readouterr().err

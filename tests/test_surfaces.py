@@ -53,6 +53,14 @@ def search_a_alone(surf, m, tq, aq, box, grid_n, rounds=6):
     return float(best)
 
 
+def searched_batches(monkeypatch):
+    """The list to which each later _grid_search call appends its number of queries."""
+    sizes, grid_search = [], surfaces._grid_search
+    monkeypatch.setattr(surfaces, "_grid_search", lambda surf, c, tq, *args:
+                        sizes.append(tq.size) or grid_search(surf, c, tq, *args))
+    return sizes
+
+
 class TestMoreauEnvelope:
     def test_never_exceeds_b(self):
         for a in np.linspace(-1.5, 1.5, 11):
@@ -170,6 +178,30 @@ class TestMoreauEnvelope:
             moreau_envelope(STEP, 1e-20, (np.zeros(9), np.linspace(-2.0, 2.0, 9)), BOX,
                             grid_n=grid_n)
         assert calls == []
+
+    @PENALTIES
+    def test_t_free_table_searches_each_distinct_a_once(self, monkeypatch, m_values):
+        sizes = searched_batches(monkeypatch)
+        envelope_table("abs", m_values, grid_n=20)
+        # one search per penalty, of the table's 20 values of a, not its 400 points
+        assert sizes == [20] * 4
+
+    def test_signed_zeros_are_distinct_queries(self):
+        # at a vast penalty each query keeps b(tq, aq) = aq, the sign of its zero too
+        ident = Surface(lambda t, a: np.asarray(a, float))
+        tq, aq = np.array([0.0, 0.0, 1.0]), np.array([-0.0, 0.0, -0.0])
+        batch = moreau_envelope(ident, 1e300, (tq, aq), BOX)
+        scalars = np.array([moreau_envelope(ident, 1e300, q, BOX) for q in zip(tq, aq)])
+        assert batch.view(np.uint64).tolist() == scalars.view(np.uint64).tolist()
+        assert np.signbit(batch).tolist() == [True, False, True]
+
+    def test_t_dependent_surface_searches_every_query(self, monkeypatch):
+        tq, aq = np.array([0.0, 0.0, 0.5, 0.0, 0.0]), np.array([0.5, 0.5, 0.5, -0.0, 0.0])
+        sizes = searched_batches(monkeypatch)
+        batch = moreau_envelope(MOVING, 3.0, (tq, aq), BOX)
+        monkeypatch.undo()
+        assert sizes == [5]
+        assert batch.tolist() == [moreau_envelope(MOVING, 3.0, q, BOX) for q in zip(tq, aq)]
 
     def test_constant_surface_searches_a_alone(self):
         calls, grid_argmin = [], surfaces._grid_argmin
