@@ -189,10 +189,10 @@ class _PathView(_Points):
     steps, so the last entry never enters a sum.
     """
 
-    def __init__(self, psf, bundle, qv_mode, eps=None, n=None, gen=None):
+    def __init__(self, psf, bundle, qv_mode, eps=None, n=None):
         super().__init__(psf, bundle.times, bundle.a_path, bundle.x_path)
         self.bundle, self.qv_mode = bundle, qv_mode
-        self.eps, self.n, self.gen = eps, n, gen
+        self.eps, self.n = eps, n
         # the jumps' JumpContext of (..., k) arrays, and F at their left limits
         self.jump = j = iter_jumps(bundle)
         self.pre = _Points(psf, j.t, j.a_pre, j.x_pre)
@@ -223,13 +223,17 @@ def _rank_sum(values):
     return total
 
 
+def _drift(v):
+    """F_t + mu_x F_x + mu_a F_a + 1/2 sigma^2 F_xx: the Ito drift of the branches."""
+    return (v.value("d_t")
+            + v.coeff("mu_x") * v.value("d_x")
+            + v.coeff("mu_a") * v.value("d_a")
+            + 0.5 * np.square(v.coeff("sigma")) * v.value("d_xx"))
+
+
 def _generator(v):
     """(F_t + mu_x F_x + mu_a F_a + 1/2 sigma^2 F_xx) 1{X != b} dt."""
-    gen = (v.value("d_t")
-           + v.coeff("mu_x") * v.value("d_x")
-           + v.coeff("mu_a") * v.value("d_a")
-           + 0.5 * np.square(v.coeff("sigma")) * v.value("d_xx"))
-    return measure_integral(np.where(v.off, gen, 0.0), v.bundle.grid)
+    return measure_integral(np.where(v.off, _drift(v), 0.0), v.bundle.grid)
 
 
 def _brownian(v):
@@ -296,9 +300,7 @@ _VARIANTS = {
         ("jump_compensation", lambda v: _rank_sum(v.df - v.pre.value("d_x") * v.jump.dx)),
     ),
     "general": (
-        ("h_dlambda", lambda v: measure_integral(
-            np.broadcast_to(v.gen(v.t, v.a, v.x), v.x.shape),
-            v.bundle.grid)),
+        ("h_dlambda", lambda v: measure_integral(_drift(v), v.bundle.grid)),
         ("fx_dM", lambda v: left_point_sum(v.value("d_x"), v.bundle.m_increments)),
         ("local_time", _RIGHT_LOCAL_TIME),
         ("jump_compensation", _jump_sum),
@@ -356,7 +358,8 @@ def verify_smooth_fit(psf, bundle, qv_mode="analytic"):
     return _assemble("smooth_fit", psf, bundle, qv_mode)
 
 
-def verify_general(psf, gen, bundle, n, qv_mode="analytic"):
-    """General semimartingale formula with lambda = dt and a user-supplied
-    H = gen(t, a, x), read at step start."""
-    return _assemble("general", psf, bundle, qv_mode, n=n, gen=gen)
+def verify_general(psf, bundle, n, qv_mode="analytic"):
+    """General semimartingale formula with lambda = dt and H the Ito drift of
+    the branches, F_t + mu_x F_x + mu_a F_a + 1/2 sigma^2 F_xx, read at step
+    start on and off the surface alike."""
+    return _assemble("general", psf, bundle, qv_mode, n=n)

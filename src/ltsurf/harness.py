@@ -30,6 +30,9 @@ from .surfaces import moreau_envelope
 # or more is alone.
 BLOCK_POINTS = 65536
 
+# Most steps per path: one path row of 1e9 float64 values is 8 GB.
+MAX_STEPS = 10 ** 9
+
 
 def _is_int(value):
     # a bool is Integral too, but True would run as 1 and be echoed as true
@@ -59,6 +62,8 @@ class ScenarioConfig:
         if not 0 < self.t_end < math.inf:
             raise ConfigError(f"t_end must be positive and finite, got {self.t_end!r}")
         steps = self.t_end / self.dt
+        if not steps <= MAX_STEPS:  # inf cannot be rounded, nor 1e30 steps allocated
+            raise ConfigError(f"t_end / dt must be at most {MAX_STEPS:.0e} steps, got {steps!r}")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ConfigError(f"dt = {self.dt!r} does not divide t_end = {self.t_end!r}")
         if not (_is_int(self.seed) and self.seed >= 0):

@@ -24,7 +24,6 @@ class ScenarioParts:
     spec: SdeSpec
     psf: Optional[PiecewiseSurfaceFunction] = None
     level: float = 0.0
-    gen: Optional[Callable] = None  # H(t, a, x) of the general variant
     variants: tuple = ()
 
 
@@ -68,16 +67,10 @@ def _quadratic_psf():
     )
 
 
-def _sgn(x):
-    return np.where(np.asarray(x, float) > 0.0, 1.0, -1.0)
-
-
 def _build_tanaka_bm(p):
     spec = SdeSpec(mu_x=p["mu"], sigma=p["sigma"], x0=p["x0"])
     psf = _abs_psf(p["level"])
-    # mu*sgn is locally bounded off the level, a Lebesgue-null set in time
-    gen = lambda t, a, x: p["mu"] * _sgn(x - p["level"])
-    return ScenarioParts(spec=spec, psf=psf, level=p["level"], gen=gen,
+    return ScenarioParts(spec=spec, psf=psf, level=p["level"],
                          variants=("tanaka", "ltc_diffusion", "surfaces_strong",
                                    "jump_ltc", "general"))
 
@@ -85,9 +78,7 @@ def _build_tanaka_bm(p):
 def _build_smooth_quadratic(p):
     spec = SdeSpec(mu_x=p["mu"], sigma=p["sigma"], x0=p["x0"])
     psf = _quadratic_psf()
-    # the classical Ito generator of x^2
-    gen = lambda t, a, x: p["mu"] * 2.0 * x + p["sigma"] ** 2 + 0.0 * x
-    return ScenarioParts(spec=spec, psf=psf, level=0.0, gen=gen,
+    return ScenarioParts(spec=spec, psf=psf, level=0.0,
                          variants=("ltc_diffusion", "surfaces_strong",
                                    "jump_ltc", "smooth_fit", "general", "tanaka"))
 
@@ -95,9 +86,7 @@ def _build_smooth_quadratic(p):
 def _build_peskir_diffusion(p):
     spec = SdeSpec(mu_x=p["mu"], sigma=p["sigma"], x0=p["x0"])
     psf = _abs_psf(0.0)
-    # mu*sgn(x) is locally bounded off the curve, and P[X_{s-} = 0] = 0
-    gen = lambda t, a, x: p["mu"] * _sgn(x)
-    return ScenarioParts(spec=spec, psf=psf, level=0.0, gen=gen,
+    return ScenarioParts(spec=spec, psf=psf, level=0.0,
                          variants=("ltc_diffusion", "tanaka", "surfaces_strong",
                                    "jump_ltc", "general"))
 
@@ -127,7 +116,7 @@ def _build_glued_quadratic_jump(p):
         d_xx=lambda t, a, x, b: 0.0 * x,
     )
     psf = PiecewiseSurfaceFunction(surface, lower, upper)
-    return ScenarioParts(spec=spec, psf=psf, level=0.0, gen=None,
+    return ScenarioParts(spec=spec, psf=psf, level=0.0,
                          variants=("jump_ltc", "surfaces_strong"))
 
 
@@ -156,8 +145,7 @@ def _build_smooth_fit_sqrt(p):
         d_xx=lambda t, a, x, b: 2.0 + 0.0 * x,
     )
     psf = PiecewiseSurfaceFunction(surface, lower, upper)
-    return ScenarioParts(spec=spec, psf=psf, level=0.0, gen=None,
-                         variants=("smooth_fit",))
+    return ScenarioParts(spec=spec, psf=psf, level=0.0, variants=("smooth_fit",))
 
 
 def _linear_psf(ca):
@@ -177,9 +165,7 @@ def _build_exact_drift(p):
                    x0=p["x0"], a0=p["a0"])
     # no a-dependence: the curves formula carries no F_a term
     psf = _linear_psf(0.0)
-    h_const = 0.3 + p["mu_x"] * 1.0
-    gen = lambda t, a, x: h_const + 0.0 * np.asarray(x, float)
-    return ScenarioParts(spec=spec, psf=psf, level=-5.0, gen=gen,
+    return ScenarioParts(spec=spec, psf=psf, level=-5.0,
                          variants=("tanaka", "ltc_diffusion", "surfaces_strong",
                                    "jump_ltc", "smooth_fit", "general"))
 
@@ -193,10 +179,7 @@ def _build_exact_drift_jump(p):
         x0=p["x0"], a0=p["a0"],
     )
     psf = _linear_psf(0.2)
-    h_const = 0.3 + p["mu_x"] * 1.0 + p["mu_a"] * 0.2
-    # jumps enter the jump sum only
-    gen = lambda t, a, x: h_const + 0.0 * np.asarray(x, float)
-    return ScenarioParts(spec=spec, psf=psf, level=-5.0, gen=gen,
+    return ScenarioParts(spec=spec, psf=psf, level=-5.0,
                          variants=("tanaka", "surfaces_strong", "jump_ltc",
                                    "smooth_fit", "general"))
 
@@ -304,22 +287,19 @@ _CALLS = {
     "smooth_fit": lambda parts, bundle, eps, n, qv_mode: verify_smooth_fit(
         parts.psf, bundle, qv_mode=qv_mode),
     "general": lambda parts, bundle, eps, n, qv_mode: verify_general(
-        parts.psf, parts.gen, bundle, n, qv_mode=qv_mode),
+        parts.psf, bundle, n, qv_mode=qv_mode),
 }
 
 
 def check_variant(parts, variant):
     """ConfigError for a name that no formula defines; IncompatibleScenarioError
-    for a formula that the scenario does not list or cannot supply."""
+    for a formula that the scenario does not list."""
     if variant not in _CALLS:
         raise ConfigError(f"unknown variant: {variant!r} (formulas: {', '.join(_CALLS)})")
     if variant not in parts.variants:
         raise IncompatibleScenarioError(
             f"variant {variant!r} is not compatible with this scenario "
             f"(supported: {', '.join(parts.variants)})")
-    if variant == "general" and parts.gen is None:
-        raise IncompatibleScenarioError(
-            "scenario supplies no generator H for the general variant")
 
 
 def evaluate_variant(parts, variant, bundle, eps, n, qv_mode="analytic"):

@@ -12,10 +12,12 @@ from ltsurf import (IncompatibleScenarioError, SdeSpec, Surface, constant_surfac
                     smooth_psf, two_point,
                     verify_general, verify_jump_ltc, verify_ltc_diffusion,
                     verify_smooth_fit, verify_surfaces_strong, verify_tanaka)
-from ltsurf.calculus import JumpContext, iter_jumps, measure_integral
-from ltsurf.formulas import (_VARIANTS, Branch, PiecewiseSurfaceFunction, _PathView, _Points,
+from ltsurf.calculus import (JumpContext, iter_jumps, local_time_time_integral,
+                             measure_integral)
+from ltsurf.formulas import (_VARIANTS, Branch, PiecewiseSurfaceFunction, _PathView,
                              eval_F, fx_jump)
 from ltsurf.harness import ScenarioConfig
+from ltsurf.localtime import local_time_mollifier, local_time_occupation
 from ltsurf.paths import PathBundle, build_grid
 from ltsurf.scenarios import REGISTRY, build_parts, evaluate_variant
 
@@ -138,6 +140,60 @@ class TestMovingSurface:
         assert abs(rep.residual) < 1e-12
 
 
+def _widening_glue():
+    """F = (1 + t + a)(x - b) above the moving surface b = 0.2 + 0.5 t + 0.3 a and
+    -(x - b) below it: glued continuously, with the F_x gap 2 + t + a."""
+    def surface(t, a):
+        return 0.2 + 0.5 * np.asarray(t, float) + 0.3 * np.asarray(a, float)
+
+    def slope(t, a):
+        return 1.0 + t + a
+
+    upper = Branch(f=lambda t, a, x, b: slope(t, a) * (x - b),
+                   d_t=lambda t, a, x, b: (x - b) - 0.5 * slope(t, a),
+                   d_a=lambda t, a, x, b: (x - b) - 0.3 * slope(t, a),
+                   d_x=lambda t, a, x, b: slope(t, a) + 0.0 * x,
+                   d_xx=lambda t, a, x, b: 0.0 * x)
+    lower = Branch(f=lambda t, a, x, b: b - x,
+                   d_t=lambda t, a, x, b: 0.5 + 0.0 * x,
+                   d_a=lambda t, a, x, b: 0.3 + 0.0 * x,
+                   d_x=lambda t, a, x, b: -1.0 + 0.0 * x,
+                   d_xx=lambda t, a, x, b: 0.0 * x)
+    return PiecewiseSurfaceFunction(Surface(surface, lipschitz=True), lower, upper)
+
+
+class TestLocalTimeWeightAlongTheSurface:
+    """The local-time term weights dl by 1/2 (F_x(b+) - F_x(b-)) at (s, A_s); here
+    that gap, 2 + t + a, varies in both arguments, while X starts on the surface
+    and A drifts and jumps."""
+
+    SPEC = SdeSpec(mu_x=0.2, sigma=1.0, lambda_x=1.0, rate_y=2.0,
+                   jump_law_y=two_point(-0.3, 0.3), mu_a=0.8, lambda_a=1.0,
+                   rate_z=2.0, jump_law_z=two_point(0.4, 0.6), x0=0.35, a0=0.5)
+
+    @pytest.mark.parametrize("variant,jumps", [("ltc_diffusion", False),
+                                               ("surfaces_strong", True),
+                                               ("jump_ltc", True), ("general", True)])
+    def test_local_time_column_weights_by_the_gap_at_t_and_a(self, variant, jumps):
+        psf, n_steps = _widening_glue(), 1000
+        spec = self.SPEC if jumps else replace(self.SPEC, rate_y=0.0, rate_z=0.0)
+        eps, n = _coupled(n_steps)
+        verify = {"ltc_diffusion": lambda b: verify_ltc_diffusion(psf, b, eps),
+                  "surfaces_strong": lambda b: verify_surfaces_strong(psf, b, eps),
+                  "jump_ltc": lambda b: verify_jump_ltc(psf, b, n),
+                  "general": lambda b: verify_general(psf, b, n)}[variant]
+        for seed in range(3):
+            b = simulate_jump_diffusion(spec, 1.0, n_steps, seed)
+            assert bool(b.jump_indices.size) == jumps
+            if variant in ("jump_ltc", "general"):
+                series = local_time_mollifier(b, psf.surface, n)
+            else:
+                series = local_time_occupation(b, psf.surface, eps, side="symmetric")
+            expected = local_time_time_integral(0.5 * (2.0 + b.times + b.a_path), series)
+            assert series.final > 0.01, seed
+            assert verify(b).terms["local_time"] == pytest.approx(expected, rel=0, abs=1e-12)
+
+
 class TestRegistryDerivatives:
     H = 1e-5
 
@@ -162,21 +218,6 @@ class TestRegistryDerivatives:
             tol = 1e-3 if attr == "d_xx" else 1e-4
             declared = np.broadcast_to(getattr(branch, attr)(t, a, x, b), t.shape)
             np.testing.assert_allclose(declared, fd, rtol=0, atol=tol, err_msg=attr)
-
-    @pytest.mark.parametrize("side", [-1, 1], ids=["lower", "upper"])
-    @pytest.mark.parametrize("key", sorted(k for k, p in _PARTS.items() if p.gen))
-    def test_generator_is_the_ito_drift_off_the_surface(self, key, side):
-        parts = _PARTS[key]
-        psf, spec = parts.psf, parts.spec
-        t, a, x = _points_off_the_surface(psf, side, seed=len(key))
-
-        def d(attr):
-            return _Points(psf, t, a, x).value(attr)
-
-        expected = (d("d_t") + spec.mu_x * d("d_x") + spec.mu_a * d("d_a")
-                    + 0.5 * spec.sigma ** 2 * d("d_xx"))
-        h = np.broadcast_to(parts.gen(t, a, x), t.shape)
-        np.testing.assert_allclose(h, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestVerifyTanaka:
@@ -264,29 +305,74 @@ class TestVerifySmoothFit:
         assert r_fit.residual == pytest.approx(r_ltc.residual, abs=1e-12)
 
 
+def _sgn(x, level):
+    return np.where(x > level, 1.0, -1.0)
+
+
+# The H of each scenario that lists `general`, in closed form, at parameters
+# away from the defaults; mu = 0 at the defaults of tanaka_bm and smooth_quadratic
+CLOSED_FORM_H = {
+    "tanaka_bm": ({"mu": 0.4, "level": 0.3, "sigma": 0.7, "x0": 0.1},
+                  lambda p, x: p["mu"] * _sgn(x, p["level"])),
+    "peskir_diffusion": ({"mu": -0.3, "sigma": 0.8, "x0": 0.2},
+                         lambda p, x: p["mu"] * _sgn(x, 0.0)),
+    "smooth_quadratic": ({"mu": 0.5, "sigma": 1.3, "x0": -0.4},
+                         lambda p, x: 2.0 * p["mu"] * x + p["sigma"] ** 2),
+    "exact_drift": ({"mu_x": 0.7, "mu_a": -0.4, "x0": 0.2, "a0": 0.3},
+                    lambda p, x: 0.3 + p["mu_x"] + 0.0 * x),
+    "exact_drift_jump": ({"mu_x": -0.6, "mu_a": 0.9, "rate": 3.0, "x0": 0.1, "a0": -0.2},
+                         lambda p, x: 0.3 + p["mu_x"] + 0.2 * p["mu_a"] + 0.0 * x),
+}
+
+
 class TestVerifyGeneral:
+    def test_every_scenario_with_general_has_a_closed_form_h(self):
+        assert set(CLOSED_FORM_H) == {name for name in REGISTRY
+                                      if "general" in build_parts(name)[1].variants}
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_H))
+    def test_h_is_the_closed_form_drift(self, name):
+        params, h = CLOSED_FORM_H[name]
+        _, parts = build_parts(name, params)
+        for seed in range(3):
+            b = simulate_jump_diffusion(parts.spec, 1.0, 200, seed)
+            values = h(params, b.x_path)
+            if "sigma" in params:  # the closed form varies along the path
+                assert np.ptp(values) > 0.0
+            rep = verify_general(parts.psf, b, n=10)
+            expected = measure_integral(values, b.grid)
+            assert repr(rep.terms["h_dlambda"]) == repr(float(expected)), seed
+
     def test_constant_density_measure_with_linear_f_is_exact(self):
         spec = SdeSpec(mu_x=1.0, x0=0.0)
         b = simulate_jump_diffusion(spec, 1.0, 100, 0)
-        rep = verify_general(_linear_psf(), lambda t, a, x: 1.0 + 0.0 * np.asarray(t, float), b,
-                             n=10)
+        rep = verify_general(_linear_psf(), b, n=10)  # H = mu_x F_x = 1
         assert abs(rep.residual) < 1e-14
 
     def test_h_is_read_at_step_start_after_a_jump(self):
-        # H = x integrates the grid values of X, post-jump values included
-        _, parts = build_parts("glued_quadratic_jump")
+        # below b = 1 + a/2, H = mu (2 (x - b) + 1) + sigma^2 with sigma = 1; above it,
+        # H = 2 mu. It varies with x, and integrates the grid values of X and A,
+        # post-jump values included.
+        mu = 0.3
+        _, parts = build_parts("glued_quadratic_jump", {"mu": mu})
         b = simulate_jump_diffusion(parts.spec, 1.0, 100, 3)
         assert b.jump_indices.size and (b.x_pre != b.x_path).any()
-        rep = verify_general(parts.psf, lambda t, a, x: x, b, n=10)
-        expected = measure_integral(b.x_path, b.grid)
+
+        def h(a, x):
+            level = 1.0 + 0.5 * a
+            return np.where(x <= level, mu * (2.0 * (x - level) + 1.0) + 1.0, 2.0 * mu)
+
+        rep = verify_general(parts.psf, b, n=10)
+        expected = measure_integral(h(b.a_path, b.x_path), b.grid)
         assert repr(rep.terms["h_dlambda"]) == repr(float(expected))
+        assert expected != measure_integral(h(b.a_pre, b.x_pre), b.grid)
 
     def test_tanaka_special_case(self):
         _, parts = build_parts("tanaka_bm")
         for seed in range(30):
             b = simulate_jump_diffusion(parts.spec, 1.0, 10000, seed)
             r1 = verify_tanaka(b, 0.0, n=100)
-            r2 = verify_general(parts.psf, parts.gen, b, n=100)
+            r2 = verify_general(parts.psf, b, n=100)
             # H = 0 for mu = 0, same mollifier local time: identical residuals
             assert r1.residual == r2.residual, seed
 

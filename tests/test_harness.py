@@ -209,6 +209,12 @@ class TestCli:
     def test_unknown_scenario_exit_2(self, capsys):
         assert main(["verify", "--scenario", "nope", "--paths", "1"]) == 2
 
+    @pytest.mark.parametrize("argv", [["--dt", "1e-320"], ["--t-end", "1e300", "--dt", "1e-10"],
+                                      ["--dt", "1e-30"]], ids=" ".join)
+    def test_too_many_steps_exit_2(self, argv, capsys):
+        assert main(["verify", "--scenario", "tanaka_bm", "--paths", "1", *argv]) == 2
+        assert "t_end / dt must be at most 1e+09 steps" in capsys.readouterr().err
+
     def test_dt_not_dividing_t_end_exit_2(self, capsys):
         assert main(["verify", "--scenario", "tanaka_bm", "--dt", "0.3",
                      "--paths", "1"]) == 2

@@ -13,13 +13,9 @@ BOX = ((-2.0, 2.0), (-2.0, 2.0))
 ABS = Surface(lambda t, a: np.abs(np.asarray(a, float)))
 # a step surface: grid points can tie at its minimum
 STEP = Surface(lambda t, a: np.floor(4 * np.asarray(a, float)) / 4)
-# a surface that moves in t, so it is always searched on the full grid
-MOVING = Surface(lambda t, a: np.abs(np.asarray(a, float) - 0.5 * np.asarray(t, float)))
-# queries per full-grid batch at the default budget and grid_n
-CHUNK = surfaces._CHUNK_FLOATS // 33 ** 2
-# a small budget: full-grid batches of 2 queries, a-only batches of 66
+# a small budget: batches of 66 queries at the default grid_n
 SMALL_BUDGET = 2 * 33 ** 2
-A_CHUNK = SMALL_BUDGET // 33
+SMALL_CHUNK = SMALL_BUDGET // 33
 in_box = st.tuples(st.floats(*BOX[0]), st.floats(*BOX[1]))
 # envelope_table's penalties in the golden file (one per decade) and in the
 # bench's envelope workload at seed 1
@@ -31,11 +27,6 @@ CLOSED_FORMS = {
     "abs": lambda m, a: np.where(np.abs(a) <= 1 / m, m * a * a / 2, np.abs(a) - 1 / (2 * m)),
     "quad": lambda m, a: m * a * a / (m + 2),
 }
-
-
-def full_grid(surf):
-    """surf with its values broadcast over t, which makes the search take the full grid."""
-    return Surface(lambda t, a: np.broadcast_arrays(surf.b(t, a), t)[0])
 
 
 def search_a_alone(surf, m, tq, aq, box, grid_n, rounds=6):
@@ -91,9 +82,9 @@ class TestMoreauEnvelope:
 
     def test_least_penalty_reaches_the_infimum(self):
         # at m = 5e-324, which is rejected, m / 2 rounds to 0 and the objective is
-        # 0 * inf = nan wherever (t - tq)**2 overflows; at the next m, m / 2 > 0
-        # and the search finds the infimum, the penalty of a point far out in t
-        box = ((0.0, 2e154), BOX[1])
+        # 0 * inf = nan wherever (a - aq)**2 overflows; at the next m, m / 2 > 0
+        # and the search finds the infimum, the penalty of a = 0
+        box = (BOX[0], (-2e154, 2e154))
         with np.errstate(over="ignore"):
             assert moreau_envelope(ABS, 1e-323, (0.0, -1.0), box) == 5e-324
 
@@ -130,11 +121,11 @@ class TestMoreauEnvelope:
            seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=5, deadline=None)
     def test_batch_equals_scalar_calls(self, surf, log_m, queries, seed):
-        # the drawn queries, then more than an a-only batch of uniform ones, so under
-        # the small budget the batch crosses batch boundaries on both paths
+        # the drawn queries, then more than a batch of uniform ones, so under
+        # the small budget the batch crosses a batch boundary
         m = 10.0 ** log_m
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(A_CHUNK + 1, A_CHUNK + 17))
+        n = int(rng.integers(SMALL_CHUNK + 1, SMALL_CHUNK + 17))
         tq, aq = np.concatenate([np.array(queries).T,
                                  [rng.uniform(*side, n) for side in BOX]], axis=1)
         with pytest.MonkeyPatch.context() as patch:
@@ -153,31 +144,16 @@ class TestMoreauEnvelope:
                 assert batch.tolist() == [search_a_alone(surf, m, *q, BOX, grid_n)
                                           for q in zip(tq, aq)], f"grid_n = {grid_n}, m = {m}"
 
-    @pytest.mark.parametrize("search", ["a alone", "full grid"])
     @pytest.mark.parametrize("surf", SURFACES.values(), ids=list(SURFACES))
-    def test_nan_never_wins_a_round(self, surf, search):
+    def test_nan_never_wins_a_round(self, surf):
         # b is nan where a > 0.5, so every grid reaching there holds nan
         holed = Surface(lambda t, a: np.where(np.asarray(a) > 0.5, np.nan, surf.b(t, a)))
-        holed = holed if search == "a alone" else full_grid(holed)
         rng = np.random.default_rng(5)
         tq, aq = rng.uniform(*BOX[0], 41), np.linspace(-2.0, 2.0, 41)
         for m in (1.0, 5.0, 1e3):
             env, b = moreau_envelope(holed, m, (tq, aq), BOX), holed.b(tq, aq)
             finite = np.isfinite(b)
             assert (env[finite] <= b[finite]).all(), f"m = {m}"
-
-    @pytest.mark.parametrize("grid_n,m_values", [(7, GOLDEN_M), (20, BENCH_M)],
-                             ids=["golden", "bench"])
-    def test_t_free_surfaces_never_search_the_full_grid(self, grid_n, m_values):
-        calls = []
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(surfaces, "_grid_argmin", lambda *args: calls.append(args))
-            for surface in SURFACES:
-                assert len(envelope_table(surface, m_values, grid_n=grid_n)) == 4 * grid_n ** 2
-            # at a negligible penalty every query ties on STEP's lowest step in every round
-            moreau_envelope(STEP, 1e-20, (np.zeros(9), np.linspace(-2.0, 2.0, 9)), BOX,
-                            grid_n=grid_n)
-        assert calls == []
 
     @PENALTIES
     def test_t_free_table_searches_each_distinct_a_once(self, monkeypatch, m_values):
@@ -195,22 +171,12 @@ class TestMoreauEnvelope:
         assert batch.view(np.uint64).tolist() == scalars.view(np.uint64).tolist()
         assert np.signbit(batch).tolist() == [True, False, True]
 
-    def test_t_dependent_surface_searches_every_query(self, monkeypatch):
-        tq, aq = np.array([0.0, 0.0, 0.5, 0.0, 0.0]), np.array([0.5, 0.5, 0.5, -0.0, 0.0])
-        sizes = searched_batches(monkeypatch)
-        batch = moreau_envelope(MOVING, 3.0, (tq, aq), BOX)
-        monkeypatch.undo()
-        assert sizes == [5]
-        assert batch.tolist() == [moreau_envelope(MOVING, 3.0, q, BOX) for q in zip(tq, aq)]
-
-    def test_constant_surface_searches_a_alone(self):
-        calls, grid_argmin = [], surfaces._grid_argmin
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(surfaces, "_grid_argmin",
-                          lambda *args: calls.append(args) or grid_argmin(*args))
-            env = moreau_envelope(constant_surface(0.5), 1.0,
-                                  (np.zeros(5), np.linspace(-1.0, 1.0, 5)), BOX)
-        assert calls == []
+    def test_surface_that_depends_on_t_rejected(self):
+        moving = Surface(lambda t, a: np.abs(np.asarray(a, float) - 0.5 * np.asarray(t, float)))
+        with pytest.raises(ConfigError, match="ignores t"):
+            moreau_envelope(moving, 3.0, (0.0, 0.5), BOX)
+        env = moreau_envelope(constant_surface(0.5), 1.0,
+                              (np.zeros(5), np.linspace(-1.0, 1.0, 5)), BOX)
         assert env.tolist() == [0.5] * 5
         assert not np.signbit(constant_surface(-0.0).b(1.0, 0.0))
 
@@ -224,47 +190,25 @@ class TestMoreauEnvelope:
 
     @pytest.mark.parametrize("rounds", [1, 2, 4])
     def test_each_round_narrows_the_search_tenfold(self, rounds):
-        spans, grid_argmin = [], surfaces._grid_argmin
-
-        def spy(surf, c, tq, aq, ts, as_):
-            spans.extend((ts[0, -1] - ts[0, 0], as_[0, -1] - as_[0, 0]))
-            return grid_argmin(surf, c, tq, aq, ts, as_)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(surfaces, "_grid_argmin", spy)
-            moreau_envelope(MOVING, 1.0, (0.1, 0.3), BOX, rounds=rounds)
-        # the first grid spans the box; each later one, inside the box, a tenth of the last
-        assert spans == pytest.approx([4.0 / 10 ** k for k in range(rounds) for _ in "ta"],
-                                      rel=1e-12)
-
-    @pytest.mark.parametrize("surf,m", [(MOVING, 1.0), (full_grid(STEP), 1e-20)],
-                             ids=["moving", "step"])
-    def test_full_grids_keep_to_the_budget(self, surf, m):
-        # 2 * CHUNK + 1 queries: three batches of full grids. At a negligible
-        # penalty every query ties on STEP's lowest step in every round.
-        grids, depth = [], []  # points of each full grid that b is evaluated on
-        grid_argmin = surfaces._grid_argmin
-
-        def spy(*args):
-            depth.append(1)
-            try:
-                return grid_argmin(*args)
-            finally:
-                depth.pop()
+        spans = []
 
         def b(t, a):
-            if depth:
-                grids.append(np.broadcast(t, a).size)
-            return surf.b(t, a)
+            if np.ndim(a) == 2:  # a round's (queries, grid_n) grid of a
+                spans.append(a[0, -1] - a[0, 0])
+            return ABS.b(t, a)
 
-        rng = np.random.default_rng(3)
-        tq, aq = (rng.uniform(*side, 2 * CHUNK + 1) for side in BOX)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(surfaces, "_grid_argmin", spy)
-            batch = moreau_envelope(Surface(b), m, (tq, aq), BOX)
-        assert sorted(grids) == [33 ** 2] * 6 + [CHUNK * 33 ** 2] * 12
-        assert max(grids) <= surfaces._CHUNK_FLOATS
-        assert batch.tolist() == [moreau_envelope(surf, m, q, BOX) for q in zip(tq, aq)]
+        moreau_envelope(Surface(b), 1.0, (0.1, 0.3), BOX, rounds=rounds)
+        # the first grid spans the box; each later one, inside the box, a tenth of the last
+        assert spans == pytest.approx([4.0 / 10 ** k for k in range(rounds)], rel=1e-12)
+
+    @pytest.mark.parametrize("grid_n", [1, 7, 33])
+    def test_batches_keep_to_the_budget(self, monkeypatch, grid_n):
+        # 2 * chunk + 1 distinct values of a: two full batches, then one query
+        chunk = surfaces._CHUNK_FLOATS // grid_n
+        sizes = searched_batches(monkeypatch)
+        aq = np.linspace(*BOX[1], 2 * chunk + 1)
+        moreau_envelope(ABS, 1.0, (np.zeros_like(aq), aq), BOX, grid_n=grid_n)
+        assert sizes == [chunk, chunk, 1]
 
     @given(queries=st.lists(in_box, min_size=1, max_size=20), where=st.integers(0, 19),
            axis=st.integers(0, 1),
