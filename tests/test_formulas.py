@@ -14,8 +14,8 @@ from ltsurf import (IncompatibleScenarioError, SdeSpec, Surface, constant_surfac
                     verify_smooth_fit, verify_surfaces_strong, verify_tanaka)
 from ltsurf.calculus import (JumpContext, iter_jumps, local_time_time_integral,
                              measure_integral)
-from ltsurf.formulas import (_VARIANTS, Branch, PiecewiseSurfaceFunction, _PathView,
-                             eval_F, fx_jump)
+from ltsurf.formulas import (_VARIANTS, Branch, PiecewiseSurfaceFunction, _PathView, _Points,
+                             _drift, eval_F, fx_jump)
 from ltsurf.harness import ScenarioConfig
 from ltsurf.localtime import local_time_mollifier, local_time_occupation
 from ltsurf.paths import PathBundle, build_grid
@@ -218,6 +218,22 @@ class TestRegistryDerivatives:
             tol = 1e-3 if attr == "d_xx" else 1e-4
             declared = np.broadcast_to(getattr(branch, attr)(t, a, x, b), t.shape)
             np.testing.assert_allclose(declared, fd, rtol=0, atol=tol, err_msg=attr)
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["lower", "upper"])
+    @pytest.mark.parametrize("key", sorted(k for k, p in _PARTS.items() if "general" in p.variants))
+    def test_generator_is_the_ito_drift_off_the_surface(self, key, side):
+        # the drift that the generator term and general's H integrate, against
+        # the closed-form H at the scenario's parameters, on each side of b
+        parts, (name, which) = _PARTS[key], key.rsplit("-", 1)
+        params = {k: v + 0.25 * (which == "shifted") for k, v in REGISTRY[name].params.items()}
+        t, a, x = _points_off_the_surface(parts.psf, side, seed=len(key))
+
+        class View(_Points):
+            def coeff(self, attr):
+                return float(getattr(parts.spec, attr))
+
+        h = np.broadcast_to(_drift(View(parts.psf, t, a, x)), t.shape)
+        np.testing.assert_allclose(h, CLOSED_FORM_H[name][1](params, x), rtol=1e-12, atol=1e-12)
 
 
 class TestVerifyTanaka:

@@ -144,16 +144,48 @@ class TestMoreauEnvelope:
                 assert batch.tolist() == [search_a_alone(surf, m, *q, BOX, grid_n)
                                           for q in zip(tq, aq)], f"grid_n = {grid_n}, m = {m}"
 
+    @pytest.mark.parametrize("queries", ["a alone", "full grid"])
     @pytest.mark.parametrize("surf", SURFACES.values(), ids=list(SURFACES))
-    def test_nan_never_wins_a_round(self, surf):
-        # b is nan where a > 0.5, so every grid reaching there holds nan
+    def test_nan_never_wins_a_round(self, surf, queries):
+        # b is nan where a > 0.5, so every grid reaching there holds nan. The
+        # queries run along a, or over a full (t, a) grid as envelope_table's do.
         holed = Surface(lambda t, a: np.where(np.asarray(a) > 0.5, np.nan, surf.b(t, a)))
-        rng = np.random.default_rng(5)
-        tq, aq = rng.uniform(*BOX[0], 41), np.linspace(-2.0, 2.0, 41)
+        if queries == "a alone":
+            rng = np.random.default_rng(5)
+            tq, aq = rng.uniform(*BOX[0], 41), np.linspace(-2.0, 2.0, 41)
+        else:
+            tq, aq = np.meshgrid(np.linspace(*BOX[0], 9), np.linspace(-2.0, 2.0, 41),
+                                 indexing="ij")
         for m in (1.0, 5.0, 1e3):
             env, b = moreau_envelope(holed, m, (tq, aq), BOX), holed.b(tq, aq)
             finite = np.isfinite(b)
+            assert env.shape == aq.shape, f"m = {m}"
             assert (env[finite] <= b[finite]).all(), f"m = {m}"
+
+    @pytest.mark.parametrize("grid_n,m_values", [(7, GOLDEN_M), (20, BENCH_M)],
+                             ids=["golden", "bench"])
+    def test_t_free_surfaces_never_search_the_full_grid(self, monkeypatch, grid_n, m_values):
+        # b is evaluated on the search's 33 values of a per query and round,
+        # never on a (t, a) grid of 33 ** 2 points per query
+        points = []
+
+        def counted(surf):
+            return Surface(lambda t, a: points.append(np.size(v := surf.b(t, a))) or v)
+
+        for name, surf in list(SURFACES.items()):
+            monkeypatch.setitem(SURFACES, name, counted(surf))
+        for name in SURFACES:
+            points.clear()
+            assert len(envelope_table(name, m_values, grid_n=grid_n)) == 4 * grid_n ** 2
+            # b on the table's grid_n ** 2 points; then per penalty the t probe's
+            # row of 33 values of a, b at the table's grid_n distinct values of
+            # a, and 6 rounds of 33 points for each of them
+            assert sum(points) == grid_n ** 2 + 4 * (33 + grid_n + 6 * grid_n * 33), name
+        # at a negligible penalty every query ties on STEP's lowest step in every round
+        points.clear()
+        moreau_envelope(counted(STEP), 1e-20, (np.zeros(9), np.linspace(-2.0, 2.0, 9)), BOX,
+                        grid_n=grid_n)
+        assert sum(points) == grid_n + 9 + 6 * 9 * grid_n
 
     @PENALTIES
     def test_t_free_table_searches_each_distinct_a_once(self, monkeypatch, m_values):
@@ -175,8 +207,14 @@ class TestMoreauEnvelope:
         moving = Surface(lambda t, a: np.abs(np.asarray(a, float) - 0.5 * np.asarray(t, float)))
         with pytest.raises(ConfigError, match="ignores t"):
             moreau_envelope(moving, 3.0, (0.0, 0.5), BOX)
+
+    def test_constant_surface_searches_a_alone(self, monkeypatch):
+        # b broadcast to the shape of a passes the t probe; its 5 distinct
+        # values of a are searched in one batch
+        sizes = searched_batches(monkeypatch)
         env = moreau_envelope(constant_surface(0.5), 1.0,
                               (np.zeros(5), np.linspace(-1.0, 1.0, 5)), BOX)
+        assert sizes == [5]
         assert env.tolist() == [0.5] * 5
         assert not np.signbit(constant_surface(-0.0).b(1.0, 0.0))
 
